@@ -109,10 +109,11 @@ def bma_with_provenance(
     """bma_run over the records' traces, with last/dist bookkeeping.
 
     last[m, t-1] is the source position under cursor m at round t;
-    dist[m, t-1] = last - (t-1) - last[m, 0] counts crossed deletions net of
-    stalls and must stay non-negative whenever the majority tracks the
-    source word, which is asserted (this variant is a test oracle, not part
-    of the reconstruction path).
+    dist[m, t-1] = last - (t-1) - min(last[:, 0]) counts crossed deletions
+    net of stalls, from the run's common source start, so a trace that lost
+    the first source bit starts one ahead.  It must stay non-negative
+    whenever the majority tracks the source word, which is asserted (this
+    variant is a test oracle, not part of the reconstruction path).
     """
     sequences = [r.trace for r in records]
     _check_inputs(sequences, start_cursors, rounds)
@@ -128,7 +129,7 @@ def bma_with_provenance(
             rec.source_map[np.minimum(h, trace_len) - 1],
             rec.source_len + (h - trace_len),
         )
-    dist = last - np.arange(rounds + 1, dtype=np.int64)[None, :] - last[:, :1]
+    dist = last - np.arange(rounds + 1, dtype=np.int64)[None, :] - last[:, 0].min()
     assert (dist >= 0).all(), "cursor fell behind the one-bit-per-round schedule"
     symbols = "".join(_SYMBOL_CHARS[emitted])
     out = BitString("") if (emitted == _STAR).any() else BitString(emitted)

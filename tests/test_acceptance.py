@@ -1,7 +1,9 @@
 """Acceptance suite: one test per numbered criterion, one PASS/FAIL line each.
 
-Each test prints (and appends to reports/acceptance_report.txt) a single
-line `criterion NN <name>: PASS|FAIL (<measured detail>)`, then asserts.
+Each test prints a single line `criterion NN <name>: PASS|FAIL (<measured
+detail>)`, then asserts.  At the end of the module the lines of the criteria
+that ran replace theirs in reports/acceptance_report.txt; the other criteria's
+lines are kept, so a `-k` run of one criterion updates only its own line.
 Criteria that the shipped constants cannot meet at desk scale fail here
 honestly; the measurements and the parameter-search write-ups live under
 reports/.
@@ -50,19 +52,42 @@ from .oracles import bma_literal, desert_scan_naive, edit_distance_dp
 REPORT = Path(__file__).resolve().parent.parent / "reports" / "acceptance_report.txt"
 
 
+_LINES: dict[int, str] = {}
+
+
+def merge_report(old: str, fresh: dict[int, str]) -> str:
+    """Report text with the criteria in ``fresh`` replaced or added and the
+    other criterion lines of ``old`` kept, in numeric order."""
+    lines = {int(ln.split()[1]): ln for ln in old.splitlines() if ln.startswith("criterion ")}
+    lines.update(fresh)
+    return "".join(lines[num] + "\n" for num in sorted(lines))
+
+
 @pytest.fixture(scope="module", autouse=True)
-def _fresh_report():
-    REPORT.parent.mkdir(exist_ok=True)
-    REPORT.write_text("")
+def _update_report():
+    _LINES.clear()
     yield
+    if _LINES:
+        old = REPORT.read_text() if REPORT.exists() else ""
+        REPORT.parent.mkdir(exist_ok=True)
+        REPORT.write_text(merge_report(old, _LINES))
 
 
 def record(num: int, name: str, ok: bool, detail: str) -> None:
     line = f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
     print(line, flush=True)
-    with REPORT.open("a") as fh:
-        fh.write(line + "\n")
+    _LINES[num] = line
     assert ok, line
+
+
+def test_merge_report_replaces_only_the_criteria_that_ran():
+    old = "criterion 01 a: PASS (x)\ncriterion 10 c: FAIL (y)\ncriterion 02 b: PASS (z)\n"
+    fresh = {10: "criterion 10 c: PASS (new)", 3: "criterion 03 d: FAIL (w)"}
+    assert merge_report(old, fresh) == (
+        "criterion 01 a: PASS (x)\ncriterion 02 b: PASS (z)\n"
+        "criterion 03 d: FAIL (w)\ncriterion 10 c: PASS (new)\n"
+    )
+    assert merge_report("", {}) == ""
 
 
 def all_bitstrings(max_len: int) -> list[str]:

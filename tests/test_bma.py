@@ -127,6 +127,17 @@ class TestBmaWithProvenance:
             assert out == x.subword(1, 40)
             assert (diag.dist >= 0).all()
 
+    def test_trace_missing_first_source_bit(self):
+        # dist counts from the run's common source start, so a trace that
+        # lost source bit 1 starts one deletion ahead instead of tripping
+        # the assertion when it stalls at the end of the first run
+        x = BitString("0110100111010010")
+        recs = [apply_deletions(x, set()), apply_deletions(x, set()), apply_deletions(x, {1})]
+        out, _, diag = bma_with_provenance(recs, [1, 1, 1], 15)
+        assert out == x.subword(1, 15)
+        assert diag.last[:, 0].tolist() == [1, 1, 2]
+        assert diag.dist[2].tolist() == [1, 0] + [0] * 14
+
     def test_derailed_majority_trips_the_oracle(self):
         # a sequence that never matches the majority falls behind schedule;
         # the oracle is asserted, so it refuses such runs

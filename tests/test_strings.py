@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tracerecon import (
     BitString,
     Interval,
+    apply_deletions,
     edit_distance,
     edit_distance_bounded,
     find_closest_subword,
@@ -96,8 +97,22 @@ class TestEditDistance:
 
     def test_large_random_pair(self, rng):
         a = random_bits(3000, rng)
-        b = random_bits(3000, rng)
-        assert edit_distance(a, b) == edit_distance_dp(str(a), str(b))
+        for b in (random_bits(3000, rng), random_bits(2777, rng)):
+            assert edit_distance(a, b) == edit_distance_dp(str(a), str(b))
+            assert edit_distance(b, a) == edit_distance(a, b)
+
+    def test_long_trace_at_its_cap(self, rng):
+        # a trace is a subsequence of its source, so d = n - |trace|; the
+        # trace length is no multiple of 8, so the packed masks end mid-byte
+        n = 2**13
+        x = random_bits(n, rng)
+        deleted = {int(p) for p in rng.choice(np.arange(1, n + 1), size=61, replace=False)}
+        trace = apply_deletions(x, deleted).trace
+        d = n - len(trace)
+        assert d == 61 and len(trace) % 8 != 0
+        assert edit_distance_bounded(x, trace, d) == d
+        assert edit_distance_bounded(trace, x, d) == d
+        assert edit_distance_bounded(x, trace, d - 1) is None
 
 
 class TestLcsMatching:
