@@ -13,6 +13,7 @@ has crossed beyond the ideal one-bit-per-round schedule.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +55,17 @@ def _run_rounds(
     cursors); history has shape (M, rounds+1) with column t-1 = cursors at
     round t."""
     m_count = len(sequences)
-    lens = np.array([len(s) for s in sequences], dtype=np.int64)
-    offs = np.concatenate(([0], np.cumsum(lens)))[:-1]
-    flat = np.concatenate([s.array for s in sequences]) if lens.sum() else np.zeros(1, np.uint8)
-    cursors = np.array(start_cursors, dtype=np.int64)
-    history = np.empty((m_count, rounds + 1), dtype=np.int64)
-    emitted = np.empty(rounds, dtype=np.uint8)
-    margins = np.empty(rounds, dtype=np.int64)
-    for t in range(rounds):
-        history[:, t] = cursors
-        inb = cursors <= lens
-        syms = np.where(inb, flat[np.where(inb, offs + cursors - 1, 0)], _STAR)
-        c0 = int((syms == 0).sum())
-        c1 = int((syms == 1).sum())
+    data = [s.tobytes() for s in sequences]
+    lens = [len(b) for b in data]
+    cursors = list(start_cursors)
+    history = array("q")  # cursors per round, flat, round-major
+    emitted = []
+    margins = []
+    for _ in range(rounds):
+        history.extend(cursors)
+        syms = [b[c - 1] if c <= n else _STAR for b, c, n in zip(data, cursors, lens)]
+        c0 = syms.count(0)
+        c1 = syms.count(1)
         cs = m_count - c0 - c1
         if c0 >= c1 and c0 >= cs:
             w, margin = 0, c0
@@ -74,11 +73,16 @@ def _run_rounds(
             w, margin = 1, c1
         else:
             w, margin = _STAR, cs
-        emitted[t] = w
-        margins[t] = margin
-        cursors = cursors + (syms == w)
-    history[:, rounds] = cursors
-    return emitted, margins, history, cursors
+        emitted.append(w)
+        margins.append(margin)
+        cursors = [c + (y == w) for c, y in zip(cursors, syms)]
+    history.extend(cursors)
+    return (
+        np.array(emitted, dtype=np.uint8),
+        np.array(margins, dtype=np.int64),
+        np.frombuffer(history, dtype=np.int64).reshape(rounds + 1, m_count).T,
+        np.array(cursors, dtype=np.int64),
+    )
 
 
 _SYMBOL_CHARS = np.array(["0", "1", "*"])

@@ -37,7 +37,7 @@ from .lower_bound import (
 from .params import DESK_DEFAULTS, PAPER_DEFAULTS, derive_params
 from .reconstruct import reconstruct_with_fallback
 from .rng import stream
-from .strings import BitString, edit_distance, edit_distance_bounded, random_bits
+from .strings import BitString, edit_distance, random_bits
 
 __all__ = [
     "ExperimentConfig",
@@ -213,15 +213,12 @@ def _run_reconstruct_e2e(point: dict, rng: np.random.Generator, mode: str) -> di
         k_const=point["k_const"], tau=point["tau"], gamma=point["gamma"], mode=mode,
     )
     cap = max(64, math.ceil(2 * delta * n))
-    d = edit_distance_bounded(x, result.hypothesis, cap)
-    d_base = edit_distance_bounded(x, traces[0], cap)
-    capped = d is None
-    d_val = cap if d is None else d
+    d = edit_distance(x, result.hypothesis)
     return {
-        "edit_distance": float(d_val),
-        "edit_distance_capped": float(capped),
-        "normalized_distance": float(d_val / n),
-        "baseline_distance": float(cap if d_base is None else d_base),
+        "edit_distance": float(d),
+        "edit_distance_capped": float(d > cap),
+        "normalized_distance": float(d / n),
+        "baseline_distance": float(edit_distance(x, traces[0])),
         "regime_code": float(_REGIME_CODES[result.regime_action]),
         "m_used": float(result.m_used),
         "segments": float(len(result.segments)),

@@ -10,8 +10,8 @@ prefilter in :func:`find_closest_subword`.
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
 kernel computes it, the bit-parallel LCS recurrence on Python ints, at
-O(|a| * |b| / w) whatever the distance; a banded DP remains only for the
-batched window search.
+O(|a| * |b| / w) whatever the distance.  The same recurrence, run once over
+many candidate windows packed into one int, serves the window search.
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ __all__ = [
     "find_closest_subword",
     "find_common_word",
 ]
-
-_INF = np.int32(2**30)
-
 
 class BitString:
     """Immutable sequence of bits with 1-based accessors."""
@@ -162,24 +159,32 @@ class Matching:
         return len(self.pairs)
 
 
-def _lcs_length(a: np.ndarray, b: np.ndarray) -> int:
-    """Length of a longest common subsequence, bit-parallel.
+def _pack(bits: np.ndarray) -> int:
+    """Python int whose bit i is set where ``bits`` (flattened) is true."""
+    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
 
-    Allison & Dix (1986) / Hyyrö (2004): after each symbol of the shorter
-    string, bit j of ``v`` is 0 exactly where the current LCS table row steps
-    up at column j, and one mask step updates every column at once through
-    Python int arithmetic.
+
+def _lcs_steps(a: np.ndarray, b: np.ndarray, mask: int) -> int:
+    """Bit-parallel LCS of ``a`` against the columns of ``b`` under ``mask``.
+
+    Allison & Dix (1986) / Hyyrö (2004): after each symbol of ``a``, bit j of
+    ``v`` is 0 exactly where the current LCS table row steps up at column j,
+    and one mask step updates every column at once through Python int
+    arithmetic.  Symbols of ``b`` outside {0, 1} match nothing.
     """
-    if a.size > b.size:
-        a, b = b, a
-    mask = (1 << b.size) - 1
-    ones = int.from_bytes(np.packbits(b, bitorder="little").tobytes(), "little")
-    peq = (mask ^ ones, ones)
+    peq = (_pack(b == 0), _pack(b == 1))
     v = mask
     for c in a.tolist():
         u = v & peq[c]
         v = ((v + u) | (v - u)) & mask
-    return b.size - v.bit_count()
+    return v
+
+
+def _lcs_length(a: np.ndarray, b: np.ndarray) -> int:
+    """Length of a longest common subsequence, looping over the shorter string."""
+    if a.size > b.size:
+        a, b = b, a
+    return b.size - _lcs_steps(a, b, (1 << b.size) - 1).bit_count()
 
 
 def edit_distance(a: BitString, b: BitString) -> int:
@@ -248,56 +253,31 @@ def lcs_matching(a: BitString, b: BitString) -> Matching:
     return Matching(tuple(pairs))
 
 
-# ---------------------------------------------------------------------------
-# Windowed approximate search: banded dynamic programming.
-#
-# Cells (i, j) hold the insert/delete distance between a[1:i] and b[1:j].
-# A band restricted to j - i in [dlo, dhi] is exact for any target cell whose
-# true distance fits inside the band: an optimal path to a cell of cost c only
-# visits cells with |j - i| <= c.  A "substitution" move costing 2 keeps the
-# banded recurrence closed without leaving the band.
-# ---------------------------------------------------------------------------
+def _window_prefix_distances(template: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Distance from ``template`` to every prefix of every candidate window.
 
+    ``windows`` has one row per candidate, padded on the right with a value
+    outside {0, 1}; column j - 1 of the result is the distance to the
+    length-j prefix of that row.
 
-def _banded_final_row(a: np.ndarray, bmat: np.ndarray, dlo: int, dhi: int) -> np.ndarray:
-    """Final DP row for one template against many haystack windows.
-
-    ``a`` is the template (length t).  ``bmat`` has one row per candidate
-    window, padded on the right with a sentinel value outside {0, 1}.  Returns
-    an int32 array of shape (k, dhi - dlo + 1) whose column c is the distance
-    between ``a`` and the window prefix of length ``t + dlo + c`` (large values
-    mean "greater than the band certifies").
+    One ``_lcs_steps`` pass scores all rows: row r holds bits
+    r * (L + 1) .. r * (L + 1) + L - 1 of ``v``, with a guard bit above.
+    ``v - u`` never borrows because ``u`` is a subset of ``v``, and a carry
+    out of a row stops at its guard bit, which the mask clears.  The LCS
+    with a length-j prefix is then the number of zero bits among the row's
+    first j.
     """
-    t = a.size
-    k = bmat.shape[0]
-    width = dhi - dlo + 1
-    pad_left = max(0, -dlo) + 1
-    bp = np.full((k, pad_left + bmat.shape[1] + dhi + 1), 2, dtype=np.uint8)
-    bp[:, pad_left : pad_left + bmat.shape[1]] = bmat
-
-    offs = np.arange(width, dtype=np.int32)
-    js0 = dlo + offs  # j values at row 0
-    row = np.where(js0 >= 0, js0, _INF).astype(np.int32)
-    row = np.broadcast_to(row, (k, width)).copy()
-
-    up = np.empty_like(row)
-    for i in range(1, t + 1):
-        ai = a[i - 1]
-        # column c corresponds to j = i + dlo + c
-        cols = pad_left + i + dlo - 1
-        bslice = bp[:, cols : cols + width]
-        up[:, :-1] = row[:, 1:]
-        up[:, -1] = _INF
-        diag_cost = np.where(bslice == ai, 0, 2).astype(np.int32)
-        cand = np.minimum(up + 1, row + diag_cost)
-        js = i + dlo + offs
-        cand[:, js < 0] = _INF
-        # resolve the in-row "insert" dependency with a prefix-min scan
-        cand -= offs
-        np.minimum.accumulate(cand, axis=1, out=cand)
-        cand += offs
-        row = cand
-    return row
+    k, width = windows.shape
+    rows = np.full((k, width + 1), 2, dtype=np.uint8)  # last column: guard bits
+    rows[:, :width] = windows
+    mask = _pack(np.broadcast_to(np.arange(width + 1) < width, rows.shape))
+    v = _lcs_steps(template, rows, mask)
+    packed = np.frombuffer(v.to_bytes((rows.size + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(packed, count=rows.size, bitorder="little").reshape(rows.shape)
+    dist = np.cumsum(bits[:, :width] == 0, axis=1, dtype=np.int32)  # lcs
+    dist *= -2
+    dist += np.arange(template.size + 1, template.size + width + 1, dtype=np.int32)
+    return dist
 
 
 def _prefilter_starts(
@@ -384,20 +364,17 @@ def find_closest_subword(
 
     arr = haystack.array
     ta = template.array
-    dlo, dhi = -max_dist, max_dist
-    width = dhi - dlo + 1
-    lens = t + dlo + np.arange(width)  # candidate lengths per column
+    lens = np.arange(min_len, max_len + 1)  # candidate lengths per column
     block = 2048
     for base in range(0, cand.size, block):
         qs = cand[base : base + block]
-        span = np.arange(max_len)
-        idx = qs[:, None] + span[None, :]
+        idx = qs[:, None] + np.arange(max_len)[None, :]
         ok = idx <= (search.hi - 1)
-        bmat = np.where(ok, arr[np.minimum(idx, n - 1)], 2).astype(np.uint8)
-        final = _banded_final_row(ta, bmat, dlo, dhi)
+        windows = np.where(ok, arr[np.minimum(idx, n - 1)], 2).astype(np.uint8)
+        dist = _window_prefix_distances(ta, windows)[:, min_len - 1 :]
         allowed = (search.hi - 1) - qs + 1  # max window length per start
-        length_ok = (lens[None, :] >= 1) & (lens[None, :] <= allowed[:, None])
-        hit = (final <= max_dist) & length_ok
+        length_ok = lens[None, :] <= allowed[:, None]
+        hit = (dist <= max_dist) & length_ok
         rows = hit.any(axis=1)
         if rows.any():
             r = int(np.argmax(rows))

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from tracerecon import ExperimentConfig, TrialResult, emit_report, run_experiment
+from tracerecon import ExperimentConfig, TrialResult, edit_distance, emit_report, run_experiment
+from tracerecon import harness
 from tracerecon.harness import CSV_COLUMNS, KINDS, parse_jsonl
 
 
@@ -142,6 +144,38 @@ class TestRunExperiment:
         assert res.metrics["regime_code"] == 1.0  # single-trace fallback
         assert res.metrics["edit_distance"] >= 0.0
         assert res.metrics["normalized_distance"] <= 2.0
+
+    def test_reconstruct_e2e_reports_exact_distance_beyond_cap(self, monkeypatch):
+        # a doubled hypothesis lies far beyond the cap max(64, 2 delta n); the
+        # report must carry its exact distance, not the cap
+        seen = {}
+        real_bits = harness.random_bits
+        real_recon = harness.reconstruct_with_fallback
+
+        def recording_bits(n, rng):
+            seen["x"] = real_bits(n, rng)
+            return seen["x"]
+
+        def doubled(n, delta, traces, **kwargs):
+            res = real_recon(n, delta, traces, **kwargs)
+            seen["hyp"] = res.hypothesis.concat(res.hypothesis)
+            seen["trace0"] = traces[0]
+            return dataclasses.replace(res, hypothesis=seen["hyp"])
+
+        monkeypatch.setattr(harness, "random_bits", recording_bits)
+        monkeypatch.setattr(harness, "reconstruct_with_fallback", doubled)
+        cfg = ExperimentConfig(
+            kind="reconstruct_e2e",
+            grid=[{"n": 1024, "delta": 1e-9, "m_traces": 4}],
+            seed=3,
+        )
+        (res,) = run_experiment(cfg)
+        d = edit_distance(seen["x"], seen["hyp"])
+        assert d > 64
+        assert res.metrics["edit_distance"] == d
+        assert res.metrics["edit_distance_capped"] == 1.0
+        assert res.metrics["normalized_distance"] == d / 1024
+        assert res.metrics["baseline_distance"] == edit_distance(seen["x"], seen["trace0"])
 
     def test_bma_bench_runs(self):
         cfg = ExperimentConfig(

@@ -22,6 +22,7 @@ from .oracles import (
     edit_distance_dp,
     find_closest_subword_naive,
 )
+from tracerecon.strings import _prefilter_starts, _window_prefix_distances
 
 bits = st.text(alphabet="01", max_size=64)
 
@@ -204,6 +205,59 @@ class TestFindClosestSubword:
         assert lo <= hit.lo <= hit.hi <= hi
         cand = trace[hit.lo - 1 : hit.hi]
         assert edit_distance_dp(template, cand) <= max_dist
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_planted_copy_through_prefilter(self, seed):
+        # t >= 12 * (max_dist + 1) and a search longer than 4t: the exact-piece
+        # prefilter chooses the candidates, and the packed kernel scores them
+        rng = np.random.default_rng(seed)
+        trace = random_bits(300, rng)
+        at = int(rng.integers(100, 240))
+        copy = trace.subword(at, at + 39)
+        template = apply_deletions(copy, [int(rng.integers(1, 41))]).trace
+        window = Interval(1, len(trace))
+        assert _prefilter_starts(template.array, trace.tobytes(), window, 1, 38) is not None
+        got = find_closest_subword(template, trace, window, 1)
+        assert got is not None and got.lo <= at
+        assert got == find_closest_subword_naive(template, trace, window, 1)
+
+    @pytest.mark.parametrize("t,max_dist", [(5, 2), (30, 1), (3, 4)])
+    def test_all_ones_carry_to_guard_bit(self, t, max_dist):
+        # every step of every row carries out of its top bit into the guard
+        template = BitString("1" * t)
+        windows = np.ones((7, t + max_dist), dtype=np.uint8)
+        want = [abs(t - j) for j in range(1, t + max_dist + 1)]
+        assert (_window_prefix_distances(template.array, windows) == want).all()
+        trace = BitString("1" * 200)
+        window = Interval(1, 200)
+        got = find_closest_subword(template, trace, window, max_dist)
+        assert got == find_closest_subword_naive(template, trace, window, max_dist)
+        assert got == Interval(1, max(1, t - max_dist))
+
+    def test_rows_past_search_end_read_pad(self):
+        # the haystack continues with exact copies past search.hi; windows
+        # that run into the pad may not use them
+        template = BitString("110101")
+        trace = BitString("0000000011010" + "110101" * 3)
+        window = Interval(1, 13)
+        got = find_closest_subword(template, trace, window, 2)
+        assert got == find_closest_subword_naive(template, trace, window, 2)
+        assert got is not None and got.hi <= 13
+        assert find_closest_subword(template, trace, Interval(1, 11), 1) is None
+
+    @given(
+        st.text(alphabet="01", min_size=1, max_size=12),
+        st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=5),
+    )
+    def test_prefix_distances_match_dp(self, template, raw_rows):
+        width = max(len(r) for r in raw_rows)
+        windows = np.full((len(raw_rows), width), 2, dtype=np.uint8)
+        for i, r in enumerate(raw_rows):
+            windows[i, : len(r)] = BitString(r).array
+        got = _window_prefix_distances(BitString(template).array, windows)
+        for i, r in enumerate(raw_rows):
+            want = [edit_distance_dp(template, r[:j]) for j in range(1, len(r) + 1)]
+            assert got[i, : len(r)].tolist() == want
 
 
 class TestFindCommonWord:
