@@ -21,6 +21,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .channel import TraceRecord, source_of
 from .params import ReconParams
 from .strings import BitString, Interval, find_closest_subword, find_common_word
@@ -84,8 +86,14 @@ def align(
     ell_star: int,
     y_star: BitString,
     traces: list[BitString],
+    indexes: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[Configuration, AlignDiagnostics]:
-    """Place one cursor per trace near the source position under ell_star."""
+    """Place one cursor per trace near the source position under ell_star.
+
+    ``indexes[m]`` is ``kmer_index(traces[m])``, for callers that align the
+    same traces many times; without them each search that prefilters
+    builds its own.
+    """
     m_count = len(traces)
     n_star = len(y_star)
     if not 1 <= ell_star <= n_star:
@@ -120,7 +128,10 @@ def align(
         for s in range(params.S, 0, -1):
             t_s = params.t_ladder[s - 1]
             budget = int(2 * params.gamma * t_s)
-            hit = find_closest_subword(templates[s - 1], trace, search, budget)
+            hit = find_closest_subword(
+                templates[s - 1], trace, search, budget,
+                None if indexes is None else indexes[m],
+            )
             if hit is None:
                 return _all_ones(m_count), AlignDiagnostics(
                     tuple(ref_windows), tuple(templates), _freeze(trace_windows),

@@ -49,20 +49,23 @@ def _check_inputs(sequences: list[BitString], start_cursors: list[int], rounds: 
 
 
 def _run_rounds(
-    sequences: list[BitString], start_cursors: list[int], rounds: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Core loop.  Returns (emitted symbols, margins, cursor history, final
-    cursors); history has shape (M, rounds+1) with column t-1 = cursors at
-    round t."""
+    sequences: list[BitString],
+    start_cursors: list[int],
+    rounds: int,
+    history: array | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Core loop.  Returns (emitted symbols, margins, final cursors).  When
+    ``history`` is given, the cursors of every round and the final ones are
+    appended to it, round-major: rounds+1 rows of M."""
     m_count = len(sequences)
     data = [s.tobytes() for s in sequences]
     lens = [len(b) for b in data]
     cursors = list(start_cursors)
-    history = array("q")  # cursors per round, flat, round-major
     emitted = []
     margins = []
     for _ in range(rounds):
-        history.extend(cursors)
+        if history is not None:
+            history.extend(cursors)
         syms = [b[c - 1] if c <= n else _STAR for b, c, n in zip(data, cursors, lens)]
         c0 = syms.count(0)
         c1 = syms.count(1)
@@ -76,11 +79,11 @@ def _run_rounds(
         emitted.append(w)
         margins.append(margin)
         cursors = [c + (y == w) for c, y in zip(cursors, syms)]
-    history.extend(cursors)
+    if history is not None:
+        history.extend(cursors)
     return (
         np.array(emitted, dtype=np.uint8),
         np.array(margins, dtype=np.int64),
-        np.frombuffer(history, dtype=np.int64).reshape(rounds + 1, m_count).T,
         np.array(cursors, dtype=np.int64),
     )
 
@@ -97,7 +100,7 @@ def bma_run(
     string; final cursors are the positions after the last round either way.
     """
     _check_inputs(sequences, start_cursors, rounds)
-    emitted, margins, _, final = _run_rounds(sequences, start_cursors, rounds)
+    emitted, margins, final = _run_rounds(sequences, start_cursors, rounds)
     symbols = "".join(_SYMBOL_CHARS[emitted])
     if (emitted == _STAR).any():
         out = BitString("")
@@ -121,8 +124,10 @@ def bma_with_provenance(
     """
     sequences = [r.trace for r in records]
     _check_inputs(sequences, start_cursors, rounds)
-    emitted, margins, history, final = _run_rounds(sequences, start_cursors, rounds)
+    flat = array("q")
+    emitted, margins, final = _run_rounds(sequences, start_cursors, rounds, flat)
     m_count = len(records)
+    history = np.frombuffer(flat, dtype=np.int64).reshape(rounds + 1, m_count).T
     last = np.empty_like(history)
     for m, rec in enumerate(records):
         trace_len = len(rec.trace)

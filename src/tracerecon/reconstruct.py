@@ -33,7 +33,7 @@ from .params import (
     derive_params,
     reduce_m_traces,
 )
-from .strings import BitString
+from .strings import BitString, kmer_index
 
 __all__ = ["ReconResult", "reconstruct", "reconstruct_with_fallback"]
 
@@ -77,10 +77,13 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
         if ell_star > min(n_star - params.R, n_star - margin):
             return ReconResult(y_star, (), "output_single_trace", params.m_traces)
 
+    # every segment's widest ladder stage searches each whole trace, so each
+    # trace's word index is built once here and dropped on return
+    indexes = [kmer_index(trace) for trace in traces]
     pieces: list[BitString] = []
     segments: list[tuple[int, int]] = []
     while ell_star <= n_star - params.R and ell_star <= n_star - margin:
-        config, diag = align(params, ell_star, y_star, traces)
+        config, diag = align(params, ell_star, y_star, traces, indexes)
         if diag.failure_stage is not None:
             # the all-ones configuration tracks nothing; voting from it would
             # re-emit the start of the source

@@ -3,9 +3,10 @@
 Everything downstream (channel records, alignment, reconstruction) works on
 immutable binary strings with the 1-based indexing convention used throughout
 the package: ``x[1]`` is the first bit and subwords are closed intervals
-``x[i : j]``.  Strings are stored as one byte per bit so that exact substring
-search runs at C speed via ``bytes.find``; that search underpins the candidate
-prefilter in :func:`find_closest_subword`.
+``x[i : j]``.  Strings are stored as one byte per bit.  The candidate
+prefilter in :func:`find_closest_subword` looks template pieces up in a
+12-bit-word index of the haystack (:func:`kmer_index`), which a caller
+searching one haystack many times builds once and passes in.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
@@ -31,6 +32,7 @@ __all__ = [
     "lcs_matching",
     "find_closest_subword",
     "find_common_word",
+    "kmer_index",
 ]
 
 class BitString:
@@ -280,45 +282,73 @@ def _window_prefix_distances(template: np.ndarray, windows: np.ndarray) -> np.nd
     return dist
 
 
+_KMER = 12  # word length of the haystack index: 2**12 = 4096 codes
+
+
+def kmer_index(bits: BitString) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of every 12-bit word of ``bits``, grouped by the word.
+
+    Returns ``(offsets, starts)``: ``starts`` (int32) holds every 0-based
+    word start, grouped by the word's code (its bits read most significant
+    first) and ascending within a group; the group of code c is
+    ``starts[offsets[c] : offsets[c + 1]]``, with ``offsets`` (int32) of
+    length 4097.
+    """
+    a = bits.array
+    n_words = max(a.size - _KMER + 1, 0)
+    codes = np.zeros(n_words, dtype=np.uint16)
+    for i in range(_KMER):
+        codes <<= 1
+        codes |= a[i : i + n_words]
+    starts = np.argsort(codes, kind="stable").astype(np.int32)  # radix sort on uint16
+    offsets = np.zeros((1 << _KMER) + 1, dtype=np.int32)
+    np.cumsum(np.bincount(codes, minlength=1 << _KMER), out=offsets[1:])
+    return offsets, starts
+
+
 def _prefilter_starts(
     template: np.ndarray,
-    hay: bytes,
+    hay: BitString,
     search: Interval,
     max_dist: int,
     min_len: int,
+    index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | None:
     """Candidate window starts via exact-piece matching, or None to scan all.
 
     Splitting the template into ``max_dist + 1`` contiguous pieces, any window
     within distance ``max_dist`` must contain at least one piece verbatim
     (each edit touches at most one piece), displaced by at most ``max_dist``
-    from its template offset.  Exact piece occurrences are found with
-    ``bytes.find``, so this prunes long searches to a handful of candidates
-    without ever discarding a true match.
+    from its template offset.  Each piece is at least ``_KMER`` bits long;
+    its first ``_KMER`` bits are looked up in the haystack's
+    :func:`kmer_index` (built here when ``index`` is None), and a position
+    is kept where the whole piece occurs inside ``search``.  That is every
+    exact occurrence, so this prunes long searches to a handful of
+    candidates without ever discarding a true match.
     """
     t = template.size
     pieces = max_dist + 1
-    if t // pieces < 12:
+    if t // pieces < _KMER:
         return None
     lo0, hi0 = search.lo - 1, search.hi - 1  # 0-based haystack span
     if (hi0 - lo0 + 1) <= 4 * t:
         return None
-    starts: set[int] = set()
-    first_start = lo0
-    last_start = hi0 - min_len + 1
-    bounds = np.linspace(0, t, pieces + 1).astype(int)
+    offsets, starts = kmer_index(hay) if index is None else index
+    hay_b = hay.tobytes()
     tb = template.tobytes()
+    bounds = np.linspace(0, t, pieces + 1).astype(int)
+    anchors = []
     for pi in range(pieces):
         a_off, b_off = int(bounds[pi]), int(bounds[pi + 1])
         piece = tb[a_off:b_off]
-        pos = hay.find(piece, lo0, hi0 + 1)
-        while pos != -1:
-            anchor = pos - a_off
-            for q in range(anchor - max_dist, anchor + max_dist + 1):
-                if first_start <= q <= last_start:
-                    starts.add(q)
-            pos = hay.find(piece, pos + 1, hi0 + 1)
-    return np.array(sorted(starts), dtype=np.int64)
+        code = int((template[a_off : a_off + _KMER] + ord("0")).tobytes(), 2)
+        group = starts[offsets[code] : offsets[code + 1]]
+        first = np.searchsorted(group, lo0)
+        last = np.searchsorted(group, hi0 + 1 - len(piece), side="right")
+        anchors += [p - a_off for p in group[first:last].tolist() if hay_b.startswith(piece, p)]
+    q = np.asarray(anchors, dtype=np.int64)[:, None] + np.arange(-max_dist, max_dist + 1)
+    q = q[(lo0 <= q) & (q <= hi0 - min_len + 1)]
+    return np.array(sorted(set(q.tolist())), dtype=np.int64)
 
 
 def find_closest_subword(
@@ -326,13 +356,16 @@ def find_closest_subword(
     haystack: BitString,
     search: Interval,
     max_dist: int,
+    index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Interval | None:
     """First subword interval of ``haystack`` within ``search`` whose edit
     distance to ``template`` is at most ``max_dist``.
 
     Deterministic scan order: candidate start ascending, then candidate length
     ascending over ``[|template| - max_dist : |template| + max_dist]``.
-    Returns None when no candidate qualifies.
+    Returns None when no candidate qualifies.  ``index`` is
+    ``kmer_index(haystack)``, for callers that search one haystack many
+    times; without it the index is built when the prefilter needs one.
     """
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
@@ -342,10 +375,9 @@ def find_closest_subword(
     t = len(template)
     if t == 0:
         raise ValueError("template must be non-empty")
-    hay_b = haystack.tobytes()
 
     if max_dist == 0:
-        pos = hay_b.find(template.tobytes(), search.lo - 1, search.hi)
+        pos = haystack.tobytes().find(template.tobytes(), search.lo - 1, search.hi)
         if pos == -1 or pos + t - 1 > search.hi - 1:
             return None
         return Interval(pos + 1, pos + t)
@@ -356,7 +388,7 @@ def find_closest_subword(
     if last_start0 < search.lo - 1:
         return None
 
-    cand = _prefilter_starts(template.array, hay_b, search, max_dist, min_len)
+    cand = _prefilter_starts(template.array, haystack, search, max_dist, min_len, index)
     if cand is None:
         cand = np.arange(search.lo - 1, last_start0 + 1, dtype=np.int64)
     if cand.size == 0:

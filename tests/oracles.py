@@ -9,6 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from tracerecon import BitString
 
 
@@ -125,6 +127,38 @@ def find_closest_subword_naive(template, trace, window, max_dist):
 
                 return Interval(start, start + length - 1)
     return None
+
+
+def prefilter_starts_find(template, hay: bytes, search, max_dist: int, min_len: int):
+    """The exact-piece prefilter walked with ``bytes.find``.
+
+    ``template`` is a 0/1 uint8 array and ``hay`` the haystack's bytes.  Every
+    occurrence of each of the ``max_dist + 1`` pieces inside ``search`` is
+    found by repeated ``bytes.find``, and each adds the window starts within
+    ``max_dist`` of its anchor.  Returns the sorted int64 starts, or None
+    where the library scans every start instead.
+    """
+    t = template.size
+    pieces = max_dist + 1
+    if t // pieces < 12:
+        return None
+    lo0, hi0 = search.lo - 1, search.hi - 1
+    if (hi0 - lo0 + 1) <= 4 * t:
+        return None
+    starts: set[int] = set()
+    bounds = np.linspace(0, t, pieces + 1).astype(int)
+    tb = template.tobytes()
+    for pi in range(pieces):
+        a_off, b_off = int(bounds[pi]), int(bounds[pi + 1])
+        piece = tb[a_off:b_off]
+        pos = hay.find(piece, lo0, hi0 + 1)
+        while pos != -1:
+            anchor = pos - a_off
+            for q in range(anchor - max_dist, anchor + max_dist + 1):
+                if lo0 <= q <= hi0 - min_len + 1:
+                    starts.add(q)
+            pos = hay.find(piece, pos + 1, hi0 + 1)
+    return np.array(sorted(starts), dtype=np.int64)
 
 
 def atomic_pmf(m_pairs: int, delta: Fraction):

@@ -20,6 +20,7 @@ from tracerecon.rng import stream
 
 # the package re-exports the function under the module's name
 reconstruct_module = importlib.import_module("tracerecon.reconstruct")
+strings_module = importlib.import_module("tracerecon.strings")
 
 
 class TestReconstructCleanChannel:
@@ -152,6 +153,39 @@ class TestFailedAlignment:
         assert votes == [], f"{len(votes)} failed alignments reached bma_run"
         first = res.segments[0][0]
         assert res.hypothesis == y_star.subword(first, first + len(res.hypothesis) - 1)
+
+
+class TestTraceIndex:
+    def test_one_index_per_trace(self, monkeypatch):
+        # the widest ladder stage searches every whole trace at every segment;
+        # each trace's word index is built once per call, not once per search
+        n, delta, m = 4096, 0.001, 3
+        g = stream(21, 0)
+        x = random_bits(n, g)
+        traces = [transmit(x, delta, g).trace for _ in range(m)]
+        params = derive_params(n, delta, m, mode="desk")
+        built = []
+        prefiltered = []
+        real_index, real_prefilter = strings_module.kmer_index, strings_module._prefilter_starts
+
+        def counting_index(bits):
+            built.append(bits)
+            return real_index(bits)
+
+        def counting_prefilter(*args):
+            starts = real_prefilter(*args)
+            prefiltered.append(starts is not None)
+            return starts
+
+        monkeypatch.setattr(reconstruct_module, "kmer_index", counting_index)
+        monkeypatch.setattr(strings_module, "kmer_index", counting_index)
+        monkeypatch.setattr(strings_module, "_prefilter_starts", counting_prefilter)
+        res = reconstruct(params, traces[0], traces)
+        assert len(res.segments) >= 2 and sum(prefiltered) > len(traces)
+        assert len(built) == len(traces)
+        assert all(b is t for b, t in zip(built, traces))
+        # the index lives only as long as the call; strings carry no cache of it
+        assert BitString.__slots__ == ("_data", "_bytes")
 
 
 class TestFallbackRouting:

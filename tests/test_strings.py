@@ -21,8 +21,9 @@ from .oracles import (
     all_matchings_brute,
     edit_distance_dp,
     find_closest_subword_naive,
+    prefilter_starts_find,
 )
-from tracerecon.strings import _prefilter_starts, _window_prefix_distances
+from tracerecon.strings import _prefilter_starts, _window_prefix_distances, kmer_index
 
 bits = st.text(alphabet="01", max_size=64)
 
@@ -216,7 +217,7 @@ class TestFindClosestSubword:
         copy = trace.subword(at, at + 39)
         template = apply_deletions(copy, [int(rng.integers(1, 41))]).trace
         window = Interval(1, len(trace))
-        assert _prefilter_starts(template.array, trace.tobytes(), window, 1, 38) is not None
+        assert _prefilter_starts(template.array, trace, window, 1, 38) is not None
         got = find_closest_subword(template, trace, window, 1)
         assert got is not None and got.lo <= at
         assert got == find_closest_subword_naive(template, trace, window, 1)
@@ -259,6 +260,117 @@ class TestFindClosestSubword:
             want = [edit_distance_dp(template, r[:j]) for j in range(1, len(r) + 1)]
             assert got[i, : len(r)].tolist() == want
 
+
+
+def _low_entropy(kind: str, n: int, rng: np.random.Generator) -> BitString:
+    if kind == "zeros":
+        return BitString("0" * n)
+    if kind == "sparse":  # zero runs broken by rare ones
+        return BitString((rng.random(n) < 0.03).astype(np.uint8))
+    period = {"p2": "01", "p3": "001", "p7": "0010111"}[kind]
+    return BitString((period * n)[:n])
+
+
+class TestPrefilter:
+    """The indexed prefilter keeps exactly the starts the ``bytes.find`` walk
+    in ``prefilter_starts_find`` keeps."""
+
+    @staticmethod
+    def check(template: np.ndarray, hay: BitString, search: Interval, max_dist: int):
+        min_len = max(1, template.size - max_dist)
+        want = prefilter_starts_find(template, hay.tobytes(), search, max_dist, min_len)
+        got = _prefilter_starts(template, hay, search, max_dist, min_len)
+        got_indexed = _prefilter_starts(
+            template, hay, search, max_dist, min_len, kmer_index(hay)
+        )
+        assert want is not None and got is not None
+        assert got.dtype == want.dtype == got_indexed.dtype
+        assert np.array_equal(got, want) and np.array_equal(got_indexed, want)
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmer_index_lists_every_word(self, seed):
+        rng = np.random.default_rng(seed)
+        hay = random_bits(int(rng.integers(0, 3000)), rng) if seed else BitString("01" * 6)
+        offsets, starts = kmer_index(hay)
+        assert offsets.dtype == starts.dtype == np.int32
+        assert offsets.size == 4097 and offsets[-1] == starts.size == max(len(hay) - 11, 0)
+        s = str(hay)
+        want: dict[int, list[int]] = {}
+        for p in range(len(s) - 11):
+            want.setdefault(int(s[p : p + 12], 2), []).append(p)
+        for code in range(4096):
+            assert starts[offsets[code] : offsets[code + 1]].tolist() == want.get(code, [])
+
+    def test_short_haystack_has_no_words(self):
+        offsets, starts = kmer_index(BitString("0" * 11))
+        assert starts.size == 0 and not offsets.any()
+
+    @pytest.mark.parametrize("max_dist", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sub_span_of_noisy_copy(self, seed, max_dist):
+        rng = np.random.default_rng(100 * max_dist + seed)
+        hay = random_bits(3000, rng)
+        t = 12 * (max_dist + 1) + max_dist + int(rng.integers(0, 12))
+        at = int(rng.integers(1, 3000 - t))
+        dels = sorted(rng.choice(np.arange(1, t + 1), size=max_dist, replace=False).tolist())
+        template = apply_deletions(hay.subword(at, at + t - 1), dels).trace.array
+        lo = int(rng.integers(2, max(3, at - 50)))
+        hi = int(rng.integers(min(2999, at + t + 50), 3000))
+        self.check(template, hay, Interval(lo, hi), max_dist)
+
+    @pytest.mark.parametrize("max_dist", [1, 2, 3, 4])
+    @pytest.mark.parametrize("edge", ["first_at_lo", "first_before_lo", "last_at_hi", "last_past_hi"])
+    def test_piece_at_search_edge(self, edge, max_dist):
+        # only the edge piece is copied from the haystack; the other pieces are
+        # long random strings that occur nowhere, so the piece alone decides
+        # whether its anchor is a candidate
+        rng = np.random.default_rng(max_dist)
+        hay = random_bits(2000, rng)
+        t = 40 * (max_dist + 1)
+        lo, hi = 700, 1500
+        template = random_bits(t, rng).array.copy()
+        bounds = np.linspace(0, t, max_dist + 2).astype(int)
+        if edge.startswith("first"):
+            start0 = lo - 1 - (edge == "first_before_lo")
+            template[: bounds[1]] = hay.array[start0 : start0 + bounds[1]]
+            anchor = start0
+        else:
+            end0 = hi + (edge == "last_past_hi")  # exclusive 0-based end
+            piece_len = t - bounds[-2]
+            template[bounds[-2] :] = hay.array[end0 - piece_len : end0]
+            anchor = end0 - t
+        got = self.check(template, hay, Interval(lo, hi), max_dist)
+        inside = edge in ("first_at_lo", "last_at_hi")
+        assert (anchor in got.tolist()) == inside
+        assert got.size == (2 * max_dist + 1 if inside else 0) - (edge == "first_at_lo") * max_dist
+
+    @pytest.mark.parametrize("max_dist", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["zeros", "sparse", "p2", "p3", "p7"])
+    def test_low_entropy_haystack(self, kind, max_dist):
+        # every piece occurs many times, so the candidate set is large
+        rng = np.random.default_rng(max_dist)
+        hay = _low_entropy(kind, 2500, rng)
+        t = 12 * (max_dist + 1) + 5
+        at = int(rng.integers(300, 2000))
+        template = hay.subword(at, at + t - 1).array
+        got = self.check(template, hay, Interval(211, 2301), max_dist)
+        assert got.size > 0
+
+    @pytest.mark.parametrize("kind", ["random", "sparse", "p3"])
+    @pytest.mark.parametrize("max_dist", [1, 2])
+    def test_find_closest_subword_with_and_without_index(self, kind, max_dist):
+        rng = np.random.default_rng(7 + max_dist)
+        hay = random_bits(400, rng) if kind == "random" else _low_entropy(kind, 400, rng)
+        t = 12 * (max_dist + 1) + 3
+        copy = hay.subword(150, 150 + t - 1)
+        template = apply_deletions(copy, [int(rng.integers(1, t + 1))]).trace
+        search = Interval(int(rng.integers(2, 60)), int(rng.integers(340, 400)))
+        assert _prefilter_starts(template.array, hay, search, max_dist, t - 1 - max_dist) is not None
+        want = find_closest_subword_naive(template, hay, search, max_dist)
+        assert want is not None
+        assert find_closest_subword(template, hay, search, max_dist) == want
+        assert find_closest_subword(template, hay, search, max_dist, kmer_index(hay)) == want
 
 class TestFindCommonWord:
     def test_shared_word(self):
