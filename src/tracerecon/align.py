@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import TraceRecord, source_of
 from .params import ReconParams
-from .strings import BitString, Interval, find_closest_subword, find_common_word
+from .strings import BitString, Interval, find_closest_subword, find_common_word, kmer_index
 
 __all__ = ["Configuration", "AlignDiagnostics", "align", "consensus_check"]
 
@@ -86,15 +86,18 @@ def align(
     ell_star: int,
     y_star: BitString,
     traces: list[BitString],
-    indexes: list[tuple[np.ndarray, np.ndarray]] | None = None,
+    indexes: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
 ) -> tuple[Configuration, AlignDiagnostics]:
     """Place one cursor per trace near the source position under ell_star.
 
-    ``indexes[m]`` is ``kmer_index(traces[m])``, for callers that align the
-    same traces many times; without them each search that prefilters
-    builds its own.
+    ``indexes[m]`` is ``kmer_index(traces[m])`` or None; a None entry is
+    filled in the first time trace m is searched, so a caller that aligns
+    the same traces many times passes one list to every call and builds
+    each index at most once.  Without a list this call makes its own.
     """
     m_count = len(traces)
+    if indexes is None:
+        indexes = [None] * m_count
     n_star = len(y_star)
     if not 1 <= ell_star <= n_star:
         raise ValueError("reference cursor outside the reference trace")
@@ -125,13 +128,12 @@ def align(
                 None, None, params.S, m, clamped,
             )
         search = Interval(1, len(trace))
+        if indexes[m] is None:
+            indexes[m] = kmer_index(trace)
         for s in range(params.S, 0, -1):
             t_s = params.t_ladder[s - 1]
             budget = int(2 * params.gamma * t_s)
-            hit = find_closest_subword(
-                templates[s - 1], trace, search, budget,
-                None if indexes is None else indexes[m],
-            )
+            hit = find_closest_subword(templates[s - 1], trace, search, budget, indexes[m])
             if hit is None:
                 return _all_ones(m_count), AlignDiagnostics(
                     tuple(ref_windows), tuple(templates), _freeze(trace_windows),

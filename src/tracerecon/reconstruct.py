@@ -33,7 +33,7 @@ from .params import (
     derive_params,
     reduce_m_traces,
 )
-from .strings import BitString, kmer_index
+from .strings import BitString
 
 __all__ = ["ReconResult", "reconstruct", "reconstruct_with_fallback"]
 
@@ -77,9 +77,9 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
         if ell_star > min(n_star - params.R, n_star - margin):
             return ReconResult(y_star, (), "output_single_trace", params.m_traces)
 
-    # every segment's widest ladder stage searches each whole trace, so each
-    # trace's word index is built once here and dropped on return
-    indexes = [kmer_index(trace) for trace in traces]
+    # every segment's widest ladder stage searches each whole trace; align
+    # builds a trace's word index on its first search, kept here until return
+    indexes = [None] * len(traces)
     pieces: list[BitString] = []
     segments: list[tuple[int, int]] = []
     while ell_star <= n_star - params.R and ell_star <= n_star - margin:

@@ -10,9 +10,11 @@ searching one haystack many times builds once and passes in.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
-kernel computes it, the bit-parallel LCS recurrence on Python ints, at
-O(|a| * |b| / w) whatever the distance.  The same recurrence, run once over
-many candidate windows packed into one int, serves the window search.
+kernel computes it, the bit-parallel LCS recurrence on Python ints: over
+every column in O(|a| * |b| / w) for the exact distance, or over the band
+of diagonals a cap allows in O(|a| * cap / w) for the bounded one.  The
+same recurrence, run once over many candidate windows packed into one int,
+serves the window search.
 """
 
 from __future__ import annotations
@@ -166,48 +168,87 @@ def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
 
 
-def _lcs_steps(a: np.ndarray, b: np.ndarray, mask: int) -> int:
-    """Bit-parallel LCS of ``a`` against the columns of ``b`` under ``mask``.
+def _match_masks(b: np.ndarray) -> tuple[int, int]:
+    """Bit j of mask c is set where ``b[j] == c``; other symbols match nothing."""
+    return _pack(b == 0), _pack(b == 1)
 
-    Allison & Dix (1986) / Hyyrö (2004): after each symbol of ``a``, bit j of
-    ``v`` is 0 exactly where the current LCS table row steps up at column j,
-    and one mask step updates every column at once through Python int
-    arithmetic.  Symbols of ``b`` outside {0, 1} match nothing.
+
+def _lcs_steps(a: np.ndarray, peq: tuple[int, int], v: int, mask: int) -> int:
+    """Bit-parallel LCS rows of ``a`` against the columns of ``peq``, from ``v``.
+
+    Allison & Dix (1986) / Hyyrö (2004): bit j of ``v`` is 0 exactly where
+    the current LCS table row steps up at column j, and one mask step per
+    symbol of ``a`` updates every column under ``mask`` at once through
+    Python int arithmetic.  ``peq`` holds the match masks of the columns
+    (:func:`_match_masks`); ``v`` is the row before the first symbol, all
+    ones for the empty prefix of ``a``.
     """
-    peq = (_pack(b == 0), _pack(b == 1))
-    v = mask
     for c in a.tolist():
         u = v & peq[c]
         v = ((v + u) | (v - u)) & mask
     return v
 
 
-def _lcs_length(a: np.ndarray, b: np.ndarray) -> int:
-    """Length of a longest common subsequence, looping over the shorter string."""
+def _lcs_length(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> int:
+    """Length of a longest common subsequence, looping over the shorter string.
+
+    Without ``cap``, or when ``cap >= |a| + |b|``, one pass runs over every
+    column.  Otherwise only the diagonals ``e = j - i`` that an alignment of
+    cost <= ``cap`` can touch are computed, ``|e| + |delta - e| <= cap`` with
+    ``delta = |b| - |a| <= cap`` after the swap (Ukkonen 1985).  ``b`` is
+    shifted right by ``pad`` columns that match nothing, so that row i's band
+    of ``w`` diagonals starts at column i, and the rows run in chunks of
+    ``h`` over a window of ``w + h`` columns.  Between chunks the ``h``
+    columns that leave the window add their step-ups to ``base`` and the
+    entering columns start flat.  Every value the band computes belongs to a
+    real alignment (entering columns are horizontal moves, the window's left
+    edge a vertical one), so the result never exceeds the true LCS, and it
+    equals it whenever the distance is at most ``cap``.
+    """
     if a.size > b.size:
         a, b = b, a
-    return b.size - _lcs_steps(a, b, (1 << b.size) - 1).bit_count()
+    peq = _match_masks(b)
+    if cap is None or cap >= a.size + b.size:
+        mask = (1 << b.size) - 1
+        return b.size - _lcs_steps(a, peq, mask, mask).bit_count()
+    pad = (cap - (b.size - a.size)) // 2
+    w = b.size - a.size + 2 * pad + 1
+    h = max(w, 256)  # rows per chunk, so shifting the masks stays a small share
+    mask = (1 << (w + h)) - 1
+    peq = (peq[0] << pad, peq[1] << pad)
+    base, v = 0, mask
+    for i0 in range(0, a.size, h):
+        if i0:
+            base += h - (v & ((1 << h) - 1)).bit_count()
+            v = (v >> h) | (mask ^ (mask >> h))
+        window = ((peq[0] >> i0) & mask, (peq[1] >> i0) & mask)
+        v = _lcs_steps(a[i0 : i0 + h], window, v, mask)
+    cols = b.size + pad - i0  # window columns up to the end of b
+    return base + cols - (v & ((1 << cols) - 1)).bit_count()
 
 
 def edit_distance(a: BitString, b: BitString) -> int:
     """Insert/delete edit distance between two bit strings.
 
-    Exact whatever the distance: one bit-parallel LCS pass costs
-    O(|a| * |b| / w) for int digit size w, however close the strings are.
-    A banded DP costs O(n * d) instead, so from about n = 2^18 with a small
-    distance (d ~ 64) the banded DP is faster; the tests and benchmark
-    workloads score strings of at most 2^17 bits.
+    Exact whatever the distance: one bit-parallel LCS pass over every column
+    costs O(|a| * |b| / w) for int digit size w.  When a cap on the distance
+    is known, :func:`edit_distance_bounded` is cheaper.
     """
     return len(a) + len(b) - 2 * _lcs_length(a.array, b.array)
 
 
 def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
-    """Edit distance if it is <= cap, else None."""
+    """Edit distance if it is <= cap, else None.
+
+    Runs the bit-parallel LCS recurrence only over the band of about
+    ``cap + 1`` diagonals that an alignment of cost <= cap can use, in
+    O(|a| * max(cap, 256) / w) for int digit size w.
+    """
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if abs(len(a) - len(b)) > cap:
         return None
-    d = edit_distance(a, b)
+    d = len(a) + len(b) - 2 * _lcs_length(a.array, b.array, cap)
     return d if d <= cap else None
 
 
@@ -273,7 +314,7 @@ def _window_prefix_distances(template: np.ndarray, windows: np.ndarray) -> np.nd
     rows = np.full((k, width + 1), 2, dtype=np.uint8)  # last column: guard bits
     rows[:, :width] = windows
     mask = _pack(np.broadcast_to(np.arange(width + 1) < width, rows.shape))
-    v = _lcs_steps(template, rows, mask)
+    v = _lcs_steps(template, _match_masks(rows), mask, mask)
     packed = np.frombuffer(v.to_bytes((rows.size + 7) // 8, "little"), dtype=np.uint8)
     bits = np.unpackbits(packed, count=rows.size, bitorder="little").reshape(rows.shape)
     dist = np.cumsum(bits[:, :width] == 0, axis=1, dtype=np.int32)  # lcs
@@ -314,7 +355,10 @@ def _prefilter_starts(
     min_len: int,
     index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray | None:
-    """Candidate window starts via exact-piece matching, or None to scan all.
+    """Candidate window starts via exact-piece matching.
+
+    Returns None, so that the caller scans every start, when the pieces are
+    too short to look up.
 
     Splitting the template into ``max_dist + 1`` contiguous pieces, any window
     within distance ``max_dist`` must contain at least one piece verbatim
@@ -331,8 +375,6 @@ def _prefilter_starts(
     if t // pieces < _KMER:
         return None
     lo0, hi0 = search.lo - 1, search.hi - 1  # 0-based haystack span
-    if (hi0 - lo0 + 1) <= 4 * t:
-        return None
     offsets, starts = kmer_index(hay) if index is None else index
     hay_b = hay.tobytes()
     tb = template.tobytes()

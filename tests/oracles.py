@@ -143,8 +143,6 @@ def prefilter_starts_find(template, hay: bytes, search, max_dist: int, min_len: 
     if t // pieces < 12:
         return None
     lo0, hi0 = search.lo - 1, search.hi - 1
-    if (hi0 - lo0 + 1) <= 4 * t:
-        return None
     starts: set[int] = set()
     bounds = np.linspace(0, t, pieces + 1).astype(int)
     tb = template.tobytes()

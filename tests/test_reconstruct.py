@@ -20,6 +20,7 @@ from tracerecon.rng import stream
 
 # the package re-exports the function under the module's name
 reconstruct_module = importlib.import_module("tracerecon.reconstruct")
+align_module = importlib.import_module("tracerecon.align")
 strings_module = importlib.import_module("tracerecon.strings")
 
 
@@ -116,7 +117,9 @@ class TestFailedAlignment:
         traces = [y_star] + [random_bits(n, g) for _ in range(24)]
         stages = []
         votes = []
+        built = []
         real_align, real_bma_run = reconstruct_module.align, reconstruct_module.bma_run
+        real_index = align_module.kmer_index
 
         def recording_align(*args):
             config, diag = real_align(*args)
@@ -127,15 +130,20 @@ class TestFailedAlignment:
             votes.append(args[1])
             return real_bma_run(*args)
 
+        def counting_index(bits):
+            built.append(bits)
+            return real_index(bits)
+
         monkeypatch.setattr(reconstruct_module, "align", recording_align)
         monkeypatch.setattr(reconstruct_module, "bma_run", recording_bma_run)
+        monkeypatch.setattr(align_module, "kmer_index", counting_index)
         res = reconstruct(params, y_star, traces)
         assert stages and None not in stages
         assert len(stages) == len(res.segments) >= 2
-        return params, y_star, res, votes
+        return params, y_star, res, votes, built
 
     def test_segments_copy_the_reference(self, run):
-        params, y_star, res, _ = run
+        params, y_star, res, _, _ = run
         assert all(emitted == params.R for _, emitted in res.segments)
         R = params.R
         for i, (cursor, _) in enumerate(res.segments):
@@ -144,21 +152,26 @@ class TestFailedAlignment:
         assert len(res.hypothesis) == R * len(res.segments)
 
     def test_cursor_advances_by_r(self, run):
-        params, _, res, _ = run
+        params, _, res, _, _ = run
         cursors = [c for c, _ in res.segments]
         assert all(b - a == params.R for a, b in zip(cursors, cursors[1:]))
 
     def test_no_vote_reaches_the_hypothesis(self, run):
-        _, y_star, res, votes = run
+        _, y_star, res, votes, _ = run
         assert votes == [], f"{len(votes)} failed alignments reached bma_run"
         first = res.segments[0][0]
         assert res.hypothesis == y_star.subword(first, first + len(res.hypothesis) - 1)
+
+    def test_only_searched_traces_are_indexed(self, run):
+        # every alignment stops at trace 1, so traces 2.. are never searched
+        _, y_star, _, _, built = run
+        assert len(built) == 2 and built[0] is y_star
 
 
 class TestTraceIndex:
     def test_one_index_per_trace(self, monkeypatch):
         # the widest ladder stage searches every whole trace at every segment;
-        # each trace's word index is built once per call, not once per search
+        # each trace's word index is built once per call, on its first search
         n, delta, m = 4096, 0.001, 3
         g = stream(21, 0)
         x = random_bits(n, g)
@@ -177,7 +190,7 @@ class TestTraceIndex:
             prefiltered.append(starts is not None)
             return starts
 
-        monkeypatch.setattr(reconstruct_module, "kmer_index", counting_index)
+        monkeypatch.setattr(align_module, "kmer_index", counting_index)
         monkeypatch.setattr(strings_module, "kmer_index", counting_index)
         monkeypatch.setattr(strings_module, "_prefilter_starts", counting_prefilter)
         res = reconstruct(params, traces[0], traces)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracerecon import (
@@ -15,6 +15,7 @@ from tracerecon import (
     find_common_word,
     lcs_matching,
     random_bits,
+    transmit,
 )
 
 from .oracles import (
@@ -23,7 +24,13 @@ from .oracles import (
     find_closest_subword_naive,
     prefilter_starts_find,
 )
-from tracerecon.strings import _prefilter_starts, _window_prefix_distances, kmer_index
+import tracerecon.strings as strings_module
+from tracerecon.strings import (
+    _lcs_length,
+    _prefilter_starts,
+    _window_prefix_distances,
+    kmer_index,
+)
 
 bits = st.text(alphabet="01", max_size=64)
 
@@ -115,6 +122,89 @@ class TestEditDistance:
         assert edit_distance_bounded(x, trace, d) == d
         assert edit_distance_bounded(trace, x, d) == d
         assert edit_distance_bounded(x, trace, d - 1) is None
+
+
+class TestBandedDistance:
+    """``edit_distance_bounded`` computes only the diagonals its cap allows."""
+
+    # rotations: every optimal alignment runs on the band's outermost
+    # diagonal, past the first chunk of rows, with and without a length gap
+    @example("1" + "0" * 300, "0" * 300 + "1")
+    @example("11" + "0" * 299, "0" * 299 + "11")
+    @example("1" + "0" * 300, "0" * 300 + "1111")
+    @given(bits, bits)
+    def test_every_cap_both_orders(self, a, b):
+        d = edit_distance_dp(a, b)
+        wa, wb = BitString(a), BitString(b)
+        for cap in range(d + 3):
+            want = d if d <= cap else None
+            assert edit_distance_bounded(wa, wb, cap) == want
+            assert edit_distance_bounded(wb, wa, cap) == want
+
+    @given(bits, st.data())
+    def test_cap_at_the_length_gap(self, a, data):
+        # a subsequence is at distance |delta|, so a cap of exactly |delta|
+        # leaves a band of the delta + 1 diagonals between the two corners
+        keep = data.draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+        b = "".join(c for c, k in zip(a, keep) if k)
+        gap = len(a) - len(b)
+        for x, y in ((a, b), (b, a)):
+            assert edit_distance_bounded(BitString(x), BitString(y), gap) == gap
+            if gap:
+                assert edit_distance_bounded(BitString(x), BitString(y), gap - 1) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_band_never_exceeds_lcs(self, seed):
+        # unrelated pairs sit far above small caps; the band may undercount
+        # the LCS there, but never overcount it, across several chunks
+        rng = np.random.default_rng(seed)
+        a = random_bits(int(rng.integers(500, 900)), rng).array
+        b = random_bits(int(rng.integers(500, 900)), rng).array
+        lcs = _lcs_length(a, b)
+        gap = abs(a.size - b.size)
+        for cap in (gap, gap + 1, gap + 7, gap + 40):
+            got = _lcs_length(a, b, cap)
+            assert got <= lcs
+            assert a.size + b.size - 2 * got > cap  # so the cap rejects it
+
+    @pytest.mark.parametrize("n", [2**13, 2**14])
+    def test_long_trace_pair_at_its_cap(self, n, rng):
+        # two traces of one source: d exceeds their length gap, so every cap
+        # from d - 1 up runs the band, over many chunks of rows and with the
+        # shorter trace's length no multiple of the chunk height
+        x = random_bits(n, rng)
+        a, b = transmit(x, 0.01, rng).trace, transmit(x, 0.01, rng).trace
+        d = edit_distance(a, b)
+        gap = abs(len(a) - len(b))
+        assert gap < d - 1
+        for cap in (d - 1, d, d + 1):
+            h = max(gap + 2 * ((cap - gap) // 2) + 1, 256)
+            rows = min(len(a), len(b))
+            assert rows > 4 * h and rows % h != 0
+            want = d if d <= cap else None
+            assert edit_distance_bounded(a, b, cap) == want
+            assert edit_distance_bounded(b, a, cap) == want
+
+    def test_cap_past_both_lengths_runs_full_width(self, monkeypatch, rng):
+        widths = []
+        real_steps = strings_module._lcs_steps
+
+        def recording_steps(a, peq, v, mask):
+            widths.append(mask.bit_length())
+            return real_steps(a, peq, v, mask)
+
+        monkeypatch.setattr(strings_module, "_lcs_steps", recording_steps)
+        a, b = random_bits(300, rng), random_bits(280, rng)
+        d = edit_distance(a, b)
+        assert widths == [300]
+        widths.clear()
+        assert edit_distance_bounded(a, b, 580) == d
+        assert widths == [300]
+        widths.clear()
+        # one diagonal short of the whole table: the band is 579 columns wide
+        # and one chunk of rows covers all 280
+        assert edit_distance_bounded(a, b, 579) == d
+        assert widths == [2 * 579]
 
 
 class TestLcsMatching:
@@ -356,6 +446,24 @@ class TestPrefilter:
         template = hay.subword(at, at + t - 1).array
         got = self.check(template, hay, Interval(211, 2301), max_dist)
         assert got.size > 0
+
+    @pytest.mark.parametrize("span", [170, 4 * 55, 56, 40])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_span_within_four_templates(self, seed, span):
+        # a stage-1 search runs inside the ~170-bit hit of the stage above;
+        # the prefilter serves it too, down to spans shorter than a piece
+        rng = np.random.default_rng(seed)
+        hay = random_bits(3000, rng)
+        at = int(rng.integers(1000, 2000))
+        copy = hay.subword(at, at + 55)
+        template = apply_deletions(copy, [int(rng.integers(1, 57))]).trace
+        assert len(template) == 55
+        search = Interval(at - int(rng.integers(0, 20)), at - 20 + span)
+        got = self.check(template.array, hay, search, 1)
+        assert (got.size > 0) == (span >= 170)  # the copy fits in the span
+        assert find_closest_subword(template, hay, search, 1, kmer_index(hay)) == (
+            find_closest_subword_naive(template, hay, search, 1)
+        )
 
     @pytest.mark.parametrize("kind", ["random", "sparse", "p3"])
     @pytest.mark.parametrize("max_dist", [1, 2])
