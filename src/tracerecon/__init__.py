@@ -4,12 +4,10 @@ traces, plus the matching information-theoretic hardness constructions."""
 from .strings import (
     BitString,
     Interval,
-    Matching,
     edit_distance,
     edit_distance_bounded,
     find_closest_subword,
     find_common_word,
-    lcs_matching,
     random_bits,
 )
 from .channel import TraceRecord, apply_deletions, image_ceil, image_of, source_of, transmit
@@ -51,12 +49,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BitString",
     "Interval",
-    "Matching",
     "edit_distance",
     "edit_distance_bounded",
     "find_closest_subword",
     "find_common_word",
-    "lcs_matching",
     "random_bits",
     "TraceRecord",
     "apply_deletions",

@@ -62,20 +62,6 @@ class AlignDiagnostics:
     failure_trace: int | None
     clamped: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "ref_windows": [[w.lo, w.hi] for w in self.ref_windows],
-            "trace_windows": [
-                [None if w is None else [w.lo, w.hi] for w in per_trace]
-                for per_trace in self.trace_windows
-            ],
-            "word": None if self.word is None else str(self.word),
-            "word_offsets": None if self.word_offsets is None else list(self.word_offsets),
-            "failure_stage": self.failure_stage,
-            "failure_trace": self.failure_trace,
-            "clamped": self.clamped,
-        }
-
 
 def _all_ones(m_count: int) -> Configuration:
     return Configuration(tuple(1 for _ in range(m_count)))
@@ -101,13 +87,8 @@ def align(
     n_star = len(y_star)
     if not 1 <= ell_star <= n_star:
         raise ValueError("reference cursor outside the reference trace")
-    margin = math.ceil(5 * params.tau * math.log2(params.n)) if params.n > 1 else 1
-    if params.mode == "paper" and not margin <= ell_star <= n_star - margin:
-        raise ValueError(
-            f"reference cursor {ell_star} outside [{margin}, {n_star - margin}]"
-        )
 
-    # reference window ladder, widest last; clamped to the trace in desk mode
+    # reference window ladder, widest last; clamped to the trace near its ends
     ref_windows: list[Interval] = []
     templates: list[BitString] = []
     clamped = False

@@ -8,7 +8,6 @@ come from" (:func:`source_of`) and "where does source position i land"
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,22 +53,6 @@ class TraceRecord:
 
     def __hash__(self) -> int:
         return hash((self.source_len, self.trace, self.deleted))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.source_len, "trace": str(self.trace), "deleted": list(self.deleted)}
-        )
-
-    @classmethod
-    def from_json(cls, payload: str) -> "TraceRecord":
-        obj = json.loads(payload)
-        x_len = int(obj["n"])
-        deleted = set(int(d) for d in obj["deleted"])
-        keep = np.array([i for i in range(1, x_len + 1) if i not in deleted], dtype=np.int64)
-        trace = BitString(obj["trace"])
-        if keep.size != len(trace):
-            raise ValueError("trace length inconsistent with deletion set")
-        return cls(x_len, trace, tuple(sorted(deleted)), keep)
 
 
 def apply_deletions(x: BitString, deletions: "set[int] | frozenset[int]") -> TraceRecord:

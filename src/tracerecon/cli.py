@@ -40,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="master seed")
         p.add_argument("--trials", type=int, help="trials per grid point")
-        p.add_argument("--mode", choices=("desk", "paper"))
         p.add_argument("--out", help="report path")
         p.add_argument("--format", choices=("csv", "jsonl"), dest="fmt")
         p.add_argument("--workers", type=int)
@@ -68,7 +67,6 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     for attr, value in (
         ("seed", args.seed),
         ("trials", args.trials),
-        ("mode", args.mode),
         ("out", args.out),
         ("format", args.fmt),
         ("workers", args.workers),

@@ -7,9 +7,9 @@ reproducible bit for bit regardless of worker count or scheduling.  Trial
 failures become error-tagged rows instead of aborting the sweep.
 
 Reports: CSV with one row per metric (fixed columns
-kind,n,delta,m_traces,k_const,tau,seed,trial,metric,value; gamma, the mode
-flag, and any kind-specific knobs travel as metric rows since the column
-set is fixed), or JSONL with one trial per line.
+kind,n,delta,m_traces,k_const,tau,seed,trial,metric,value; gamma and any
+kind-specific knobs travel as metric rows since the column set is fixed),
+or JSONL with one trial per line.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .lower_bound import (
     sample_prlp,
     simulate_aprlp,
 )
-from .params import DESK_DEFAULTS, PAPER_DEFAULTS, derive_params
+from .params import DESK_DEFAULTS, derive_params
 from .reconstruct import reconstruct_with_fallback
 from .rng import stream
 from .strings import BitString, edit_distance, random_bits
@@ -69,7 +69,6 @@ class ExperimentConfig:
     grid: list[dict]
     trials: int = 1
     seed: int = 0
-    mode: str = "desk"
     out: str | None = None
     format: str = "csv"
     workers: int = 1
@@ -88,20 +87,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment kind {self.kind!r}; have {sorted(KINDS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.mode not in ("desk", "paper"):
-            raise ValueError("mode must be desk or paper")
         if self.format not in ("csv", "jsonl"):
             raise ValueError("format must be csv or jsonl")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if not self.grid:
             raise ValueError("grid must contain at least one point")
-        defaults = DESK_DEFAULTS if self.mode == "desk" else PAPER_DEFAULTS
         for point in self.grid:
-            point.setdefault("k_const", defaults["k_const"])
-            point.setdefault("tau", defaults["tau"])
-            point.setdefault("gamma", defaults["gamma"])
-            KINDS[self.kind].validate(point, self.mode)
+            for name, value in DESK_DEFAULTS.items():
+                point.setdefault(name, value)
+            KINDS[self.kind].validate(point)
 
 
 def _require(point: dict, *names: str) -> None:
@@ -111,11 +106,11 @@ def _require(point: dict, *names: str) -> None:
 
 
 # --- kind runners -------------------------------------------------------
-# Each runner gets (point, rng, mode) and returns a metrics dict; values
+# Each runner gets (point, rng) and returns a metrics dict; values
 # must be plain floats.  Key order is fixed per kind so reports are stable.
 
 
-def _run_channel_stats(point: dict, rng: np.random.Generator, mode: str) -> dict:
+def _run_channel_stats(point: dict, rng: np.random.Generator) -> dict:
     x = random_bits(point["n"], rng)
     rec = transmit(x, point["delta"], rng)
     roundtrip = np.array_equal(x.array[rec.source_map - 1], rec.trace.array)
@@ -126,13 +121,13 @@ def _run_channel_stats(point: dict, rng: np.random.Generator, mode: str) -> dict
     }
 
 
-def _validate_channel_stats(point: dict, mode: str) -> None:
+def _validate_channel_stats(point: dict) -> None:
     _require(point, "n", "delta")
     if point["n"] < 1 or not 0.0 <= point["delta"] <= 1.0:
         raise ValueError(f"bad channel point {point}")
 
 
-def _run_bma_bench(point: dict, rng: np.random.Generator, mode: str) -> dict:
+def _run_bma_bench(point: dict, rng: np.random.Generator) -> dict:
     r_rounds = point["n"]
     L = point.get("l_desert", 40)
     G = point.get("g_desert", L // 2)
@@ -154,7 +149,7 @@ def _run_bma_bench(point: dict, rng: np.random.Generator, mode: str) -> dict:
     }
 
 
-def _validate_bma_bench(point: dict, mode: str) -> None:
+def _validate_bma_bench(point: dict) -> None:
     _require(point, "n", "delta", "m_traces")
     L = point.get("l_desert", 40)
     G = point.get("g_desert", L // 2)
@@ -164,7 +159,7 @@ def _validate_bma_bench(point: dict, mode: str) -> None:
         raise ValueError(f"bad bma point {point}")
 
 
-def _params_from_point(point: dict, mode: str):
+def _params_from_point(point: dict):
     return derive_params(
         point["n"],
         point["delta"],
@@ -172,17 +167,15 @@ def _params_from_point(point: dict, mode: str):
         k_const=point["k_const"],
         tau=point["tau"],
         gamma=point["gamma"],
-        mode=mode,
     )
 
 
-def _run_align_bench(point: dict, rng: np.random.Generator, mode: str) -> dict:
-    params = _params_from_point(point, mode)
+def _run_align_bench(point: dict, rng: np.random.Generator) -> dict:
+    params = _params_from_point(point)
     x = random_bits(params.n, rng)
     records = [transmit(x, params.delta, rng) for _ in range(params.m_traces)]
     y_star = records[0]
-    margin = math.ceil(5 * params.tau * math.log2(params.n))
-    lo, hi = margin, len(y_star.trace) - margin
+    lo, hi = params.margin, len(y_star.trace) - params.margin
     if lo > hi:
         raise RuntimeError("no valid reference cursor at this n and tau")
     ell_star = int(rng.integers(lo, hi + 1))
@@ -199,18 +192,18 @@ def _run_align_bench(point: dict, rng: np.random.Generator, mode: str) -> dict:
     }
 
 
-def _validate_params_point(point: dict, mode: str) -> None:
+def _validate_params_point(point: dict) -> None:
     _require(point, "n", "delta", "m_traces")
-    _params_from_point(point, mode)
+    _params_from_point(point)
 
 
-def _run_reconstruct_e2e(point: dict, rng: np.random.Generator, mode: str) -> dict:
+def _run_reconstruct_e2e(point: dict, rng: np.random.Generator) -> dict:
     n, delta = point["n"], point["delta"]
     x = random_bits(n, rng)
     traces = [transmit(x, delta, rng).trace for _ in range(point["m_traces"])]
     result = reconstruct_with_fallback(
         n, delta, traces,
-        k_const=point["k_const"], tau=point["tau"], gamma=point["gamma"], mode=mode,
+        k_const=point["k_const"], tau=point["tau"], gamma=point["gamma"],
     )
     cap = max(64, math.ceil(2 * delta * n))
     d = edit_distance(x, result.hypothesis)
@@ -225,23 +218,23 @@ def _run_reconstruct_e2e(point: dict, rng: np.random.Generator, mode: str) -> di
     }
 
 
-def _run_atomic_exact(point: dict, rng: np.random.Generator, mode: str) -> dict:
+def _run_atomic_exact(point: dict, rng: np.random.Generator) -> dict:
     return {"p_exact": exact_atomic_failure_prob(point["m_traces"], point["delta"])}
 
 
-def _validate_atomic_exact(point: dict, mode: str) -> None:
+def _validate_atomic_exact(point: dict) -> None:
     _require(point, "delta", "m_traces")
     if not 1 <= point["m_traces"] <= 4 or not 0.0 <= point["delta"] <= 1.0:
         raise ValueError(f"bad atomic point {point}")
 
 
-def _run_atomic_mc(point: dict, rng: np.random.Generator, mode: str) -> dict:
+def _run_atomic_mc(point: dict, rng: np.random.Generator) -> dict:
     samples = point.get("mc_samples", 10**6)
     p_hat, se = mc_atomic_failure_prob(point["m_traces"], point["delta"], samples, rng)
     return {"p_mc": p_hat, "p_mc_stderr": se, "mc_samples": float(samples)}
 
 
-def _validate_atomic_mc(point: dict, mode: str) -> None:
+def _validate_atomic_mc(point: dict) -> None:
     _require(point, "delta", "m_traces")
     if point["m_traces"] < 1 or not 0.0 <= point["delta"] <= 1.0:
         raise ValueError(f"bad atomic point {point}")
@@ -249,7 +242,7 @@ def _validate_atomic_mc(point: dict, mode: str) -> None:
         raise ValueError("mc_samples must be >= 2")
 
 
-def _run_prlp(point: dict, rng: np.random.Generator, mode: str) -> dict:
+def _run_prlp(point: dict, rng: np.random.Generator) -> dict:
     m, delta, b_len = point["m_traces"], point["delta"], point["b_len"]
     samples = point.get("mc_samples", 10**5)
     rate = mc_prlp_exact_match(m, delta, b_len, samples, rng)
@@ -260,13 +253,13 @@ def _run_prlp(point: dict, rng: np.random.Generator, mode: str) -> dict:
     return out
 
 
-def _validate_prlp(point: dict, mode: str) -> None:
+def _validate_prlp(point: dict) -> None:
     _require(point, "delta", "m_traces", "b_len")
     if point["m_traces"] < 1 or point["b_len"] < 1 or not 0.0 <= point["delta"] <= 1.0:
         raise ValueError(f"bad prlp point {point}")
 
 
-def _run_aprlp_embedding(point: dict, rng: np.random.Generator, mode: str) -> dict:
+def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:
     from .lower_bound import EmbeddingSpec
 
     m, delta, b_len = point["m_traces"], point["delta"], point["b_len"]
@@ -278,7 +271,7 @@ def _run_aprlp_embedding(point: dict, rng: np.random.Generator, mode: str) -> di
         recon = lambda traces: traces[0]  # noqa: E731
     else:
         recon = lambda traces: reconstruct_with_fallback(  # noqa: E731
-            spec.n, delta, traces, mode=mode,
+            spec.n, delta, traces,
             k_const=point["k_const"], tau=point["tau"], gamma=point["gamma"],
         ).hypothesis
     z_hat = simulate_aprlp(samples, recon, delta, b_len, rng)
@@ -289,7 +282,7 @@ def _run_aprlp_embedding(point: dict, rng: np.random.Generator, mode: str) -> di
     }
 
 
-def _validate_aprlp(point: dict, mode: str) -> None:
+def _validate_aprlp(point: dict) -> None:
     _require(point, "delta", "m_traces", "b_len")
     if point["m_traces"] < 1 or point["b_len"] < 1 or not 0.0 <= point["delta"] <= 1.0:
         raise ValueError(f"bad embedding point {point}")
@@ -316,17 +309,16 @@ KINDS = {
 
 
 def _run_cell(args: tuple) -> TrialResult:
-    kind, seed, mode, grid_index, point, trial = args
+    kind, seed, grid_index, point, trial = args
     rng = stream(seed, grid_index, trial)
     t0 = time.perf_counter()
     try:
-        metrics = KINDS[kind].run(point, rng, mode)
+        metrics = KINDS[kind].run(point, rng)
         error = None
     except Exception as exc:  # error rows must not kill the sweep
         metrics = {"error": 1.0}
         error = f"{type(exc).__name__}: {exc}"
     metrics["gamma"] = float(point["gamma"])
-    metrics["mode_desk"] = float(mode == "desk")
     metrics["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
     return TrialResult(kind, dict(point), seed, trial, metrics, error)
 
@@ -334,7 +326,7 @@ def _run_cell(args: tuple) -> TrialResult:
 def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
     config.validate()
     tasks = [
-        (config.kind, config.seed, config.mode, gi, point, trial)
+        (config.kind, config.seed, gi, point, trial)
         for gi, point in enumerate(config.grid)
         for trial in range(config.trials)
     ]

@@ -2,13 +2,14 @@
 
 All the window sizes the aligner and the majority voter use come from one
 entropy-like quantity H = (M/K) * log2(1/(delta*M)).  The derivations here
-are pure formula evaluation; the interesting policy choice is the pair of
-constants (K, tau).  The analysis wants them "sufficiently large" (tau = 500
-in the stated form), which voids every loop below astronomically large n, so
-we keep two profiles:
-
-  paper: K=2, tau=500, and callers are expected to reject out-of-regime runs
-  desk:  K=2, tau=8, windows clamped where needed so n ~ 2**17 is exercisable
+are pure formula evaluation; the interesting policy choice is the constant
+set (K, tau, gamma).  Every entry point defaults to DESK_DEFAULTS (K=2,
+tau=8), which keeps the align/vote loop non-empty at n ~ 2**17.  The
+analysis wants the constants "sufficiently large"; PAPER_DEFAULTS (tau=500
+in the stated form) is kept as a named set that callers pass explicitly,
+``derive_params(n, delta, M, **PAPER_DEFAULTS)``.  At those constants the
+loop's end margin, ceil(2500 * log2 n), is wider than any reference trace
+shorter than ~38,000 bits, and `reconstruct` returns the trace itself.
 
 Logs are base 2 throughout.
 """
@@ -40,13 +41,15 @@ class ReconParams:
     k_const: float
     tau: float
     gamma: float
-    mode: str
     H: float
     t_ladder: tuple[int, ...]
     S: int
     L: int
     G: int
     R: int
+    # ceil(5 tau log2 n): the loop stops this far before the reference's end
+    # and starts at most this far in
+    margin: int
     # quality target 2^(-0.01 H) * n, reported alongside measured distances
     target_distance: float
 
@@ -73,16 +76,12 @@ def derive_params(
     delta: float,
     m_traces: int,
     *,
-    k_const: float | None = None,
-    tau: float | None = None,
-    gamma: float = 0.01,
-    mode: str = "desk",
+    k_const: float = DESK_DEFAULTS["k_const"],
+    tau: float = DESK_DEFAULTS["tau"],
+    gamma: float = DESK_DEFAULTS["gamma"],
 ) -> ReconParams:
-    if mode not in ("desk", "paper"):
-        raise ValueError(f"unknown mode {mode!r}")
-    defaults = DESK_DEFAULTS if mode == "desk" else PAPER_DEFAULTS
-    K = float(defaults["k_const"] if k_const is None else k_const)
-    tau_v = float(defaults["tau"] if tau is None else tau)
+    K = float(k_const)
+    tau_v = float(tau)
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 < delta < 1.0:
@@ -98,6 +97,7 @@ def derive_params(
     Hc = math.ceil(H)
     t1 = 2 * Hc + 1
     goal = tau_v * math.log2(n) if n > 1 else tau_v
+    margin = math.ceil(5 * tau_v * math.log2(n)) if n > 1 else 1
     ladder = [t1]
     while ladder[-1] < goal:
         ladder.append(3 * ladder[-1])
@@ -111,13 +111,13 @@ def derive_params(
         k_const=K,
         tau=tau_v,
         gamma=gamma,
-        mode=mode,
         H=H,
         t_ladder=tuple(ladder),
         S=len(ladder),
         L=L,
         G=G,
         R=R,
+        margin=margin,
         target_distance=2.0 ** (-0.01 * H) * n,
     )
 

@@ -1,9 +1,11 @@
 """Outer reconstruction loop: alternate alignment and majority voting along
 the reference trace, concatenating each R-round majority output.
 
-The loop starts past the first few thousand reference positions and stops
-the same distance before the end; the ends of the source are simply not
-reconstructed (their cost is absorbed by the edit-distance budget).  After
+The loop starts within the first percent of the reference trace (at most
+``params.margin`` in) and stops ``params.margin`` before the end; the ends
+of the source are simply not reconstructed (their cost is absorbed by the
+edit-distance budget).  When no segment fits between the two, the
+result is the reference trace, labelled `output_single_trace`.  After
 each voted segment the reference cursor jumps to wherever the majority run
 left it, plus one.  A segment whose alignment fails is not voted: its R bits
 are copied from the reference trace at the cursor, which then advances by R,
@@ -25,14 +27,7 @@ import numpy as np
 
 from .bma import bma_run
 from .align import align
-from .params import (
-    DESK_DEFAULTS,
-    PAPER_DEFAULTS,
-    ReconParams,
-    check_regime,
-    derive_params,
-    reduce_m_traces,
-)
+from .params import DESK_DEFAULTS, ReconParams, check_regime, derive_params, reduce_m_traces
 from .strings import BitString
 
 __all__ = ["ReconResult", "reconstruct", "reconstruct_with_fallback"]
@@ -67,15 +62,14 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
     if len(traces) != params.m_traces:
         raise ValueError("trace count does not match params.m_traces")
     n_star = len(y_star)
-    margin = math.ceil(5 * params.tau * math.log2(params.n)) if params.n > 1 else 1
-    if params.mode == "desk":
-        # keep small-n runs non-vacuous; at paper constants the loop below
-        # is empty for every n that fits in memory
-        ell_star = min(margin, math.ceil(n_star / 100)) if n_star else 1
-    else:
-        ell_star = margin
-        if ell_star > min(n_star - params.R, n_star - margin):
-            return ReconResult(y_star, (), "output_single_trace", params.m_traces)
+    margin = params.margin
+    # start within the first percent of the reference, so small-n runs are
+    # non-vacuous; when no segment fits before the end margin (at paper
+    # constants, below n ~ 38,000) the reference trace is the answer, not an
+    # empty hypothesis
+    ell_star = min(margin, math.ceil(n_star / 100)) if n_star else 1
+    if ell_star > min(n_star - params.R, n_star - margin):
+        return ReconResult(y_star, (), "output_single_trace", params.m_traces)
 
     # every segment's widest ladder stage searches each whole trace; align
     # builds a trace's word index on its first search, kept here until return
@@ -112,33 +106,38 @@ def reconstruct_with_fallback(
     traces: list[BitString],
     *,
     m_traces: int | None = None,
-    k_const: float | None = None,
-    tau: float | None = None,
-    gamma: float = 0.01,
+    k_const: float = DESK_DEFAULTS["k_const"],
+    tau: float = DESK_DEFAULTS["tau"],
+    gamma: float = DESK_DEFAULTS["gamma"],
     mode: str = "desk",
 ) -> ReconResult:
     """Regime-aware entry point.  ``traces`` includes the reference at
-    index 0; M defaults to the full list."""
+    index 0; M defaults to the full list.
+
+    ``mode`` selects nothing: only "desk" is accepted, kept because
+    ``bench/run.py`` passes it and changes only with a benchmark revision.
+    Other constants go in as ``k_const``/``tau``/``gamma``, for example
+    ``**PAPER_DEFAULTS``.
+    """
+    if mode != "desk":
+        raise ValueError(f"unknown mode {mode!r}; pass constants as k_const/tau/gamma")
     if not traces:
         raise ValueError("need at least one trace")
     M = len(traces) if m_traces is None else m_traces
     if not 1 <= M <= len(traces):
         raise ValueError("m_traces out of range")
-    defaults = DESK_DEFAULTS if mode == "desk" else PAPER_DEFAULTS
-    K = float(defaults["k_const"] if k_const is None else k_const)
 
-    report = check_regime(n, delta, M, K)
+    report = check_regime(n, delta, M, k_const)
     if report.recommended_action == "output_single_trace":
         return ReconResult(traces[0], (), "output_single_trace", 1)
     if report.recommended_action == "reduce_M":
-        m2 = reduce_m_traces(n, delta, M, K)
+        m2 = reduce_m_traces(n, delta, M, k_const)
         if m2 is None:
             # no feasible smaller trace count; a single trace is the bound
             return ReconResult(traces[0], (), "output_single_trace", 1)
         inner = reconstruct_with_fallback(
-            n, delta, traces[:m2], m_traces=m2,
-            k_const=k_const, tau=tau, gamma=gamma, mode=mode,
+            n, delta, traces[:m2], m_traces=m2, k_const=k_const, tau=tau, gamma=gamma,
         )
         return replace(inner, regime_action="reduce_M")
-    params = derive_params(n, delta, M, k_const=k_const, tau=tau, gamma=gamma, mode=mode)
+    params = derive_params(n, delta, M, k_const=k_const, tau=tau, gamma=gamma)
     return reconstruct(params, traces[0], traces[:M])

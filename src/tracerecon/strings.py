@@ -27,11 +27,9 @@ import numpy as np
 __all__ = [
     "BitString",
     "Interval",
-    "Matching",
     "random_bits",
     "edit_distance",
     "edit_distance_bounded",
-    "lcs_matching",
     "find_closest_subword",
     "find_common_word",
     "kmer_index",
@@ -144,24 +142,6 @@ class Interval:
         if self.lo < 1 or self.hi < self.lo:
             raise ValueError(f"invalid interval [{self.lo}:{self.hi}]")
 
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
-
-    def contains(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Non-crossing index pairs witnessing a common subsequence of two strings."""
-
-    pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.pairs)
-
 
 def _pack(bits: np.ndarray) -> int:
     """Python int whose bit i is set where ``bits`` (flattened) is true."""
@@ -250,50 +230,6 @@ def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
         return None
     d = len(a) + len(b) - 2 * _lcs_length(a.array, b.array, cap)
     return d if d <= cap else None
-
-
-def _lcs_suffix_table(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Table L[i, j] = lcs(a[i:], b[j:]) for 0-based suffix starts."""
-    la, lb = a.size, b.size
-    if la * lb > 100_000_000:
-        raise ValueError("inputs too large for the quadratic matching table")
-    table = np.zeros((la + 1, lb + 1), dtype=np.int32)
-    for i in range(la - 1, -1, -1):
-        match = b == a[i]
-        cand = np.where(match, table[i + 1, 1:] + 1, table[i + 1, :-1])
-        table[i, :-1] = np.maximum.accumulate(cand[::-1])[::-1]
-    return table
-
-
-def lcs_matching(a: BitString, b: BitString) -> Matching:
-    """A maximum matching between ``a`` and ``b`` (1-based, non-crossing).
-
-    Deterministic: among all maximum matchings, returns the one whose pair
-    sequence is lexicographically smallest, built by a greedy forward walk
-    over the suffix LCS table.
-    """
-    aa, bb = a.array, b.array
-    table = _lcs_suffix_table(aa, bb)
-    pairs: list[tuple[int, int]] = []
-    i = j = 0
-    la, lb = aa.size, bb.size
-    while i < la and j < lb and table[i, j] > 0:
-        # match row i at the earliest column that still completes a maximum
-        # matching; only if no column works may the row be skipped
-        target = table[i, j]
-        jj = j
-        matched = False
-        while jj < lb and table[i, jj] == target:
-            if aa[i] == bb[jj] and table[i + 1, jj + 1] + 1 == target:
-                pairs.append((i + 1, jj + 1))
-                i += 1
-                j = jj + 1
-                matched = True
-                break
-            jj += 1
-        if not matched:
-            i += 1
-    return Matching(tuple(pairs))
 
 
 def _window_prefix_distances(template: np.ndarray, windows: np.ndarray) -> np.ndarray:

@@ -38,32 +38,6 @@ def edit_distance_dp(a, b) -> int:
     return len(a) + len(b) - 2 * lcs_dp(a, b)
 
 
-def all_matchings_brute(a: str, b: str):
-    """Every maximum matching between equal symbols, as sorted pair lists.
-
-    Exponential; keep |a|, |b| small.
-    """
-    best: list[list[tuple[int, int]]] = [[]]
-
-    def rec(i: int, j: int, acc: list[tuple[int, int]]):
-        nonlocal best
-        if i > len(a) or j > len(b):
-            if len(acc) > len(best[0]):
-                best = [list(acc)]
-            elif len(acc) == len(best[0]) and list(acc) not in best:
-                best.append(list(acc))
-            return
-        rec(i + 1, j, acc)
-        rec(i, j + 1, acc)
-        if a[i - 1] == b[j - 1]:
-            acc.append((i, j))
-            rec(i + 1, j + 1, acc)
-            acc.pop()
-
-    rec(1, 1, [])
-    return [m for m in best if len(m) == len(best[0])]
-
-
 def bma_literal(sequences, cursors, rounds):
     """Line-by-line majority alignment with materialized '*' padding.
 

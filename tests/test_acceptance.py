@@ -293,10 +293,9 @@ def test_criterion_08_bma_desert_free():
 
 def test_criterion_09_align_consensus():
     n, delta, M = 2**17, 0.01, 25
-    params = derive_params(n, delta, M, mode="desk")
+    params = derive_params(n, delta, M)
     thr = math.ceil(0.9 * M)
     Hc = math.ceil(params.H)
-    margin = math.ceil(5 * params.tau * math.log2(n))
     g = stream(1009, 0)
     trials = 50
     good = 0
@@ -305,7 +304,7 @@ def test_criterion_09_align_consensus():
         x = random_bits(n, g)
         records = [transmit(x, delta, g) for _ in range(M)]
         y_star = records[0]
-        ell = int(g.integers(margin, len(y_star.trace) - margin + 1))
+        ell = int(g.integers(params.margin, len(y_star.trace) - params.margin + 1))
         config, diag = align(params, ell, y_star.trace, [r.trace for r in records])
         ok, loc = consensus_check(config, records, thr)
         src = source_of(y_star, ell)
@@ -334,7 +333,7 @@ def test_criterion_10_end_to_end_improvement():
     for _ in range(seeds):
         x = random_bits(n, g)
         traces = [transmit(x, delta, g).trace for _ in range(M)]
-        res = reconstruct_with_fallback(n, delta, traces, mode="desk")
+        res = reconstruct_with_fallback(n, delta, traces)
         d = edit_distance_bounded(x, res.hypothesis, cap)
         dists.append(cap if d is None else d)
     mean_d = float(np.mean(dists))

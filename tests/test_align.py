@@ -18,10 +18,10 @@ from tracerecon import (
 from tracerecon.rng import stream
 
 
-def make_instance(n, delta, m, seed, mode="desk", **kw):
+def make_instance(n, delta, m, seed, **kw):
     g = stream(seed, 0)
     x = random_bits(n, g)
-    params = derive_params(n, delta, m, mode=mode, **kw)
+    params = derive_params(n, delta, m, **kw)
     y_star = transmit(x, delta, g)
     records = [transmit(x, delta, g) for _ in range(m)]
     return x, params, y_star, records
@@ -71,7 +71,7 @@ class TestAlignCleanChannel:
 class TestAlignFailure:
     def test_unmatchable_traces(self):
         n = 2**12
-        params = derive_params(n, 0.01, 4, mode="desk")
+        params = derive_params(n, 0.01, 4)
         y_star = BitString("0" * n)
         traces = [BitString("1" * n) for _ in range(4)]
         config, diag = align(params, n // 2, y_star, traces)
@@ -81,7 +81,7 @@ class TestAlignFailure:
 
     def test_empty_trace(self):
         n = 2**12
-        params = derive_params(n, 0.01, 3, mode="desk")
+        params = derive_params(n, 0.01, 3)
         x = random_bits(n, stream(1, 0))
         config, diag = align(params, n // 2, x, [x, BitString(""), x])
         assert config.cursors == (1, 1, 1)
@@ -92,7 +92,7 @@ class TestAlignFailure:
         # traces that pass the ladder but share no long word: build traces
         # that contain the coarse windows but scramble the fine structure
         n = 2**12
-        params = derive_params(n, 0.01, 2, mode="desk")
+        params = derive_params(n, 0.01, 2)
         g = stream(2, 0)
         x = random_bits(n, g)
         config, diag = align(params, n // 2, x, [x, x])
@@ -100,18 +100,9 @@ class TestAlignFailure:
 
 
 class TestAlignModes:
-    def test_paper_mode_rejects_boundary(self):
-        n = 2**14
-        params = derive_params(n, 0.01, 4, mode="paper")
-        x = random_bits(n, stream(3, 0))
-        margin = math.ceil(5 * params.tau * math.log2(n))
-        assert margin > n  # paper constants void every cursor at this n
-        with pytest.raises(ValueError):
-            align(params, n // 2, x, [x] * 4)
-
     def test_desk_mode_clamps(self):
         n = 2**14
-        params = derive_params(n, 0.01, 4, mode="desk")
+        params = derive_params(n, 0.01, 4)
         x = random_bits(n, stream(4, 0))
         # cursor close to the left edge: windows would stick out
         config, diag = align(params, 5, x, [x] * 4)
@@ -121,7 +112,7 @@ class TestAlignModes:
 
     def test_single_trace(self):
         n = 2**13
-        params = derive_params(n, 0.01, 1, mode="desk")
+        params = derive_params(n, 0.01, 1)
         x = random_bits(n, stream(5, 0))
         config, diag = align(params, n // 2, x, [x])
         assert diag.failure_stage is None

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -141,19 +139,3 @@ class TestTraceRecord:
                 deleted=(1, 2),
                 source_map=np.array([2, 3, 4]),
             )
-
-    def test_json_roundtrip(self):
-        rec = apply_deletions(BitString("0110"), {2})
-        blob = rec.to_json()
-        parsed = json.loads(blob)
-        assert parsed["n"] == 4 and parsed["trace"] == "010" and parsed["deleted"] == [2]
-        back = TraceRecord.from_json(blob)
-        assert back == rec
-
-    @given(st.text(alphabet="01", max_size=30), st.sets(st.integers(1, 30)))
-    def test_json_roundtrip_random(self, s, dels):
-        dels = {d for d in dels if d <= len(s)}
-        rec = apply_deletions(BitString(s), dels)
-        back = TraceRecord.from_json(rec.to_json())
-        assert back == rec
-        assert list(back.source_map) == list(rec.source_map)

@@ -92,6 +92,12 @@ class TestCliErrors:
         rc = main(["channel_stats", "--config", "/nonexistent/cfg.json"])
         assert rc == 2
 
+    def test_mode_flag_rejected_by_parser(self):
+        # constants are set with --k-const/--tau/--gamma; there is no --mode
+        with pytest.raises(SystemExit) as exc:
+            main(["channel_stats", "--n", "100", "--delta", "0.1", "--mode", "paper"])
+        assert exc.value.code == 2
+
     def test_unknown_kind_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["definitely_not_a_kind"])

@@ -7,7 +7,14 @@ import json
 import numpy as np
 import pytest
 
-from tracerecon import ExperimentConfig, TrialResult, edit_distance, emit_report, run_experiment
+from tracerecon import (
+    PAPER_DEFAULTS,
+    ExperimentConfig,
+    TrialResult,
+    edit_distance,
+    emit_report,
+    run_experiment,
+)
 from tracerecon import harness
 from tracerecon.harness import CSV_COLUMNS, KINDS, parse_jsonl
 
@@ -28,6 +35,13 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_json('{"kind": "channel_stats", "grid": [], "frobnicate": 1}')
 
+    def test_from_json_rejects_mode(self):
+        # constants travel in the grid points; there is no mode field
+        with pytest.raises(ValueError, match="unknown config fields"):
+            ExperimentConfig.from_json(
+                '{"kind": "channel_stats", "grid": [{"n": 100, "delta": 0.1}], "mode": "paper"}'
+            )
+
     def test_from_json_roundtrip(self):
         cfg = ExperimentConfig.from_json(
             '{"kind": "channel_stats", "grid": [{"n": 100, "delta": 0.1}], "trials": 2}'
@@ -42,7 +56,8 @@ class TestExperimentConfig:
             assert point["gamma"] == 0.01
 
     def test_validate_paper_defaults(self):
-        cfg = small_config(mode="paper")
+        # the paper set goes in through the points, and validate keeps it
+        cfg = small_config(grid=[{"n": 500, "delta": 0.1, **PAPER_DEFAULTS}])
         cfg.validate()
         assert cfg.grid[0]["tau"] == 500.0
 

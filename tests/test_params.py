@@ -37,7 +37,7 @@ class TestDeriveParams:
         assert p.t1 == 3
 
     def test_ladder_geometry(self):
-        p = derive_params(2**17, 0.01, 25, mode="desk")
+        p = derive_params(2**17, 0.01, 25)
         assert p.t1 == 2 * math.ceil(p.H) + 1
         for a, b in zip(p.t_ladder, p.t_ladder[1:]):
             assert b == 3 * a
@@ -46,12 +46,11 @@ class TestDeriveParams:
             assert p.t_ladder[-2] < p.tau * math.log2(p.n)
 
     def test_defaults_by_mode(self):
-        desk = derive_params(2**17, 0.01, 25, mode="desk")
-        assert (desk.k_const, desk.tau) == (
-            DESK_DEFAULTS["k_const"],
-            DESK_DEFAULTS["tau"],
-        )
-        paper = derive_params(2**17, 0.01, 25, mode="paper")
+        desk = derive_params(2**17, 0.01, 25)
+        assert (desk.k_const, desk.tau, desk.gamma) == (2.0, 8.0, 0.01)
+        assert DESK_DEFAULTS == {"k_const": 2.0, "tau": 8.0, "gamma": 0.01}
+        assert PAPER_DEFAULTS == {"k_const": 2.0, "tau": 500.0, "gamma": 0.01}
+        paper = derive_params(2**17, 0.01, 25, **PAPER_DEFAULTS)
         assert paper.tau == PAPER_DEFAULTS["tau"] == 500.0
         # paper gamma*tau = 5
         assert paper.gamma * paper.tau == pytest.approx(5.0)
@@ -69,8 +68,8 @@ class TestDeriveParams:
             derive_params(100, 1.0, 4)
 
     def test_pure(self):
-        a = derive_params(2**15, 0.02, 9, mode="desk")
-        b = derive_params(2**15, 0.02, 9, mode="desk")
+        a = derive_params(2**15, 0.02, 9)
+        b = derive_params(2**15, 0.02, 9)
         assert a == b and isinstance(a, ReconParams)
 
     @given(
@@ -81,12 +80,13 @@ class TestDeriveParams:
     def test_invariants_random(self, n, delta, m):
         if delta * m >= 1:
             return
-        p = derive_params(n, delta, m, mode="desk")
+        p = derive_params(n, delta, m)
         Hc = math.ceil(p.H)
         assert p.H == pytest.approx((m / p.k_const) * math.log2(1 / (delta * m)))
         assert p.t1 == 2 * Hc + 1
         assert p.L == 8 * Hc and p.G == p.L // 2
         assert p.R == math.ceil(p.L * 2 ** (0.01 * p.L))
+        assert p.margin == math.ceil(5 * p.tau * math.log2(n))
         # ladder stops within one tripling of the threshold
         if p.t1 < p.tau * math.log2(n):
             assert p.t_ladder[-1] <= 3 * p.tau * math.log2(n)

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from tracerecon import (
+    PAPER_DEFAULTS,
     BitString,
     derive_params,
     edit_distance,
@@ -31,7 +32,7 @@ class TestReconstructCleanChannel:
         # of the previous segment's end each time (leftmost-word cursors),
         # so the boundary bound stretches by 2*ceil(H) per segment
         n = 2**13
-        params = derive_params(n, 0.01, 25, mode="desk")
+        params = derive_params(n, 0.01, 25)
         x = random_bits(n, stream(11, 0))
         res = reconstruct(params, x, [x] * 25)
         assert res.regime_action == "run_full"
@@ -39,8 +40,7 @@ class TestReconstructCleanChannel:
         assert len(res.segments) >= 2
 
         Hc = math.ceil(params.H)
-        margin = math.ceil(5 * params.tau * math.log2(n))
-        bound = margin + params.R + 2 * Hc * len(res.segments)
+        bound = params.margin + params.R + 2 * Hc * len(res.segments)
         d = edit_distance_bounded(x, res.hypothesis, bound)
         assert d is not None and d <= bound
 
@@ -51,21 +51,21 @@ class TestReconstructCleanChannel:
         assert all(emitted == params.R for _, emitted in res.segments)
 
     def test_empty_reference(self):
-        params = derive_params(4096, 0.01, 3, mode="desk")
+        params = derive_params(4096, 0.01, 3)
         res = reconstruct(params, BitString(""), [BitString("")] * 3)
         assert len(res.hypothesis) == 0 and res.segments == ()
 
     def test_trace_count_checked(self):
-        params = derive_params(4096, 0.01, 3, mode="desk")
+        params = derive_params(4096, 0.01, 3)
         x = random_bits(4096, stream(12, 0))
         with pytest.raises(ValueError):
             reconstruct(params, x, [x] * 2)
 
     def test_paper_mode_falls_back_to_single_trace(self):
-        # paper constants make the initial cursor exceed the loop guard at
-        # any desk-size n, so the result is the reference trace itself
+        # at paper constants the end margin is wider than the whole trace at
+        # this n, so the result is the reference trace itself
         n = 2**14
-        params = derive_params(n, 0.01, 25, mode="paper")
+        params = derive_params(n, 0.01, 25, **PAPER_DEFAULTS)
         g = stream(13, 0)
         x = random_bits(n, g)
         y = transmit(x, 0.01, g).trace
@@ -73,8 +73,22 @@ class TestReconstructCleanChannel:
         assert res.hypothesis == y
         assert res.segments == ()
 
+    def test_no_segment_fits_returns_reference(self):
+        # at default constants the end margin ceil(5 * 8 * log2 256) = 320
+        # exceeds the whole reference, so no segment fits: the answer is the
+        # reference trace, not an empty hypothesis
+        n = 256
+        params = derive_params(n, 0.01, 3)
+        g = stream(16, 0)
+        x = random_bits(n, g)
+        traces = [transmit(x, 0.01, g).trace for _ in range(3)]
+        res = reconstruct(params, traces[0], traces)
+        assert res.regime_action == "output_single_trace"
+        assert res.hypothesis == traces[0]
+        assert res.segments == ()
+
     def test_result_serializes(self):
-        params = derive_params(4096, 0.01, 2, mode="desk")
+        params = derive_params(4096, 0.01, 2)
         x = random_bits(4096, stream(14, 0))
         res = reconstruct(params, x, [x, x])
         blob = json.dumps(res.to_dict())
@@ -92,14 +106,13 @@ class TestReconstructNoisy:
         g = stream(15, 0)
         x = random_bits(n, g)
         traces = [transmit(x, delta, g).trace for _ in range(8)]
-        params = derive_params(n, delta, 8, mode="desk", k_const=4.0)
+        params = derive_params(n, delta, 8, k_const=4.0)
         res = reconstruct(params, traces[0], traces)
         d = edit_distance(x, res.hypothesis)
         # beats the all-failed outcome by a wide margin and lands within a
         # few window re-entries of the clean-channel structure
         Hc = math.ceil(params.H)
-        margin = math.ceil(5 * params.tau * math.log2(n))
-        slack = margin + params.R + 4 * Hc * max(len(res.segments), 1) + int(delta * n * 10)
+        slack = params.margin + params.R + 4 * Hc * max(len(res.segments), 1) + int(delta * n * 10)
         assert d <= slack
 
 
@@ -111,7 +124,7 @@ class TestFailedAlignment:
     @pytest.fixture
     def run(self, monkeypatch):
         n = 2**13
-        params = derive_params(n, 0.01, 25, mode="desk")
+        params = derive_params(n, 0.01, 25)
         g = stream(20, 0)
         y_star = random_bits(n, g)
         traces = [y_star] + [random_bits(n, g) for _ in range(24)]
@@ -176,7 +189,7 @@ class TestTraceIndex:
         g = stream(21, 0)
         x = random_bits(n, g)
         traces = [transmit(x, delta, g).trace for _ in range(m)]
-        params = derive_params(n, delta, m, mode="desk")
+        params = derive_params(n, delta, m)
         built = []
         prefiltered = []
         real_index, real_prefilter = strings_module.kmer_index, strings_module._prefilter_starts
@@ -242,3 +255,9 @@ class TestFallbackRouting:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             reconstruct_with_fallback(16, 0.1, [])
+
+    def test_rejects_mode_other_than_desk(self):
+        # the paper constants go in as keywords; mode selects nothing
+        x = random_bits(1024, stream(22, 0))
+        with pytest.raises(ValueError, match="mode"):
+            reconstruct_with_fallback(1024, 0.01, [x] * 4, mode="paper")

@@ -13,13 +13,11 @@ from tracerecon import (
     edit_distance_bounded,
     find_closest_subword,
     find_common_word,
-    lcs_matching,
     random_bits,
     transmit,
 )
 
 from .oracles import (
-    all_matchings_brute,
     edit_distance_dp,
     find_closest_subword_naive,
     prefilter_starts_find,
@@ -205,35 +203,6 @@ class TestBandedDistance:
         # and one chunk of rows covers all 280
         assert edit_distance_bounded(a, b, 579) == d
         assert widths == [2 * 579]
-
-
-class TestLcsMatching:
-    def test_example(self):
-        m = lcs_matching(BitString("0101"), BitString("0011"))
-        assert m.pairs == ((1, 1), (2, 3), (4, 4))
-
-    def test_empty(self):
-        assert lcs_matching(BitString(""), BitString("01")).pairs == ()
-
-    @given(st.text(alphabet="01", max_size=9), st.text(alphabet="01", max_size=9))
-    def test_maximum_and_smallest(self, a, b):
-        got = list(lcs_matching(BitString(a), BitString(b)).pairs)
-        best = all_matchings_brute(a, b)
-        assert len(got) == len(best[0])
-        assert got == min(best)
-
-    @given(bits, bits)
-    def test_size_is_lcs(self, a, b):
-        m = lcs_matching(BitString(a), BitString(b))
-        assert 2 * len(m.pairs) == len(a) + len(b) - edit_distance_dp(a, b)
-
-    @given(bits, bits)
-    def test_monotone_and_equal(self, a, b):
-        pairs = lcs_matching(BitString(a), BitString(b)).pairs
-        for (i1, j1), (i2, j2) in zip(pairs, pairs[1:]):
-            assert i1 < i2 and j1 < j2
-        for i, j in pairs:
-            assert a[i - 1] == b[j - 1]
 
 
 class TestFindClosestSubword:
