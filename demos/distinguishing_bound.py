@@ -34,7 +34,7 @@ from tracerecon.rng import stream
 rng = stream(17, 0)
 
 # --- the atomic problem ------------------------------------------------------
-print("exact Bayes failure probability (enumeration):")
+print("exact Bayes failure probability (likelihood-ratio factorization):")
 for m in (1, 2, 3):
     for d in (0.1, 0.25, 0.5):
         print(f"  M={m}, delta={d}: p = {exact_atomic_failure_prob(m, d):.6f}")

@@ -32,7 +32,6 @@ from .lower_bound import (
     decode_prlp_bayes,
     embed_instance,
     exact_atomic_failure_prob,
-    exact_atomic_failure_prob_frac,
     extract_z,
     find_pattern_occurrences,
     mc_atomic_failure_prob,
@@ -86,7 +85,6 @@ __all__ = [
     "sample_atomic",
     "bayes_decide_atomic",
     "exact_atomic_failure_prob",
-    "exact_atomic_failure_prob_frac",
     "mc_atomic_failure_prob",
     "sample_prlp",
     "decode_prlp_bayes",

@@ -3,9 +3,12 @@
 Three layers, each executable:
 
 1. Atomic problem: distinguish D0 = Bin(M,1-d) x Bin(M+1,1-d) from its
-   coordinate swap D1, given M sample pairs.  The optimal (Bayes) failure
-   probability is computed exactly by enumeration for small M and estimated
-   by Monte Carlo otherwise.
+   coordinate swap D1, given M sample pairs.  One pair's likelihood ratio
+   P0/P1 = (M+1-a)/(M+1-b) does not depend on d, so the Bayes decision
+   compares N = prod(M+1-a_i) with D = prod(M+1-b_i), which are independent
+   under D0.  The optimal (Bayes) failure probability is computed exactly
+   from the pmfs of N and D for small M and estimated by Monte Carlo
+   otherwise.
 2. Paired run length problem (PRLP): B independent atomic instances, hidden
    vector z in {0,1}^B.  Product structure makes the coordinatewise Bayes
    decoder optimal for exact recovery, with Pr[z_hat = z] <= (1-p)^B.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -33,7 +35,6 @@ __all__ = [
     "sample_atomic",
     "bayes_decide_atomic",
     "exact_atomic_failure_prob",
-    "exact_atomic_failure_prob_frac",
     "mc_atomic_failure_prob",
     "sample_prlp",
     "decode_prlp_bayes",
@@ -56,6 +57,11 @@ def _binom_row(n: int, p: float, kmax: int) -> np.ndarray:
     return out
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError("delta must be in [0, 1]")
+
+
 @lru_cache(maxsize=64)
 def atomic_tables(m_pairs: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """(p0, p1): pmf grids of shape (M+2, M+2) over the union support.
@@ -65,8 +71,7 @@ def atomic_tables(m_pairs: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """
     if m_pairs < 1:
         raise ValueError("M must be >= 1")
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError("delta must be in [0, 1]")
+    _check_delta(delta)
     p = 1.0 - delta
     kmax = m_pairs + 1
     row_m = _binom_row(m_pairs, p, kmax)
@@ -111,44 +116,50 @@ def bayes_decide_atomic(pairs: Sequence | np.ndarray, m_pairs: int, delta: float
 
 
 def exact_atomic_failure_prob(m_pairs: int, delta: float) -> float:
-    """Bayes failure probability, by enumerating the full M-fold outcome grid.
+    """Bayes failure probability from the likelihood-ratio factorization.
 
-    p = (1/2) * sum over outcomes of min(P0, P1).  The grid has
-    ((M+2)^2)^M cells, so the enumeration is capped at M = 4.
+    p = (1/2) * sum over outcomes of min(P0, P1).  One pair's ratio is
+    P0/P1 = (M+1-a)/(M+1-b), free of delta, so over M pairs it is N/D with
+    N = prod(M+1-a_i) >= 1 and D = prod(M+1-b_i), independent under D0.
+    Hence p = (1/2) * E0[min(1, D/N)], read off the pmfs of N and D: over
+    n, sum(d * P_D(d) for d < n) / n plus sum(P_D(d) for d >= n).  The tail
+    is its own suffix sum, not the total minus a prefix, which would lose
+    the small tails to cancellation.  Kept to 1 <= M <= 4.
     """
     if not 1 <= m_pairs <= 4:
-        raise ValueError("enumeration supports 1 <= M <= 4; use the Monte Carlo variant")
+        raise ValueError("exact failure supports 1 <= M <= 4; use the Monte Carlo variant")
+    _check_delta(delta)
+    p = 1.0 - delta
+    n_vals, n_pmf = _ratio_pmf(m_pairs, _binom_row(m_pairs, p, m_pairs))
+    d_vals, d_pmf = _ratio_pmf(m_pairs, _binom_row(m_pairs + 1, p, m_pairs + 1))
+    order = np.argsort(d_vals, kind="stable")
+    d_vals, d_pmf = d_vals[order], d_pmf[order]
+    below = np.concatenate(([0.0], np.cumsum(d_vals * d_pmf)))
+    at_or_above = np.concatenate((np.cumsum(d_pmf[::-1])[::-1], [0.0]))
+    cut = np.searchsorted(d_vals, n_vals, side="left")
+    return float(0.5 * np.dot(n_pmf, below[cut] / n_vals + at_or_above[cut]))
+
+
+def _ratio_pmf(m_pairs: int, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, probabilities) of prod(M+1-k_i) over M independent k_i with
+    pmf `row` on 0..len(row)-1, one entry per M-tuple."""
+    factor = float(m_pairs + 1) - np.arange(row.size)
+    vals, pmf = factor, row
+    for _ in range(m_pairs - 1):
+        vals = np.multiply.outer(vals, factor).ravel()
+        pmf = np.multiply.outer(pmf, row).ravel()
+    return vals, pmf
+
+
+# Elements per block of Monte Carlo draws: bounds the int64/float64
+# temporaries whatever the trial count.
+_BLOCK = 1 << 16
+
+
+def _log_tables(m_pairs: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     p0, p1 = atomic_tables(m_pairs, delta)
-    v0, v1 = p0.ravel(), p1.ravel()
-    a0, a1 = v0.copy(), v1.copy()
-    for _ in range(m_pairs - 1):
-        a0 = np.multiply.outer(a0, v0).ravel()
-        a1 = np.multiply.outer(a1, v1).ravel()
-    return float(0.5 * np.minimum(a0, a1).sum())
-
-
-def _binom_row_frac(n: int, p: Fraction, kmax: int) -> list[Fraction]:
-    out = [Fraction(0)] * (kmax + 1)
-    for k in range(min(n, kmax) + 1):
-        out[k] = math.comb(n, k) * p**k * (1 - p) ** (n - k)
-    return out
-
-
-def exact_atomic_failure_prob_frac(m_pairs: int, delta: Fraction) -> Fraction:
-    """Rational-arithmetic twin of exact_atomic_failure_prob, capped at M = 2."""
-    if not 1 <= m_pairs <= 2:
-        raise ValueError("rational enumeration supports 1 <= M <= 2")
-    p = 1 - delta
-    kmax = m_pairs + 1
-    row_m = _binom_row_frac(m_pairs, p, kmax)
-    row_m1 = _binom_row_frac(m_pairs + 1, p, kmax)
-    v0 = [x * y for x in row_m for y in row_m1]
-    v1 = [x * y for x in row_m1 for y in row_m]
-    a0, a1 = list(v0), list(v1)
-    for _ in range(m_pairs - 1):
-        a0 = [x * y for x in a0 for y in v0]
-        a1 = [x * y for x in a1 for y in v1]
-    return Fraction(1, 2) * sum(min(x, y) for x, y in zip(a0, a1))
+    with np.errstate(divide="ignore"):
+        return np.log(p0.ravel()), np.log(p1.ravel())
 
 
 def mc_atomic_failure_prob(
@@ -157,27 +168,31 @@ def mc_atomic_failure_prob(
     """(estimate, standard error) of the Bayes failure probability.
 
     Stratified over the hidden bit (half the trials each way; the problem is
-    symmetric under the coordinate swap, so this is unbiased).
+    symmetric under the coordinate swap, so this is unbiased).  Draws are
+    made in blocks of rows; the Generator fills arrays in C order, so the
+    draws and their sums do not depend on the block size.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials")
     half = trials // 2
-    p0, p1 = atomic_tables(m_pairs, delta)
-    with np.errstate(divide="ignore"):
-        l0 = np.log(p0.ravel())
-        l1 = np.log(p1.ravel())
+    l0, l1 = _log_tables(m_pairs, delta)
     width = m_pairs + 2
+    p = 1.0 - delta
+    rows = max(1, _BLOCK // m_pairs)
+    first = np.empty((half, m_pairs), dtype=np.min_scalar_type(m_pairs + 1))
     errors = 0
     for b in (0, 1):
-        p = 1.0 - delta
         n1, n2 = (m_pairs, m_pairs + 1) if b == 0 else (m_pairs + 1, m_pairs)
-        first = rng.binomial(n1, p, size=(half, m_pairs))
-        second = rng.binomial(n2, p, size=(half, m_pairs))
-        idx = first * width + second
-        s0 = l0[idx].sum(axis=1)
-        s1 = l1[idx].sum(axis=1)
-        decided = np.where(s0 >= s1, 0, 1)
-        errors += int((decided != b).sum())
+        for r in range(0, half, rows):
+            block = first[r : r + rows]
+            block[...] = rng.binomial(n1, p, size=block.shape)
+        for r in range(0, half, rows):
+            block = first[r : r + rows]
+            idx = block.astype(np.int64) * width + rng.binomial(n2, p, size=block.shape)
+            s0 = l0[idx].sum(axis=1)
+            s1 = l1[idx].sum(axis=1)
+            # the decision is 1 iff s0 < s1; ties go to 0
+            errors += int(((s0 < s1) != b).sum())
     total = 2 * half
     p_hat = errors / total
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / total)
@@ -204,10 +219,7 @@ def decode_prlp_bayes(samples: np.ndarray, m_pairs: int, delta: float) -> BitStr
     if s.ndim != 3 or s.shape[0] != m_pairs or s.shape[2] != 2:
         raise ValueError("samples must have shape (M, B, 2)")
     _validate_pairs(s, m_pairs)
-    p0, p1 = atomic_tables(m_pairs, delta)
-    with np.errstate(divide="ignore"):
-        l0 = np.log(p0.ravel())
-        l1 = np.log(p1.ravel())
+    l0, l1 = _log_tables(m_pairs, delta)
     width = m_pairs + 2
     idx = s[:, :, 0] * width + s[:, :, 1]
     s0 = l0[idx].sum(axis=0)
@@ -219,23 +231,28 @@ def mc_prlp_exact_match(
     m_pairs: int, delta: float, b_len: int, trials: int, rng: np.random.Generator
 ) -> float:
     """Empirical Pr[z_hat = z] for the coordinatewise Bayes decoder, with z
-    uniform per trial.  Vectorized across trials."""
-    p0, p1 = atomic_tables(m_pairs, delta)
-    with np.errstate(divide="ignore"):
-        l0 = np.log(p0.ravel())
-        l1 = np.log(p1.ravel())
+    uniform per trial.  Vectorized across blocks of trials, drawn in the
+    same order as one (trials, M, B) draw."""
+    l0, l1 = _log_tables(m_pairs, delta)
     width = m_pairs + 2
     p = 1.0 - delta
     z = rng.integers(0, 2, size=(trials, b_len), dtype=np.int64)
-    n1 = np.broadcast_to((m_pairs + z)[:, None, :], (trials, m_pairs, b_len))
-    n2 = np.broadcast_to((m_pairs + 1 - z)[:, None, :], (trials, m_pairs, b_len))
-    first = rng.binomial(n1, p)
-    second = rng.binomial(n2, p)
-    idx = first * width + second
-    s0 = l0[idx].sum(axis=1)
-    s1 = l1[idx].sum(axis=1)
-    z_hat = (s0 < s1).astype(np.int64)
-    return float((z_hat == z).all(axis=1).mean())
+    rows = max(1, _BLOCK // (m_pairs * b_len))
+    first = np.empty((trials, m_pairs, b_len), dtype=np.min_scalar_type(m_pairs + 1))
+    for r in range(0, trials, rows):
+        block = first[r : r + rows]
+        n1 = np.broadcast_to(m_pairs + z[r : r + rows, None, :], block.shape)
+        block[...] = rng.binomial(n1, p)
+    matches = 0
+    for r in range(0, trials, rows):
+        zb = z[r : r + rows]
+        block = first[r : r + rows]
+        n2 = np.broadcast_to(m_pairs + 1 - zb[:, None, :], block.shape)
+        idx = block.astype(np.int64) * width + rng.binomial(n2, p)
+        s0 = l0[idx].sum(axis=1)
+        s1 = l1[idx].sum(axis=1)
+        matches += int(((s0 < s1) == zb).all(axis=1).sum())
+    return matches / trials
 
 
 # --- embedding ---------------------------------------------------------

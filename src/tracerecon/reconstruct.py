@@ -138,6 +138,9 @@ def reconstruct_with_fallback(
         inner = reconstruct_with_fallback(
             n, delta, traces[:m2], m_traces=m2, k_const=k_const, tau=tau, gamma=gamma,
         )
+        if inner.regime_action != "run_full":
+            # a single-trace answer keeps its own label
+            return inner
         return replace(inner, regime_action="reduce_M")
     params = derive_params(n, delta, M, k_const=k_const, tau=tau, gamma=gamma)
     return reconstruct(params, traces[0], traces[:M])

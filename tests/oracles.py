@@ -6,12 +6,14 @@ against these, never the other way around.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from tracerecon import BitString
+from tracerecon.lower_bound import atomic_tables
 
 
 def lcs_dp(a: str, b: str) -> int:
@@ -167,3 +169,63 @@ def exact_failure_prob_naive(m_pairs: int, delta) -> Fraction:
             q1 *= p1.get(pair, Fraction(0))
         total += min(q0, q1)
     return total / 2
+
+
+def exact_failure_prob_grid(m_pairs: int, delta: float) -> float:
+    """Float Bayes failure probability over the full M-fold outcome grid.
+
+    (1/2) * sum of min(P0, P1) over all ((M+2)^2)^M cells, built by M-1
+    outer products of the flattened atomic tables.
+    """
+    p0, p1 = atomic_tables(m_pairs, delta)
+    v0, v1 = p0.ravel(), p1.ravel()
+    a0, a1 = v0.copy(), v1.copy()
+    for _ in range(m_pairs - 1):
+        a0 = np.multiply.outer(a0, v0).ravel()
+        a1 = np.multiply.outer(a1, v1).ravel()
+    return float(0.5 * np.minimum(a0, a1).sum())
+
+
+def mc_atomic_failure_prob_whole(m_pairs: int, delta: float, trials: int, rng):
+    """The atomic Monte Carlo with every draw in one array per stratum:
+    (half, M) int64 draws, one gather and one sum each."""
+    half = trials // 2
+    p0, p1 = atomic_tables(m_pairs, delta)
+    with np.errstate(divide="ignore"):
+        l0 = np.log(p0.ravel())
+        l1 = np.log(p1.ravel())
+    width = m_pairs + 2
+    errors = 0
+    for b in (0, 1):
+        p = 1.0 - delta
+        n1, n2 = (m_pairs, m_pairs + 1) if b == 0 else (m_pairs + 1, m_pairs)
+        first = rng.binomial(n1, p, size=(half, m_pairs))
+        second = rng.binomial(n2, p, size=(half, m_pairs))
+        idx = first * width + second
+        s0 = l0[idx].sum(axis=1)
+        s1 = l1[idx].sum(axis=1)
+        decided = np.where(s0 >= s1, 0, 1)
+        errors += int((decided != b).sum())
+    total = 2 * half
+    p_hat = errors / total
+    return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / total)
+
+
+def mc_prlp_exact_match_whole(m_pairs: int, delta: float, b_len: int, trials: int, rng):
+    """The PRLP exact-match rate with all (trials, M, B) draws in one array."""
+    p0, p1 = atomic_tables(m_pairs, delta)
+    with np.errstate(divide="ignore"):
+        l0 = np.log(p0.ravel())
+        l1 = np.log(p1.ravel())
+    width = m_pairs + 2
+    p = 1.0 - delta
+    z = rng.integers(0, 2, size=(trials, b_len), dtype=np.int64)
+    n1 = np.broadcast_to((m_pairs + z)[:, None, :], (trials, m_pairs, b_len))
+    n2 = np.broadcast_to((m_pairs + 1 - z)[:, None, :], (trials, m_pairs, b_len))
+    first = rng.binomial(n1, p)
+    second = rng.binomial(n2, p)
+    idx = first * width + second
+    s0 = l0[idx].sum(axis=1)
+    s1 = l1[idx].sum(axis=1)
+    z_hat = (s0 < s1).astype(np.int64)
+    return float((z_hat == z).all(axis=1).mean())

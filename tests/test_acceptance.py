@@ -32,7 +32,6 @@ from tracerecon import (
     embed_instance,
     emit_report,
     exact_atomic_failure_prob,
-    exact_atomic_failure_prob_frac,
     extract_z,
     find_pattern_occurrences,
     mc_atomic_failure_prob,
@@ -47,7 +46,7 @@ from tracerecon.deserts import _desert_starts
 from tracerecon.lower_bound import EmbeddingSpec, atomic_tables
 from tracerecon.rng import stream
 
-from .oracles import bma_literal, desert_scan_naive, edit_distance_dp
+from .oracles import bma_literal, desert_scan_naive, edit_distance_dp, exact_failure_prob_naive
 
 REPORT = Path(__file__).resolve().parent.parent / "reports" / "acceptance_report.txt"
 
@@ -220,7 +219,7 @@ def test_criterion_06_exact_bayes_failure():
     from fractions import Fraction
 
     frozen_ok = exact_atomic_failure_prob(1, 0.5) == pytest.approx(0.3125, abs=1e-15)
-    frozen_ok = frozen_ok and exact_atomic_failure_prob_frac(1, Fraction(1, 2)) == Fraction(5, 16)
+    frozen_ok = frozen_ok and exact_failure_prob_naive(1, Fraction(1, 2)) == Fraction(5, 16)
     g = stream(1006, 0)
     worst_sigma = 0.0
     for m in (1, 2, 3):

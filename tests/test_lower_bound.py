@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from tracerecon import (
     edit_distance,
     embed_instance,
     exact_atomic_failure_prob,
-    exact_atomic_failure_prob_frac,
     extract_z,
     find_pattern_occurrences,
     mc_atomic_failure_prob,
@@ -29,10 +29,15 @@ from tracerecon import (
     sample_prlp,
     simulate_aprlp,
 )
-from tracerecon.lower_bound import atomic_tables
+from tracerecon.lower_bound import _BLOCK, atomic_tables
 from tracerecon.rng import stream
 
-from .oracles import exact_failure_prob_naive
+from .oracles import (
+    exact_failure_prob_grid,
+    exact_failure_prob_naive,
+    mc_atomic_failure_prob_whole,
+    mc_prlp_exact_match_whole,
+)
 
 
 class TestAtomicTables:
@@ -49,13 +54,20 @@ class TestAtomicTables:
         assert np.allclose(p0, p1.T)
 
     def test_likelihood_identity(self):
-        # the (M, M-1) outcome is exactly 2x likelier per pair under D1
+        # the (M, M-1) outcome is exactly 2x likelier per pair under D1, and
+        # every cell has P0/P1 = (M+1-a)/(M+1-b), free of delta: the
+        # factorization behind exact_atomic_failure_prob
         for m in range(1, 7):
             for delta in (0.1, 0.25, 0.5):
                 p0, p1 = atomic_tables(m, delta)
                 lhs = p0[m, m - 1] ** m
                 rhs = 2.0**-m * p1[m, m - 1] ** m
                 assert lhs == pytest.approx(rhs, rel=1e-12)
+                for a in range(m + 2):
+                    for b in range(m + 2):
+                        assert p0[a, b] * (m + 1 - b) == pytest.approx(
+                            p1[a, b] * (m + 1 - a), rel=1e-12, abs=0.0
+                        )
 
 
 class TestSampleAtomic:
@@ -100,21 +112,39 @@ class TestBayesDecide:
 
 class TestExactFailure:
     def test_frozen_value(self):
-        assert exact_atomic_failure_prob(1, 0.5) == pytest.approx(0.3125, abs=1e-15)
-        assert exact_atomic_failure_prob_frac(1, Fraction(1, 2)) == Fraction(5, 16)
+        assert exact_atomic_failure_prob(1, 0.5) == 0.3125
+        assert exact_failure_prob_naive(1, Fraction(1, 2)) == Fraction(5, 16)
 
     def test_disjoint_supports_at_delta_zero(self):
-        assert exact_atomic_failure_prob(1, 0.0) == 0.0
+        for m in range(1, 5):
+            assert exact_atomic_failure_prob(m, 0.0) == 0.0
+
+    def test_coin_flip_at_delta_one(self):
+        # every bit deleted: both hypotheses give the all-zero outcome
+        for m in range(1, 5):
+            assert exact_atomic_failure_prob(m, 1.0) == 0.5
 
     def test_matches_brute_enumeration(self):
         for m in (1, 2):
             for delta in (Fraction(1, 10), Fraction(3, 10)):
                 want = exact_failure_prob_naive(m, delta)
-                got = exact_atomic_failure_prob_frac(m, delta)
-                assert got == want
                 assert exact_atomic_failure_prob(m, float(delta)) == pytest.approx(
                     float(want), rel=1e-12
                 )
+
+    def test_matches_grid_enumeration(self):
+        # the small-delta tails are where a total-minus-prefix tail cancels
+        for m in range(1, 5):
+            for delta in (0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9, 1.0):
+                want = exact_failure_prob_grid(m, delta)
+                assert exact_atomic_failure_prob(m, delta) == pytest.approx(
+                    want, rel=1e-12, abs=0.0
+                )
+
+    def test_rejects_bad_delta(self):
+        for delta in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                exact_atomic_failure_prob(2, delta)
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
@@ -179,6 +209,68 @@ class TestPrlp:
     def test_decode_shape_validation(self):
         with pytest.raises(ValueError):
             decode_prlp_bayes(np.zeros((2, 3)), 2, 0.1)
+
+
+class TestBlockedMonteCarlo:
+    """The block-drawn kernels make the same draws, in the same order, with
+    the same float sums as one whole-array draw."""
+
+    @staticmethod
+    def _same(run, ref, seed):
+        g1, g2 = stream(seed, 0), stream(seed, 0)
+        assert run(g1) == ref(g2)
+        assert g1.random() == g2.random()
+
+    def test_atomic_matches_whole_draw(self):
+        rows = {m: _BLOCK // m for m in (1, 3, 4)}
+        cases = [
+            (2, 0.25, 101),  # odd trials, far below one block
+            (1, 0.5, 3),
+            (4, 0.1, 2001),
+            (4, 0.1, 4 * rows[4]),  # half is an exact multiple of the block rows
+            (3, 0.05, 2 * rows[3] + 1),  # one full block, odd trials
+            (1, 0.3, 2 * (rows[1] + 5) + 1),  # one row past a block
+            (6, 0.25, 999),
+        ]
+        for i, (m, delta, trials) in enumerate(cases):
+            self._same(
+                lambda g: mc_atomic_failure_prob(m, delta, trials, g),
+                lambda g: mc_atomic_failure_prob_whole(m, delta, trials, g),
+                40 + i,
+            )
+
+    def test_prlp_matches_whole_draw(self):
+        cases = [
+            (4, 0.1, 64, 2 * (_BLOCK // 256)),  # exact multiple of the block rows
+            (4, 0.1, 64, 257),
+            (2, 0.3, 5, 101),
+            (1, 0.5, 8, 9000),
+            (1, 0.3, 70_000, 3),  # M*B above one block: one row per block
+        ]
+        for i, (m, delta, b_len, trials) in enumerate(cases):
+            self._same(
+                lambda g: mc_prlp_exact_match(m, delta, b_len, trials, g),
+                lambda g: mc_prlp_exact_match_whole(m, delta, b_len, trials, g),
+                50 + i,
+            )
+
+    def test_peak_memory(self):
+        # the cached tables are shared, not the kernels' own working memory
+        atomic_tables(4, 0.1)
+        g = stream(36, 0)
+        checks = [
+            (lambda: exact_atomic_failure_prob(4, 0.1), 1),
+            (lambda: mc_atomic_failure_prob(4, 0.1, 10**5, g), 6),
+            (lambda: mc_prlp_exact_match(4, 0.1, 64, 4000, g), 12),
+        ]
+        for run, mib in checks:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < mib * 2**20
 
 
 class TestAlphaBeta:

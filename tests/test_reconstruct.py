@@ -242,6 +242,18 @@ class TestFallbackRouting:
         assert res.regime_action == "reduce_M"
         assert res.m_used == 14
 
+    def test_reduce_m_keeps_a_single_trace_answer(self):
+        # reduce_M routes to 9 traces, but no segment fits in n=256: the
+        # reference trace comes back labelled as such, not as a reduced run
+        n = 256
+        g = stream(1, 0)
+        x = random_bits(n, g)
+        traces = [transmit(x, 0.01, g).trace for _ in range(16)]
+        res = reconstruct_with_fallback(n, 0.01, traces)
+        assert res.regime_action == "output_single_trace"
+        assert res.segments == ()
+        assert res.hypothesis == traces[0]
+
     def test_run_full_routing(self):
         n = 2**12
         g = stream(19, 0)
