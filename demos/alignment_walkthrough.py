@@ -32,12 +32,13 @@ y_star = records[0]
 ell = len(y_star.trace) // 2
 truth = source_of(y_star, ell)
 
-config, diag = align(params, ell, y_star.trace, [r.trace for r in records])
+cursors, diag = align(params, ell, y_star.trace, [r.trace for r in records])
 print(f"\nreference cursor {ell} sits on source position {truth}")
-print(f"cursors: {config.cursors}")
-print(f"their source positions: {[source_of(r, c) for r, c in zip(records, config.cursors)]}")
+print(f"cursors: {cursors}")
+if cursors is not None:
+    print(f"their source positions: {[source_of(r, c) for r, c in zip(records, cursors)]}")
 
-ok, loc = consensus_check(config, records, math.ceil(0.9 * M))
+ok, loc = consensus_check(cursors, records, math.ceil(0.9 * M))
 print(f"consensus at >=90%: {ok}, agreed source position {loc} "
       f"(guarantee: within [{truth - 2 * math.ceil(params.H)}, {truth}])")
 
@@ -49,19 +50,18 @@ print(f"\ntrace 1 matched windows (stage 1 innermost): {[(w.lo, w.hi) for w in t
 # --- success rate over random cursors, and what noise does to it -----------
 for d in (1e-4, 1e-3, 1e-2):
     p = derive_params(n, d, M, k_const=2.0)
-    margin = math.ceil(5 * p.tau * math.log2(n))
     wins = 0
     trials = 30
     for _ in range(trials):
         xx = random_bits(n, rng)
         recs = [transmit(xx, d, rng) for _ in range(M)]
         ys = recs[0]
-        lo, hi = margin, len(ys.trace) - margin
+        lo, hi = p.margin, len(ys.trace) - p.margin
         if lo > hi:
             continue
         e = int(rng.integers(lo, hi + 1))
-        cfg, dg = align(p, e, ys.trace, [r.trace for r in recs])
-        good, where = consensus_check(cfg, recs, math.ceil(0.9 * M))
+        cur, _ = align(p, e, ys.trace, [r.trace for r in recs])
+        good, where = consensus_check(cur, recs, math.ceil(0.9 * M))
         src = source_of(ys, e)
         wins += bool(good and where is not None and src - 2 * math.ceil(p.H) <= where <= src)
     print(f"delta={d}: consensus with valid location in {wins}/{trials} instances")

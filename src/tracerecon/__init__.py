@@ -11,7 +11,7 @@ from .strings import (
     random_bits,
 )
 from .channel import TraceRecord, apply_deletions, image_ceil, image_of, source_of, transmit
-from .deserts import contains_long_desert, count_windows_with_long_desert, is_k_desert
+from .deserts import contains_long_desert
 from .params import (
     DESK_DEFAULTS,
     PAPER_DEFAULTS,
@@ -21,8 +21,8 @@ from .params import (
     derive_params,
     reduce_m_traces,
 )
-from .align import AlignDiagnostics, Configuration, align, consensus_check
-from .bma import BmaDiagnostics, bma_run, bma_star, bma_with_provenance
+from .align import AlignDiagnostics, align, consensus_check
+from .bma import BmaDiagnostics, bma_run
 from .reconstruct import ReconResult, reconstruct, reconstruct_with_fallback
 from .lower_bound import (
     EmbeddingSpec,
@@ -59,9 +59,7 @@ __all__ = [
     "source_of",
     "image_of",
     "image_ceil",
-    "is_k_desert",
     "contains_long_desert",
-    "count_windows_with_long_desert",
     "DESK_DEFAULTS",
     "PAPER_DEFAULTS",
     "ReconParams",
@@ -69,14 +67,11 @@ __all__ = [
     "derive_params",
     "check_regime",
     "reduce_m_traces",
-    "Configuration",
     "AlignDiagnostics",
     "align",
     "consensus_check",
     "BmaDiagnostics",
     "bma_run",
-    "bma_star",
-    "bma_with_provenance",
     "ReconResult",
     "reconstruct",
     "reconstruct_with_fallback",

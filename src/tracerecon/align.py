@@ -9,10 +9,9 @@ that occurs in nearly all innermost windows; each trace's cursor is placed
 at the leftmost occurrence of that word.
 
 Any miss (no window within the stage's distance budget, or no sufficiently
-common word) aborts to the all-ones configuration with a failure_stage in
-the diagnostics.  That configuration tracks nothing, so the caller must not
-vote from it: `reconstruct` copies the segment from the reference trace
-instead.
+common word) returns no cursors at all, with a failure_stage in the
+diagnostics.  `reconstruct` then copies the segment from the reference
+trace instead of voting.
 """
 
 from __future__ import annotations
@@ -27,44 +26,22 @@ from .channel import TraceRecord, source_of
 from .params import ReconParams
 from .strings import BitString, Interval, find_closest_subword, find_common_word, kmer_index
 
-__all__ = ["Configuration", "AlignDiagnostics", "align", "consensus_check"]
-
-
-@dataclass(frozen=True)
-class Configuration:
-    cursors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(c < 1 for c in self.cursors):
-            raise ValueError("cursors are 1-based")
-
-    def __len__(self) -> int:
-        return len(self.cursors)
+__all__ = ["AlignDiagnostics", "align", "consensus_check"]
 
 
 @dataclass(frozen=True)
 class AlignDiagnostics:
-    """What the aligner looked at, for post-hoc checks.
+    """Where the aligner stopped, for post-hoc checks.
 
-    ref_windows/templates are indexed by stage-1 (stage s at position s-1).
     trace_windows[m][s-1] is trace m's interval for stage s, present only up
     to the point of failure.  failure_stage is None on success, a stage
-    number when the nested search missed, or 0 when no common word was
-    found.
+    number when the nested search missed (failure_trace is then the trace
+    that missed), or 0 when no common word was found.
     """
 
-    ref_windows: tuple[Interval, ...]
-    templates: tuple[BitString, ...]
     trace_windows: tuple[tuple[Interval | None, ...], ...]
-    word: BitString | None
-    word_offsets: tuple[int | None, ...] | None
     failure_stage: int | None
     failure_trace: int | None
-    clamped: bool
-
-
-def _all_ones(m_count: int) -> Configuration:
-    return Configuration(tuple(1 for _ in range(m_count)))
 
 
 def align(
@@ -73,8 +50,9 @@ def align(
     y_star: BitString,
     traces: list[BitString],
     indexes: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
-) -> tuple[Configuration, AlignDiagnostics]:
-    """Place one cursor per trace near the source position under ell_star.
+) -> tuple[tuple[int, ...] | None, AlignDiagnostics]:
+    """Place one 1-based cursor per trace near the source position under
+    ell_star.  The cursors are None when the alignment fails.
 
     ``indexes[m]`` is ``kmer_index(traces[m])`` or None; a None entry is
     filled in the first time trace m is searched, so a caller that aligns
@@ -89,78 +67,54 @@ def align(
         raise ValueError("reference cursor outside the reference trace")
 
     # reference window ladder, widest last; clamped to the trace near its ends
-    ref_windows: list[Interval] = []
     templates: list[BitString] = []
-    clamped = False
     for t_s in params.t_ladder:
         half = (t_s - 1) // 2
-        lo, hi = ell_star - half, ell_star + half
-        if lo < 1 or hi > n_star:
-            clamped = True
-            lo, hi = max(1, lo), min(n_star, hi)
-        ref_windows.append(Interval(lo, hi))
-        templates.append(y_star.subword(lo, hi))
+        templates.append(y_star.subword(max(1, ell_star - half), min(n_star, ell_star + half)))
 
     trace_windows: list[list[Interval | None]] = [[None] * params.S for _ in range(m_count)]
+
+    def diagnostics(stage: int | None, trace: int | None) -> AlignDiagnostics:
+        return AlignDiagnostics(tuple(tuple(per) for per in trace_windows), stage, trace)
+
     for m, trace in enumerate(traces):
         if len(trace) == 0:
-            return _all_ones(m_count), AlignDiagnostics(
-                tuple(ref_windows), tuple(templates), _freeze(trace_windows),
-                None, None, params.S, m, clamped,
-            )
+            return None, diagnostics(params.S, m)
         search = Interval(1, len(trace))
         if indexes[m] is None:
             indexes[m] = kmer_index(trace)
         for s in range(params.S, 0, -1):
-            t_s = params.t_ladder[s - 1]
-            budget = int(2 * params.gamma * t_s)
+            budget = int(2 * params.gamma * params.t_ladder[s - 1])
             hit = find_closest_subword(templates[s - 1], trace, search, budget, indexes[m])
             if hit is None:
-                return _all_ones(m_count), AlignDiagnostics(
-                    tuple(ref_windows), tuple(templates), _freeze(trace_windows),
-                    None, None, s, m, clamped,
-                )
+                return None, diagnostics(s, m)
             trace_windows[m][s - 1] = hit
             search = hit
 
-    word_len = math.ceil(0.9 * params.t_ladder[0])
-    threshold = math.ceil(0.95 * m_count)
-    inner = []
-    for m in range(m_count):
-        w = trace_windows[m][0]
-        assert w is not None
-        inner.append(traces[m].subword(w.lo, w.hi))
-    found = find_common_word(inner, word_len, threshold)
+    inner = [trace.subword(w[0].lo, w[0].hi) for trace, w in zip(traces, trace_windows)]
+    found = find_common_word(inner, math.ceil(0.9 * params.t_ladder[0]), math.ceil(0.95 * m_count))
     if found is None:
-        return _all_ones(m_count), AlignDiagnostics(
-            tuple(ref_windows), tuple(templates), _freeze(trace_windows),
-            None, None, 0, None, clamped,
-        )
-    word, offsets = found
+        return None, diagnostics(0, None)
+    # a trace that lacks the common word keeps cursor 1
     cursors = tuple(
-        trace_windows[m][0].lo + offsets[m] - 1 if offsets[m] is not None else 1
-        for m in range(m_count)
+        w[0].lo + off - 1 if off is not None else 1
+        for w, off in zip(trace_windows, found[1])
     )
-    diags = AlignDiagnostics(
-        tuple(ref_windows), tuple(templates), _freeze(trace_windows),
-        word, tuple(offsets), None, None, clamped,
-    )
-    return Configuration(cursors), diags
-
-
-def _freeze(windows: list[list[Interval | None]]) -> tuple[tuple[Interval | None, ...], ...]:
-    return tuple(tuple(per) for per in windows)
+    return cursors, diagnostics(None, None)
 
 
 def consensus_check(
-    config: Configuration, records: list[TraceRecord], threshold: int
+    cursors: tuple[int, ...] | None, records: list[TraceRecord], threshold: int
 ) -> tuple[bool, int | None]:
     """Ground-truth test: do >= threshold cursors sit on the same source
-    position?  Returns that position when they do.  Needs deletion
-    provenance, so it only exists on the experiment side."""
-    if len(config) != len(records):
+    position?  Returns that position when they do; a failed alignment
+    (``cursors`` None) has no consensus.  Needs deletion provenance, so it
+    only exists on the experiment side."""
+    if cursors is None:
+        return False, None
+    if len(cursors) != len(records):
         raise ValueError("one cursor per record required")
-    counts = Counter(source_of(rec, c) for rec, c in zip(records, config.cursors))
+    counts = Counter(source_of(rec, c) for rec, c in zip(records, cursors))
     best = max(counts.values())
     if best >= threshold:
         return True, min(i for i, c in counts.items() if c == best)

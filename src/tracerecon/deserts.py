@@ -12,22 +12,7 @@ import numpy as np
 
 from .strings import BitString
 
-__all__ = [
-    "is_k_desert",
-    "contains_long_desert",
-    "count_windows_with_long_desert",
-]
-
-
-def is_k_desert(w: BitString, k: int) -> bool:
-    """Period test: w[i] == w[i+k] for all valid i.  Vacuously true when
-    |w| <= k."""
-    if k < 1:
-        raise ValueError("period k must be >= 1")
-    a = w.array
-    if a.size <= k:
-        return True
-    return bool((a[:-k] == a[k:]).all())
+__all__ = ["contains_long_desert"]
 
 
 def _desert_starts(a: np.ndarray, L: int, G: int) -> np.ndarray:
@@ -62,23 +47,3 @@ def contains_long_desert(w: BitString, L: int, G: int) -> bool:
     if not 1 <= G <= L:
         raise ValueError("need 1 <= G <= L")
     return bool(_desert_starts(w.array, L, G).any())
-
-
-def count_windows_with_long_desert(x: BitString, L: int, G: int, W: int) -> int:
-    """Number of 1-based starts i with contains_long_desert(x[i:i+W-1], L, G).
-
-    Sliding formulation: window i qualifies iff a desert starts anywhere in
-    [i, i+W-L], again answered by a cumsum over the start mask.
-    """
-    if not 1 <= G <= L:
-        raise ValueError("need 1 <= G <= L")
-    if W < L:
-        raise ValueError("window width W must be >= L")
-    n = len(x)
-    n_win = n - W + 1
-    if n_win <= 0:
-        return 0
-    starts = _desert_starts(x.array, L, G)
-    width = W - L + 1
-    c = np.concatenate(([0], np.cumsum(starts, dtype=np.int64)))
-    return int(((c[width : width + n_win] - c[:n_win]) > 0).sum())

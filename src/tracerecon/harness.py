@@ -179,9 +179,9 @@ def _run_align_bench(point: dict, rng: np.random.Generator) -> dict:
     if lo > hi:
         raise RuntimeError("no valid reference cursor at this n and tau")
     ell_star = int(rng.integers(lo, hi + 1))
-    config, diags = align(params, ell_star, y_star.trace, [r.trace for r in records])
+    cursors, diags = align(params, ell_star, y_star.trace, [r.trace for r in records])
     threshold = math.ceil(0.9 * params.m_traces)
-    consensus, location = consensus_check(config, records, threshold)
+    consensus, location = consensus_check(cursors, records, threshold)
     src = source_of(y_star, ell_star)
     loc_ok = location is not None and src - 2 * math.ceil(params.H) <= location <= src
     return {

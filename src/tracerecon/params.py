@@ -125,9 +125,11 @@ def derive_params(
 def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeReport:
     """Classify (n, delta, M, K) against the operating-regime inequalities.
 
-    run_full requires all of: 1/n^2 <= delta < 1/(K*M), K^2 <= M <= 1/(K*delta),
-    and (delta*M)^(M/K) >= 1/n^2.  Below the first two cuts a single trace is
-    already within target; past the last cut fewer traces do better.
+    run_full requires all of: 1/n^2 <= delta < 1/(K*M), delta*M < 1,
+    K^2 <= M <= 1/(K*delta), and (delta*M)^(M/K) >= 1/n^2.  Below the first
+    two cuts a single trace is already within target; past the others fewer
+    traces do better.  For K >= 1, delta < 1/(K*M) implies delta*M < 1; the
+    separate cut keeps a K < 1 run out of `derive_params`' H <= 0 error.
     """
     K = float(k_const)
     inv_n2 = 1.0 / (n * n)
@@ -142,7 +144,7 @@ def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeR
 
     if delta_below or m_below:
         action = "output_single_trace"
-    elif target_below or not delta < 1.0 / (K * m_traces):
+    elif target_below or not delta < 1.0 / (K * m_traces) or delta * m_traces >= 1.0:
         action = "reduce_M"
     else:
         action = "run_full"
@@ -156,19 +158,10 @@ def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeR
 
 
 def reduce_m_traces(n: int, delta: float, m_traces: int, k_const: float) -> int | None:
-    """Largest M' <= M that puts (n, delta, M', K) back in the full regime.
-
-    Scans downward; requires (delta*M')^(M'/K) >= 1/n^2 together with
-    delta < 1/(K*M') and M' >= K^2 so the reduced run does not bounce
-    straight back here.  None when no such M' exists.
-    """
-    K = float(k_const)
-    lo = math.ceil(K * K)
-    for m in range(m_traces, lo - 1, -1):
-        if delta * m >= 1.0:
-            continue
-        if not delta < 1.0 / (K * m):
-            continue
-        if (m / K) * math.log2(delta * m) >= -2.0 * math.log2(n):
+    """Largest M' <= M for which `check_regime` says run_full, so the
+    reduced run does not bounce straight back here.  None when no such M'
+    exists."""
+    for m in range(m_traces, 0, -1):
+        if check_regime(n, delta, m, k_const).recommended_action == "run_full":
             return m
     return None

@@ -7,9 +7,9 @@ of the source are simply not reconstructed (their cost is absorbed by the
 edit-distance budget).  When no segment fits between the two, the
 result is the reference trace, labelled `output_single_trace`.  After
 each voted segment the reference cursor jumps to wherever the majority run
-left it, plus one.  A segment whose alignment fails is not voted: its R bits
-are copied from the reference trace at the cursor, which then advances by R,
-as `output_single_trace` does for the whole string.
+left it, plus one.  A segment whose alignment returns no cursors is not
+voted: its R bits are copied from the reference trace at the cursor, which
+then advances by R, as `output_single_trace` does for the whole string.
 
 Entry points:
   reconstruct            -- the loop itself, for callers holding ReconParams
@@ -69,7 +69,7 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
     # empty hypothesis
     ell_star = min(margin, math.ceil(n_star / 100)) if n_star else 1
     if ell_star > min(n_star - params.R, n_star - margin):
-        return ReconResult(y_star, (), "output_single_trace", params.m_traces)
+        return ReconResult(y_star, (), "output_single_trace", 1)
 
     # every segment's widest ladder stage searches each whole trace; align
     # builds a trace's word index on its first search, kept here until return
@@ -77,17 +77,13 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
     pieces: list[BitString] = []
     segments: list[tuple[int, int]] = []
     while ell_star <= n_star - params.R and ell_star <= n_star - margin:
-        config, diag = align(params, ell_star, y_star, traces, indexes)
-        if diag.failure_stage is not None:
-            # the all-ones configuration tracks nothing; voting from it would
-            # re-emit the start of the source
+        cursors, _ = align(params, ell_star, y_star, traces, indexes)
+        if cursors is None:
             pieces.append(y_star.subword(ell_star, ell_star + params.R - 1))
             segments.append((ell_star, params.R))
             ell_star += params.R
             continue
-        sequences = [y_star] + list(traces)
-        cursors = [ell_star] + list(config.cursors)
-        out, final, _ = bma_run(sequences, cursors, params.R)
+        out, final, _ = bma_run([y_star, *traces], [ell_star, *cursors], params.R)
         if len(out):
             pieces.append(out)
         segments.append((ell_star, len(out)))

@@ -7,12 +7,14 @@ against these, never the other way around.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from tracerecon import BitString
+from tracerecon import BitString, source_of
+from tracerecon.deserts import _desert_starts
 from tracerecon.lower_bound import atomic_tables
 
 
@@ -40,14 +42,17 @@ def edit_distance_dp(a, b) -> int:
     return len(a) + len(b) - 2 * lcs_dp(a, b)
 
 
-def bma_literal(sequences, cursors, rounds):
+def bma_literal_walk(sequences, cursors, rounds):
     """Line-by-line majority alignment with materialized '*' padding.
 
-    Returns (word_or_empty, final_cursors) exactly like bma_run.
+    Returns (word_or_empty, history): the emitted word as bma_run gives it,
+    and the cursors before every round and after the last, rounds + 1
+    tuples.
     """
     seqs = [str(s) for s in sequences]
     padded = [s + "*" * (rounds + 1) for s in seqs]
     cur = list(cursors)
+    history = [tuple(cur)]
     out = []
     for _ in range(rounds):
         symbols = [padded[m][cur[m] - 1] for m in range(len(seqs))]
@@ -60,10 +65,94 @@ def bma_literal(sequences, cursors, rounds):
         for m in range(len(seqs)):
             if symbols[m] == w:
                 cur[m] += 1
+        history.append(tuple(cur))
     word = "".join(out)
     if "*" in word:
         word = ""
-    return BitString(word), tuple(cur)
+    return BitString(word), history
+
+
+def bma_literal(sequences, cursors, rounds):
+    """Returns (word_or_empty, final_cursors) exactly like bma_run."""
+    word, history = bma_literal_walk(sequences, cursors, rounds)
+    return word, history[-1]
+
+
+@dataclass(frozen=True)
+class Provenance:
+    """Per sequence and round (shape (M, rounds+1), round index t-1): the
+    source position under the cursor, and the deletions crossed beyond the
+    one-bit-per-round schedule."""
+
+    last: np.ndarray
+    dist: np.ndarray
+
+
+def bma_with_provenance(records, start_cursors, rounds):
+    """Majority alignment over the records' traces, with last/dist
+    bookkeeping.  Returns (word_or_empty, final_cursors, Provenance).
+
+    last[m, t-1] is the source position under cursor m at round t;
+    dist[m, t-1] = last - (t-1) - min(last[:, 0]) counts crossed deletions
+    net of stalls, from the run's common source start, so a trace that lost
+    the first source bit starts one ahead.  It must stay non-negative
+    whenever the majority tracks the source word, which is asserted.
+    """
+    word, history = bma_literal_walk([r.trace for r in records], start_cursors, rounds)
+    last = np.array(
+        [[source_of(rec, h[m]) for h in history] for m, rec in enumerate(records)],
+        dtype=np.int64,
+    )
+    dist = last - np.arange(rounds + 1, dtype=np.int64)[None, :] - last[:, 0].min()
+    assert (dist >= 0).all(), "cursor fell behind the one-bit-per-round schedule"
+    return word, history[-1], Provenance(last, dist)
+
+
+def bma_star(y_star, ell_star: int, z) -> int:
+    """Single-reference walk: advance the cursor on each match between z and
+    the reference trace, then report where the cursor's source position
+    lands.  Predicts the reference pointer after a majority segment that
+    emitted z."""
+    if ell_star < 1:
+        raise ValueError("cursor is 1-based")
+    trace = y_star.trace
+    n_trace = len(trace)
+    cursor = ell_star
+    for t in range(1, len(z) + 1):
+        if cursor <= n_trace and trace.bit(cursor) == z.bit(t):
+            cursor += 1
+    return source_of(y_star, cursor)
+
+
+def is_k_desert(w, k: int) -> bool:
+    """Period test: w[i] == w[i+k] for all valid i.  Vacuously true when
+    |w| <= k."""
+    if k < 1:
+        raise ValueError("period k must be >= 1")
+    a = w.array
+    if a.size <= k:
+        return True
+    return bool((a[:-k] == a[k:]).all())
+
+
+def count_windows_with_long_desert(x, L: int, G: int, W: int) -> int:
+    """Number of 1-based starts i with contains_long_desert(x[i:i+W-1], L, G).
+
+    Sliding formulation: window i qualifies iff a desert starts anywhere in
+    [i, i+W-L], again answered by a cumsum over the library's start mask.
+    """
+    if not 1 <= G <= L:
+        raise ValueError("need 1 <= G <= L")
+    if W < L:
+        raise ValueError("window width W must be >= L")
+    n = len(x)
+    n_win = n - W + 1
+    if n_win <= 0:
+        return 0
+    starts = _desert_starts(x.array, L, G)
+    width = W - L + 1
+    c = np.concatenate(([0], np.cumsum(starts, dtype=np.int64)))
+    return int(((c[width : width + n_win] - c[:n_win]) > 0).sum())
 
 
 def desert_scan_naive(x, window_len: int, max_period: int) -> set[int]:

@@ -304,8 +304,8 @@ def test_criterion_09_align_consensus():
         records = [transmit(x, delta, g) for _ in range(M)]
         y_star = records[0]
         ell = int(g.integers(params.margin, len(y_star.trace) - params.margin + 1))
-        config, diag = align(params, ell, y_star.trace, [r.trace for r in records])
-        ok, loc = consensus_check(config, records, thr)
+        cursors, diag = align(params, ell, y_star.trace, [r.trace for r in records])
+        ok, loc = consensus_check(cursors, records, thr)
         src = source_of(y_star, ell)
         if ok and loc is not None and src - 2 * Hc <= loc <= src:
             good += 1

@@ -6,7 +6,6 @@ import pytest
 
 from tracerecon import (
     BitString,
-    Configuration,
     align,
     apply_deletions,
     consensus_check,
@@ -29,9 +28,9 @@ def make_instance(n, delta, m, seed, **kw):
 
 class TestConfiguration:
     def test_cursors_one_based(self):
+        recs = [apply_deletions(BitString("0101"), set()) for _ in range(3)]
         with pytest.raises(ValueError):
-            Configuration((1, 0, 2))
-        assert len(Configuration((1, 2))) == 2
+            consensus_check((1, 0, 2), recs, 2)
 
 
 class TestAlignCleanChannel:
@@ -40,9 +39,9 @@ class TestAlignCleanChannel:
         # replace the noisy records with clean ones: every trace equals x
         clean = [apply_deletions(x, set()) for _ in range(8)]
         ell = len(x) // 2
-        config, diag = align(params, ell, x, [r.trace for r in clean])
+        cursors, diag = align(params, ell, x, [r.trace for r in clean])
         assert diag.failure_stage is None
-        ok, loc = consensus_check(config, clean, threshold=len(clean))
+        ok, loc = consensus_check(cursors, clean, threshold=len(clean))
         assert ok
         # cursor lands within the stage-1 window left of the target
         assert ell - 2 * math.ceil(params.H) <= loc <= ell
@@ -50,7 +49,7 @@ class TestAlignCleanChannel:
     def test_nested_windows(self):
         x, params, y_star, records = make_instance(2**14, 0.01, 8, seed=22)
         clean = [apply_deletions(x, set()) for _ in range(8)]
-        config, diag = align(params, len(x) // 2, x, [r.trace for r in clean])
+        _, diag = align(params, len(x) // 2, x, [r.trace for r in clean])
         for per_trace in diag.trace_windows:
             stages = [w for w in per_trace if w is not None]
             # index s-1 holds stage s: windows grow going up the ladder
@@ -60,9 +59,9 @@ class TestAlignCleanChannel:
     def test_noisy_consensus_small_delta(self):
         x, params, y_star, records = make_instance(2**14, 1e-4, 8, seed=23, k_const=4.0)
         ell = len(y_star.trace) // 2
-        config, diag = align(params, ell, y_star.trace, [r.trace for r in records])
+        cursors, diag = align(params, ell, y_star.trace, [r.trace for r in records])
         assert diag.failure_stage is None
-        ok, loc = consensus_check(config, records, threshold=math.ceil(0.9 * 8))
+        ok, loc = consensus_check(cursors, records, threshold=math.ceil(0.9 * 8))
         assert ok
         target = source_of(y_star, ell)
         assert target - 2 * math.ceil(params.H) <= loc <= target
@@ -74,8 +73,8 @@ class TestAlignFailure:
         params = derive_params(n, 0.01, 4)
         y_star = BitString("0" * n)
         traces = [BitString("1" * n) for _ in range(4)]
-        config, diag = align(params, n // 2, y_star, traces)
-        assert config.cursors == (1, 1, 1, 1)
+        cursors, diag = align(params, n // 2, y_star, traces)
+        assert cursors is None
         assert diag.failure_stage == params.S
         assert diag.failure_trace == 0
 
@@ -83,8 +82,8 @@ class TestAlignFailure:
         n = 2**12
         params = derive_params(n, 0.01, 3)
         x = random_bits(n, stream(1, 0))
-        config, diag = align(params, n // 2, x, [x, BitString(""), x])
-        assert config.cursors == (1, 1, 1)
+        cursors, diag = align(params, n // 2, x, [x, BitString(""), x])
+        assert cursors is None
         assert diag.failure_stage == params.S
         assert diag.failure_trace == 1
 
@@ -95,7 +94,7 @@ class TestAlignFailure:
         params = derive_params(n, 0.01, 2)
         g = stream(2, 0)
         x = random_bits(n, g)
-        config, diag = align(params, n // 2, x, [x, x])
+        _, diag = align(params, n // 2, x, [x, x])
         assert diag.failure_stage is None  # sanity: identical traces succeed
 
 
@@ -104,40 +103,45 @@ class TestAlignModes:
         n = 2**14
         params = derive_params(n, 0.01, 4)
         x = random_bits(n, stream(4, 0))
-        # cursor close to the left edge: windows would stick out
-        config, diag = align(params, 5, x, [x] * 4)
-        assert diag.clamped
-        for w in diag.ref_windows:
-            assert w.lo >= 1 and w.hi <= n
+        # cursors close to either edge: the reference windows would stick
+        # out, so they are clamped to the trace and every ladder stage still
+        # matches (the innermost window is then too short for the common
+        # word, so the word stage is what fails)
+        for ell, edge in ((5, "lo"), (n - 4, "hi")):
+            _, diag = align(params, ell, x, [x] * 4)
+            assert diag.failure_stage == 0
+            for per_trace in diag.trace_windows:
+                assert all(1 <= w.lo and w.hi <= n for w in per_trace)
+                assert getattr(per_trace[0], edge) == (1 if edge == "lo" else n)
 
     def test_single_trace(self):
         n = 2**13
         params = derive_params(n, 0.01, 1)
         x = random_bits(n, stream(5, 0))
-        config, diag = align(params, n // 2, x, [x])
+        cursors, diag = align(params, n // 2, x, [x])
         assert diag.failure_stage is None
         # the lone cursor sits inside the innermost window
         w = diag.trace_windows[0][0]
-        assert w.lo <= config.cursors[0] <= w.hi
+        assert w.lo <= cursors[0] <= w.hi
 
 
 class TestConsensusCheck:
     def test_threshold_met(self):
         recs = [apply_deletions(BitString("0101"), set()) for _ in range(3)]
-        ok, loc = consensus_check(Configuration((2, 2, 3)), recs, 2)
+        ok, loc = consensus_check((2, 2, 3), recs, 2)
         assert ok and loc == 2
 
     def test_threshold_missed(self):
         recs = [apply_deletions(BitString("0101"), set()) for _ in range(3)]
-        ok, loc = consensus_check(Configuration((1, 2, 3)), recs, 2)
+        ok, loc = consensus_check((1, 2, 3), recs, 2)
         assert not ok and loc is None
 
     def test_ties_take_smallest_source(self):
         recs = [apply_deletions(BitString("0101"), set()) for _ in range(4)]
-        ok, loc = consensus_check(Configuration((3, 3, 1, 1)), recs, 2)
+        ok, loc = consensus_check((3, 3, 1, 1), recs, 2)
         assert ok and loc == 1
 
     def test_arity_mismatch(self):
         recs = [apply_deletions(BitString("01"), set())]
         with pytest.raises(ValueError):
-            consensus_check(Configuration((1, 1)), recs, 1)
+            consensus_check((1, 1), recs, 1)

@@ -8,15 +8,13 @@ from tracerecon import (
     BitString,
     apply_deletions,
     bma_run,
-    bma_star,
-    bma_with_provenance,
     random_bits,
     source_of,
     transmit,
 )
 from tracerecon.rng import stream
 
-from .oracles import bma_literal
+from .oracles import bma_literal, bma_star, bma_with_provenance
 
 
 class TestBmaRun:

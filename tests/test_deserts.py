@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracerecon import (
-    BitString,
-    contains_long_desert,
-    count_windows_with_long_desert,
-    is_k_desert,
-    random_bits,
-)
+from tracerecon import BitString, contains_long_desert, random_bits
 from tracerecon.rng import stream
 
-from .oracles import desert_scan_naive
+from .oracles import count_windows_with_long_desert, desert_scan_naive, is_k_desert
 
 bits = st.text(alphabet="01", max_size=24)
 

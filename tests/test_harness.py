@@ -206,6 +206,23 @@ class TestRunExperiment:
             assert res.metrics["margin_min"] >= 0.0
 
 
+    def test_failed_alignment_has_no_consensus(self):
+        # the delta=0.01, M=25, K=2 point of reports/working_regime_align.json,
+        # where every alignment fails; a failed alignment places no cursors,
+        # so nothing can agree on a source position
+        cfg = ExperimentConfig(
+            kind="align_bench",
+            grid=[{"n": 131072, "delta": 0.01, "m_traces": 25, "k_const": 2.0}],
+            trials=4,
+            seed=2026,
+        )
+        failed = [r for r in run_experiment(cfg) if r.metrics["failure_stage"] != -1]
+        assert failed
+        for res in failed:
+            assert res.metrics["consensus"] == 0.0
+            assert res.metrics["align_success"] == 0.0
+
+
 class TestReports:
     def test_csv_columns_and_rows(self, tmp_path):
         res = TrialResult(

@@ -129,6 +129,11 @@ class TestCheckRegime:
         rep = check_regime(2**17, 0.01, 25, 2.0)
         assert rep.recommended_action == "run_full"
 
+    def test_delta_m_at_least_one_reduces_below_unit_k(self):
+        # K < 1 lets delta < 1/(K*M) hold with delta*M >= 1, where H <= 0
+        # and derive_params refuses the point; fewer traces fix it
+        assert check_regime(4096, 0.3, 4, 0.5).recommended_action == "reduce_M"
+
 
 class TestReduceMTraces:
     def test_finds_smaller_m(self):
@@ -139,6 +144,20 @@ class TestReduceMTraces:
     def test_none_when_hopeless(self):
         # delta below 1/n^2: no M' can help
         assert reduce_m_traces(2**10, 1e-9, 16, 2.0) is None
+
+    @given(
+        st.sampled_from([64, 256, 1000, 4096, 2**17, 10**6]),
+        st.floats(min_value=1e-7, max_value=0.4),
+        st.integers(min_value=1, max_value=79),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0]),
+    )
+    def test_first_run_full_scanning_down(self, n, delta, m, k):
+        m2 = reduce_m_traces(n, delta, m, k)
+        if m2 is not None:
+            assert 1 <= m2 <= m
+            assert check_regime(n, delta, m2, k).recommended_action == "run_full"
+        for cand in range((m2 or 0) + 1, m + 1):
+            assert check_regime(n, delta, cand, k).recommended_action != "run_full"
 
     def test_largest_qualifying(self):
         m2 = reduce_m_traces(2**10, 0.01, 16, 2.0)

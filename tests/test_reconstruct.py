@@ -135,9 +135,9 @@ class TestFailedAlignment:
         real_index = align_module.kmer_index
 
         def recording_align(*args):
-            config, diag = real_align(*args)
+            cursors, diag = real_align(*args)
             stages.append(diag.failure_stage)
-            return config, diag
+            return cursors, diag
 
         def recording_bma_run(*args):
             votes.append(args[1])
@@ -253,6 +253,17 @@ class TestFallbackRouting:
         assert res.regime_action == "output_single_trace"
         assert res.segments == ()
         assert res.hypothesis == traces[0]
+        assert res.m_used == 1
+
+    def test_small_k_with_delta_m_above_one_reduces(self):
+        # K=0.5, delta*M = 1.2: check_regime used to say run_full here, and
+        # derive_params then refused H <= 0
+        g = stream(23, 0)
+        x = random_bits(4096, g)
+        traces = [transmit(x, 0.3, g).trace for _ in range(4)]
+        res = reconstruct_with_fallback(4096, 0.3, traces, k_const=0.5)
+        assert res.regime_action == "reduce_M"
+        assert res.m_used == 3
 
     def test_run_full_routing(self):
         n = 2**12
