@@ -7,6 +7,7 @@ from .strings import (
     edit_distance,
     edit_distance_bounded,
     find_closest_subword,
+    find_closest_subwords,
     find_common_word,
     random_bits,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "edit_distance",
     "edit_distance_bounded",
     "find_closest_subword",
+    "find_closest_subwords",
     "find_common_word",
     "random_bits",
     "TraceRecord",

@@ -8,6 +8,13 @@ same source region as the reference cursor.  A final vote picks one word
 that occurs in nearly all innermost windows; each trace's cursor is placed
 at the leftmost occurrence of that word.
 
+The traces are searched in batches of 2, 4, 8, ... traces, in order.  Each
+stage of a batch is one ``find_closest_subwords`` call over the batch's
+traces, which scores all their candidate windows together; every stage of a
+batch finishes before the next batch starts.  The earliest trace that misses
+decides the failure, so the result is the one a trace-by-trace search
+gives, and a miss early in the list stops the search about as soon.
+
 Any miss (no window within the stage's distance budget, or no sufficiently
 common word) returns no cursors at all, with a failure_stage in the
 diagnostics.  `reconstruct` then copies the segment from the reference
@@ -24,9 +31,11 @@ import numpy as np
 
 from .channel import TraceRecord, source_of
 from .params import ReconParams
-from .strings import BitString, Interval, find_closest_subword, find_common_word, kmer_index
+from .strings import BitString, Interval, find_closest_subwords, find_common_word, kmer_index
 
 __all__ = ["AlignDiagnostics", "align", "consensus_check"]
+
+_FIRST_BATCH = 2  # traces in the first batch; each later batch is twice as many
 
 
 @dataclass(frozen=True)
@@ -77,19 +86,41 @@ def align(
     def diagnostics(stage: int | None, trace: int | None) -> AlignDiagnostics:
         return AlignDiagnostics(tuple(tuple(per) for per in trace_windows), stage, trace)
 
-    for m, trace in enumerate(traces):
-        if len(trace) == 0:
-            return None, diagnostics(params.S, m)
-        search = Interval(1, len(trace))
-        if indexes[m] is None:
-            indexes[m] = kmer_index(trace)
+    lo, size = 0, _FIRST_BATCH
+    while lo < m_count:
+        batch = range(lo, min(lo + size, m_count))
+        lo, size = batch.stop, 2 * size
+        # only the traces before the earliest miss so far stay live: that
+        # miss fails the alignment whatever the traces after it do
+        failed: tuple[int, int] | None = None  # (trace, stage)
+        live = list(batch)
+        for i, m in enumerate(batch):
+            if len(traces[m]) == 0:
+                failed, live = (m, params.S), live[:i]
+                break
+        search = {m: Interval(1, len(traces[m])) for m in live}
+        for m in live:
+            if indexes[m] is None:
+                indexes[m] = kmer_index(traces[m])
         for s in range(params.S, 0, -1):
             budget = int(2 * params.gamma * params.t_ladder[s - 1])
-            hit = find_closest_subword(templates[s - 1], trace, search, budget, indexes[m])
-            if hit is None:
-                return None, diagnostics(s, m)
-            trace_windows[m][s - 1] = hit
-            search = hit
+            hits = find_closest_subwords(
+                templates[s - 1],
+                [traces[m] for m in live],
+                [search[m] for m in live],
+                budget,
+                [indexes[m] for m in live],
+            )
+            for i, (m, hit) in enumerate(zip(live, hits)):
+                if hit is None:
+                    failed, live = (m, s), live[:i]
+                    break
+                trace_windows[m][s - 1] = search[m] = hit
+        if failed is not None:
+            m, s = failed
+            for later in range(m + 1, batch.stop):
+                trace_windows[later] = [None] * params.S
+            return None, diagnostics(s, m)
 
     inner = [trace.subword(w[0].lo, w[0].hi) for trace, w in zip(traces, trace_windows)]
     found = find_common_word(inner, math.ceil(0.9 * params.t_ladder[0]), math.ceil(0.95 * m_count))

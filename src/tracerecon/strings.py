@@ -3,22 +3,27 @@
 Everything downstream (channel records, alignment, reconstruction) works on
 immutable binary strings with the 1-based indexing convention used throughout
 the package: ``x[1]`` is the first bit and subwords are closed intervals
-``x[i : j]``.  Strings are stored as one byte per bit.  The candidate
-prefilter in :func:`find_closest_subword` looks template pieces up in a
-12-bit-word index of the haystack (:func:`kmer_index`), which a caller
-searching one haystack many times builds once and passes in.
+``x[i : j]``.  Strings are stored as one byte per bit.  The window search
+:func:`find_closest_subwords` looks for one template in many haystacks at
+once: a prefilter looks the template's pieces up in each haystack's
+12-bit-word index (:func:`kmer_index`, which a caller searching one
+haystack many times builds once and passes in), and the candidate windows
+of all haystacks are scored together.  :func:`find_closest_subword` is its
+one-haystack call.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
 kernel computes it, the bit-parallel LCS recurrence on Python ints: over
 every column in O(|a| * |b| / w) for the exact distance, or over the band
 of diagonals a cap allows in O(|a| * cap / w) for the bounded one.  The
-same recurrence, run once over many candidate windows packed into one int,
-serves the window search.
+same recurrence, run once over up to 2048 candidate windows packed into one
+int, serves the window search.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -31,6 +36,7 @@ __all__ = [
     "edit_distance",
     "edit_distance_bounded",
     "find_closest_subword",
+    "find_closest_subwords",
     "find_common_word",
     "kmer_index",
 ]
@@ -283,6 +289,23 @@ def kmer_index(bits: BitString) -> tuple[np.ndarray, np.ndarray]:
     return offsets, starts
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes to ASCII digits
+
+
+@functools.lru_cache(maxsize=1)
+def _template_pieces(tb: bytes, pieces: int) -> tuple[tuple[int, bytes, int], ...]:
+    """``(offset, piece, code)`` for each of ``pieces`` contiguous pieces of
+    the template bytes ``tb``, cut at ``np.linspace`` bounds; ``code`` is the
+    index code of the piece's first ``_KMER`` bits.  The last template cut is
+    kept, so searching many haystacks for one template cuts it once.
+    """
+    bounds = np.linspace(0, len(tb), pieces + 1).astype(int).tolist()
+    return tuple(
+        (a, tb[a:b], int(tb[a : a + _KMER].translate(_DIGITS), 2))
+        for a, b in zip(bounds, bounds[1:])
+    )
+
+
 def _prefilter_starts(
     template: np.ndarray,
     hay: BitString,
@@ -313,20 +336,102 @@ def _prefilter_starts(
     lo0, hi0 = search.lo - 1, search.hi - 1  # 0-based haystack span
     offsets, starts = kmer_index(hay) if index is None else index
     hay_b = hay.tobytes()
-    tb = template.tobytes()
-    bounds = np.linspace(0, t, pieces + 1).astype(int)
-    anchors = []
-    for pi in range(pieces):
-        a_off, b_off = int(bounds[pi]), int(bounds[pi + 1])
-        piece = tb[a_off:b_off]
-        code = int((template[a_off : a_off + _KMER] + ord("0")).tobytes(), 2)
-        group = starts[offsets[code] : offsets[code + 1]]
-        first = np.searchsorted(group, lo0)
-        last = np.searchsorted(group, hi0 + 1 - len(piece), side="right")
-        anchors += [p - a_off for p in group[first:last].tolist() if hay_b.startswith(piece, p)]
-    q = np.asarray(anchors, dtype=np.int64)[:, None] + np.arange(-max_dist, max_dist + 1)
-    q = q[(lo0 <= q) & (q <= hi0 - min_len + 1)]
-    return np.array(sorted(set(q.tolist())), dtype=np.int64)
+    first_q, last_q = lo0, hi0 - min_len + 1  # where a window may start
+    found: set[int] = set()
+    for a_off, piece, code in _template_pieces(template.tobytes(), pieces):
+        group = starts[offsets[code] : offsets[code + 1]].tolist()
+        for p in group[bisect_left(group, lo0) : bisect_right(group, hi0 + 1 - len(piece))]:
+            if hay_b.startswith(piece, p):
+                anchor = p - a_off
+                found.update(range(max(anchor - max_dist, first_q),
+                                   min(anchor + max_dist, last_q) + 1))
+    return np.array(sorted(found), dtype=np.int64)
+
+
+_BLOCK = 2048  # candidate rows per packed scoring pass
+
+
+def find_closest_subwords(
+    template: BitString,
+    haystacks: Sequence[BitString],
+    searches: Sequence[Interval],
+    max_dist: int,
+    indexes: Sequence[tuple[np.ndarray, np.ndarray] | None] | None = None,
+) -> list[Interval | None]:
+    """For each haystack, the first subword interval within its search
+    interval whose edit distance to ``template`` is at most ``max_dist``.
+
+    Deterministic scan order per haystack: candidate start ascending, then
+    candidate length ascending over ``[|template| - max_dist : |template| +
+    max_dist]``.  An entry is None when no candidate qualifies.
+    ``indexes[h]`` is ``kmer_index(haystacks[h])`` or None, for callers that
+    search one haystack many times; a missing index is built when the
+    prefilter needs one.
+
+    The candidate windows of every haystack are scored together, in one
+    packed pass per block of up to 2048 rows; a haystack drops out of later
+    blocks once it has a hit.
+    """
+    if max_dist < 0:
+        raise ValueError("max_dist must be >= 0")
+    if len(searches) != len(haystacks):
+        raise ValueError("one search interval per haystack required")
+    for hay, search in zip(haystacks, searches):
+        if not (1 <= search.lo and search.hi <= len(hay)):
+            raise ValueError(f"search interval [{search.lo}:{search.hi}] not inside haystack")
+    t = len(template)
+    if t == 0:
+        raise ValueError("template must be non-empty")
+    if indexes is None:
+        indexes = [None] * len(haystacks)
+    hits: list[Interval | None] = [None] * len(haystacks)
+
+    if max_dist == 0:
+        tb = template.tobytes()
+        for h, (hay, search) in enumerate(zip(haystacks, searches)):
+            pos = hay.tobytes().find(tb, search.lo - 1, search.hi)
+            if pos != -1:
+                hits[h] = Interval(pos + 1, pos + t)
+        return hits
+
+    min_len = max(1, t - max_dist)
+    max_len = t + max_dist
+    todo: list[tuple[int, Sequence[int]]] = []  # (haystack, 0-based starts to score)
+    for h, (hay, search) in enumerate(zip(haystacks, searches)):
+        last_start0 = (search.hi - 1) - min_len + 1
+        if last_start0 < search.lo - 1:
+            continue
+        cand = _prefilter_starts(template.array, hay, search, max_dist, min_len, indexes[h])
+        starts = range(search.lo - 1, last_start0 + 1) if cand is None else cand.tolist()
+        if starts:
+            todo.append((h, starts))
+
+    # A window is read up to the search end and padded with 2, which matches
+    # nothing.  Every start leaves at least min_len bits before the end, and
+    # a window running into the pad is farther than its prefix inside the
+    # search by one per pad bit, so the shorter window is found first.
+    while todo:
+        rows_h: list[int] = []
+        rows_q: list[int] = []
+        windows: list[bytes] = []
+        rest = []
+        for h, starts in todo:
+            take = starts[: _BLOCK - len(rows_q)]
+            hay_b, end = haystacks[h].tobytes(), searches[h].hi
+            rows_h += [h] * len(take)
+            rows_q += take
+            windows += [hay_b[q : min(q + max_len, end)].ljust(max_len, b"\x02") for q in take]
+            if len(take) < len(starts):
+                rest.append((h, starts[len(take) :]))
+        rows = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(len(rows_q), max_len)
+        hit = _window_prefix_distances(template.array, rows)[:, min_len - 1 :] <= max_dist
+        first = hit.argmax(axis=1).tolist()  # shortest qualifying length per row
+        for r in np.flatnonzero(hit.any(axis=1)).tolist():
+            h = rows_h[r]
+            if hits[h] is None:
+                hits[h] = Interval(rows_q[r] + 1, rows_q[r] + min_len + first[r])
+        todo = [entry for entry in rest if hits[entry[0]] is None]
+    return hits
 
 
 def find_closest_subword(
@@ -337,62 +442,10 @@ def find_closest_subword(
     index: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> Interval | None:
     """First subword interval of ``haystack`` within ``search`` whose edit
-    distance to ``template`` is at most ``max_dist``.
-
-    Deterministic scan order: candidate start ascending, then candidate length
-    ascending over ``[|template| - max_dist : |template| + max_dist]``.
-    Returns None when no candidate qualifies.  ``index`` is
-    ``kmer_index(haystack)``, for callers that search one haystack many
-    times; without it the index is built when the prefilter needs one.
+    distance to ``template`` is at most ``max_dist``, or None: the
+    one-haystack call of :func:`find_closest_subwords`.
     """
-    if max_dist < 0:
-        raise ValueError("max_dist must be >= 0")
-    n = len(haystack)
-    if not (1 <= search.lo and search.hi <= n):
-        raise ValueError(f"search interval [{search.lo}:{search.hi}] not inside haystack")
-    t = len(template)
-    if t == 0:
-        raise ValueError("template must be non-empty")
-
-    if max_dist == 0:
-        pos = haystack.tobytes().find(template.tobytes(), search.lo - 1, search.hi)
-        if pos == -1 or pos + t - 1 > search.hi - 1:
-            return None
-        return Interval(pos + 1, pos + t)
-
-    min_len = max(1, t - max_dist)
-    max_len = t + max_dist
-    last_start0 = (search.hi - 1) - min_len + 1
-    if last_start0 < search.lo - 1:
-        return None
-
-    cand = _prefilter_starts(template.array, haystack, search, max_dist, min_len, index)
-    if cand is None:
-        cand = np.arange(search.lo - 1, last_start0 + 1, dtype=np.int64)
-    if cand.size == 0:
-        return None
-
-    arr = haystack.array
-    ta = template.array
-    lens = np.arange(min_len, max_len + 1)  # candidate lengths per column
-    block = 2048
-    for base in range(0, cand.size, block):
-        qs = cand[base : base + block]
-        idx = qs[:, None] + np.arange(max_len)[None, :]
-        ok = idx <= (search.hi - 1)
-        windows = np.where(ok, arr[np.minimum(idx, n - 1)], 2).astype(np.uint8)
-        dist = _window_prefix_distances(ta, windows)[:, min_len - 1 :]
-        allowed = (search.hi - 1) - qs + 1  # max window length per start
-        length_ok = lens[None, :] <= allowed[:, None]
-        hit = (dist <= max_dist) & length_ok
-        rows = hit.any(axis=1)
-        if rows.any():
-            r = int(np.argmax(rows))
-            c = int(np.argmax(hit[r]))
-            q0 = int(qs[r])
-            ln = int(lens[c])
-            return Interval(q0 + 1, q0 + ln)
-    return None
+    return find_closest_subwords(template, [haystack], [search], max_dist, [index])[0]
 
 
 def find_common_word(

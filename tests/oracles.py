@@ -13,7 +13,14 @@ from itertools import product
 
 import numpy as np
 
-from tracerecon import BitString, source_of
+from tracerecon import (
+    AlignDiagnostics,
+    BitString,
+    Interval,
+    find_closest_subword,
+    find_common_word,
+    source_of,
+)
 from tracerecon.deserts import _desert_starts
 from tracerecon.lower_bound import atomic_tables
 
@@ -188,8 +195,6 @@ def find_closest_subword_naive(template, trace, window, max_dist):
                 continue
             cand = trace_s[start - 1 : start - 1 + length]
             if edit_distance_dp(template, cand) <= max_dist:
-                from tracerecon import Interval
-
                 return Interval(start, start + length - 1)
     return None
 
@@ -222,6 +227,48 @@ def prefilter_starts_find(template, hay: bytes, search, max_dist: int, min_len: 
                     starts.add(q)
             pos = hay.find(piece, pos + 1, hi0 + 1)
     return np.array(sorted(starts), dtype=np.int64)
+
+
+def align_per_trace(params, ell_star: int, y_star, traces):
+    """The alignment ladder searched one trace at a time.
+
+    Trace m runs every stage, widest first, before trace m + 1 starts, and
+    the first miss (or an empty trace) ends the search with that trace's
+    stage; later traces keep no windows.  Then the common-word vote places
+    the cursors.  Returns ``(cursors, AlignDiagnostics)`` as ``align`` does,
+    which batches the traces and must agree with this.
+    """
+    n_star = len(y_star)
+    if not 1 <= ell_star <= n_star:
+        raise ValueError("reference cursor outside the reference trace")
+    templates = []
+    for t_s in params.t_ladder:
+        half = (t_s - 1) // 2
+        templates.append(y_star.subword(max(1, ell_star - half), min(n_star, ell_star + half)))
+    windows = [[None] * params.S for _ in traces]
+
+    def diagnostics(stage, trace):
+        return AlignDiagnostics(tuple(tuple(per) for per in windows), stage, trace)
+
+    for m, trace in enumerate(traces):
+        if len(trace) == 0:
+            return None, diagnostics(params.S, m)
+        search = Interval(1, len(trace))
+        for s in range(params.S, 0, -1):
+            budget = int(2 * params.gamma * params.t_ladder[s - 1])
+            hit = find_closest_subword(templates[s - 1], trace, search, budget)
+            if hit is None:
+                return None, diagnostics(s, m)
+            windows[m][s - 1] = search = hit
+
+    inner = [trace.subword(w[0].lo, w[0].hi) for trace, w in zip(traces, windows)]
+    found = find_common_word(inner, math.ceil(0.9 * params.t_ladder[0]), math.ceil(0.95 * len(traces)))
+    if found is None:
+        return None, diagnostics(0, None)
+    cursors = tuple(
+        w[0].lo + off - 1 if off is not None else 1 for w, off in zip(windows, found[1])
+    )
+    return cursors, diagnostics(None, None)
 
 
 def atomic_pmf(m_pairs: int, delta: Fraction):

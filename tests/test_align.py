@@ -16,6 +16,8 @@ from tracerecon import (
 )
 from tracerecon.rng import stream
 
+from .oracles import align_per_trace
+
 
 def make_instance(n, delta, m, seed, **kw):
     g = stream(seed, 0)
@@ -145,3 +147,93 @@ class TestConsensusCheck:
         recs = [apply_deletions(BitString("01"), set())]
         with pytest.raises(ValueError):
             consensus_check((1, 1), recs, 1)
+
+
+# gamma per trace count so that stage 1 searches exactly (budget 0) and
+# stage 2 allows one edit: one deleted bit at the reference cursor then
+# fails stage 1 only
+_STAGE1_GAMMA = {1: 0.02, 2: 0.02, 3: 0.01, 7: 0.01, 25: 0.005}
+
+
+def _first_misses(m):
+    """Trace indexes on and around the batch boundaries (2, 6, 14)."""
+    return sorted({i for i in (0, 1, 2, 3, 5, 6, 13, 14, m - 1) if 0 <= i < m})
+
+
+class TestBatchedLadder:
+    """align searches each ladder stage over a batch of traces; it returns
+    the cursors and diagnostics of the trace-by-trace oracle."""
+
+    N = 4096
+
+    @staticmethod
+    def check(params, ell, y_star, traces):
+        got = align(params, ell, y_star, traces)
+        assert got == align_per_trace(params, ell, y_star, traces)
+        return got[1]
+
+    def clean(self, m, seed=31):
+        x = random_bits(self.N, stream(seed, 0))
+        params = derive_params(self.N, 0.01, m, gamma=_STAGE1_GAMMA[m])
+        assert [int(2 * params.gamma * t) for t in params.t_ladder[:2]] == [0, 1]
+        return x, params, [x] * m
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 25])
+    def test_miss_at_widest_stage(self, m):
+        x, params, traces = self.clean(m)
+        for first in _first_misses(m):
+            bad = list(traces)
+            bad[first] = BitString(1 - x.array)  # the complement holds no window
+            diag = self.check(params, self.N // 2, x, bad)
+            assert (diag.failure_stage, diag.failure_trace) == (params.S, first)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 25])
+    def test_miss_at_stage_one(self, m):
+        x, params, traces = self.clean(m)
+        ell = self.N // 2
+        cut = apply_deletions(x, {ell}).trace
+        for first in _first_misses(m):
+            bad = list(traces)
+            bad[first] = cut
+            diag = self.check(params, ell, x, bad)
+            assert (diag.failure_stage, diag.failure_trace) == (1, first)
+            if first + 1 < m:
+                # a later trace that misses sooner does not take the failure
+                bad[first + 1] = BitString(1 - x.array)
+                diag = self.check(params, ell, x, bad)
+                assert (diag.failure_stage, diag.failure_trace) == (1, first)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 25])
+    def test_empty_trace_in_a_batch(self, m):
+        x, params, traces = self.clean(m)
+        cut = apply_deletions(x, {self.N // 2}).trace
+        for first in _first_misses(m):
+            bad = list(traces)
+            bad[first] = BitString("")
+            diag = self.check(params, self.N // 2, x, bad)
+            assert (diag.failure_stage, diag.failure_trace) == (params.S, first)
+            if first > 0:
+                # an earlier trace's stage-1 miss comes first
+                bad[first - 1] = cut
+                diag = self.check(params, self.N // 2, x, bad)
+                assert (diag.failure_stage, diag.failure_trace) == (1, first - 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 25])
+    def test_cursor_at_either_edge_fails_the_word_stage(self, m):
+        x, params, traces = self.clean(m)
+        for ell in (1, 2, self.N - 1, self.N):
+            diag = self.check(params, ell, x, traces)
+            assert diag.failure_stage == 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 25])
+    @pytest.mark.parametrize("delta", [1e-3, 0.01])
+    def test_noisy_traces(self, m, delta):
+        # real channel output: successes and misses at whatever stage the
+        # noise puts them
+        g = stream(32, m)
+        x = random_bits(self.N, g)
+        params = derive_params(self.N, 0.01, m)
+        y_star = transmit(x, delta, g).trace
+        traces = [transmit(x, delta, g).trace for _ in range(m)]
+        for ell in (1, 5, 700, len(y_star) // 2, len(y_star) - 4, len(y_star)):
+            self.check(params, ell, y_star, traces)

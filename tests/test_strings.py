@@ -12,6 +12,7 @@ from tracerecon import (
     edit_distance,
     edit_distance_bounded,
     find_closest_subword,
+    find_closest_subwords,
     find_common_word,
     random_bits,
     transmit,
@@ -318,6 +319,88 @@ class TestFindClosestSubword:
         for i, r in enumerate(raw_rows):
             want = [edit_distance_dp(template, r[:j]) for j in range(1, len(r) + 1)]
             assert got[i, : len(r)].tolist() == want
+
+
+class TestFindClosestSubwords:
+    """The batched search returns, for every haystack, what the exhaustive
+    scan returns for that haystack alone."""
+
+    @staticmethod
+    def check(template, hays, searches, max_dist):
+        got = find_closest_subwords(template, hays, searches, max_dist)
+        want = [find_closest_subword_naive(template, h, s, max_dist) for h, s in zip(hays, searches)]
+        assert got == want
+        return got
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_naive_per_haystack(self, data):
+        template = data.draw(st.text(alphabet="01", min_size=1, max_size=26))
+        max_dist = data.draw(st.integers(min_value=0, max_value=3))
+        hays, searches = [], []
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            hay = data.draw(st.text(alphabet="01", min_size=1, max_size=40))
+            if data.draw(st.booleans()):  # plant the template, maybe one bit short
+                at = data.draw(st.integers(min_value=0, max_value=len(hay)))
+                cut = data.draw(st.integers(min_value=0, max_value=len(template)))
+                hay = hay[:at] + template[:cut] + template[cut + 1 :] + hay[at:]
+            lo = data.draw(st.integers(min_value=1, max_value=len(hay)))
+            hi = data.draw(st.integers(min_value=lo, max_value=len(hay)))
+            hays.append(BitString(hay))
+            searches.append(Interval(lo, hi))
+        self.check(BitString(template), hays, searches, max_dist)
+
+    def test_planted_copies_through_prefilter(self):
+        # t >= 12 * (max_dist + 1): the prefilter picks every haystack's
+        # candidates, one haystack misses and one search is shorter than the
+        # shortest window
+        rng = np.random.default_rng(5)
+        hays = [random_bits(300, rng) for _ in range(4)]
+        template = hays[1].subword(101, 140)
+        hays[2] = BitString(np.concatenate([hays[2].array[:50], template.array[1:], hays[2].array[50:]]))
+        searches = [Interval(1, 300), Interval(1, 300), Interval(20, 301), Interval(101, 137)]
+        for h, s in zip(hays, searches):
+            assert _prefilter_starts(template.array, h, s, 1, 39) is not None
+        got = self.check(template, hays, searches, 1)
+        assert got[0] is None and got[1].lo <= 101 and got[2].lo <= 51 and got[3] is None
+
+    def test_block_boundary_inside_one_haystack(self):
+        # pieces of 3 bits force every start to be scored; the first
+        # haystack's 1495 misses leave room for only part of the second's
+        # candidates in the first 2048-row block, and its hit is in the next
+        template = BitString("0110100")
+        plant = "0" * 1000 + str(template) + "0" * 1000
+        hays = [BitString("0" * 1500), BitString(plant), BitString("1" * 700 + plant),
+                BitString("01" * 900)]
+        searches = [Interval(1, len(h)) for h in hays]
+        assert _prefilter_starts(template.array, hays[1], searches[1], 1, 6) is None
+        assert len(hays[0]) - 6 < strings_module._BLOCK < len(hays[0]) - 6 + 1001
+        got = self.check(template, hays, searches, 1)
+        assert got[0] is None and got[1] is not None and got[2] is not None
+
+    def test_exact_search_per_haystack(self):
+        template = BitString("0110")
+        hays = [BitString("1101100110"), BitString("0000"), BitString("0110")]
+        got = self.check(template, hays, [Interval(2, 10), Interval(1, 4), Interval(1, 3)], 0)
+        assert got == [Interval(3, 6), None, None]
+
+    def test_one_haystack_call_agrees(self):
+        template = BitString("10110")
+        hays = [BitString("0010100111"), BitString("1111111")]
+        searches = [Interval(1, 10), Interval(1, 7)]
+        assert find_closest_subwords(template, hays, searches, 1) == [
+            find_closest_subword(template, h, s, 1) for h, s in zip(hays, searches)
+        ]
+
+    def test_checks_inputs(self):
+        hay = BitString("0101")
+        with pytest.raises(ValueError):
+            find_closest_subwords(BitString("01"), [hay], [Interval(1, 4), Interval(1, 4)], 1)
+        with pytest.raises(ValueError):
+            find_closest_subwords(BitString("01"), [hay], [Interval(2, 5)], 1)
+        with pytest.raises(ValueError):
+            find_closest_subwords(BitString("01"), [hay], [Interval(1, 4)], -1)
+        assert find_closest_subwords(BitString("01"), [], [], 1) == []
 
 
 
