@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -91,6 +94,24 @@ class TestBmaRun:
         _, final, _ = bma_run(seqs, [1] * len(seqs), rounds)
         for c in final:
             assert 1 <= c <= rounds + 1
+
+
+class TestPinnedVote:
+    """One fixed-seed vote pinned across commits: a change meant only to be
+    faster must leave the word, the final cursors, the emitted symbols and
+    the margins byte-identical (the harness reports ``margin_min``)."""
+
+    def test_fixed_seed_vote(self):
+        g = stream(11, 0)
+        x = random_bits(3000, g)
+        reference = transmit(x, 1e-3, g).trace
+        traces = [transmit(x, 1e-3, g).trace for _ in range(25)]
+        out, final, diag = bma_run([reference, *traces], [3] + [1] * 25, 2900)
+        payload = json.dumps([str(out), list(final), diag.symbols, list(diag.margins)])
+        assert (
+            hashlib.sha256(payload.encode()).hexdigest()
+            == "e8ec3e26b904f1c07a8aaf9db9125e498be1a8a83653ac065a2a9c471b0c2830"
+        )
 
 
 class TestBmaWithProvenance:
