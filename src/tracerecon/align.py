@@ -1,12 +1,12 @@
 """Coarse-to-fine alignment of trace cursors to the reference cursor.
 
 The reference trace contributes a ladder of windows centered at its cursor,
-widest first.  Each trace is searched for the closest match to the widest
-window, then re-searched inside that hit for the next window down, giving a
-nested chain of intervals whose innermost member is roughly centered on the
-same source region as the reference cursor.  A final vote picks one word
-that occurs in nearly all innermost windows; each trace's cursor is placed
-at the leftmost occurrence of that word.
+widest first.  Each trace is searched for the first match within budget to
+the widest window, then re-searched inside that hit for the next window
+down, giving a nested chain of intervals whose innermost member is roughly
+centered on the same source region as the reference cursor.  A final vote
+picks one word that occurs in nearly all innermost windows; each trace's
+cursor is placed at the leftmost occurrence of that word.
 
 The traces are searched in batches of 2, 4, 8, ... traces, in order.  Each
 stage of a batch is one ``find_closest_subwords`` call over the batch's

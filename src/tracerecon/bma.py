@@ -5,19 +5,33 @@ exactly the cursors that agree with it.  Sequences are virtually padded with
 R stars, so a cursor that runs off the end keeps voting '*' instead of
 freezing the round count.  Ties break 0 over 1 over '*' (the analysis never
 hits a tie in its regime; a fixed order keeps runs reproducible).
+
+The rounds run a majority run at a time.  Each step reads the next ``span``
+bits under every cursor (up to 64, never past the last round).  When one
+full-length slice ``word`` is under a strict majority of the cursors, those
+cursors read ``word[k]`` in round k of the step and all advance, so
+``word[k]`` is always held by more than half of the cursors: it is the
+unique plurality of the round, whatever the others read, and no tie rule
+comes into play.  The step therefore emits ``word`` whole and moves the
+majority on by ``span``; each dissenting cursor is walked alone against
+``word``, advancing (and adding one to that round's margin) where its next
+bit equals ``word[k]``.  A cursor at its end reads '*', which never equals a
+bit, so it stays put.  Without a strict majority the step is one ordinary
+round.  The result is the same, round for round, as the plain loop.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .strings import BitString
 
 __all__ = ["BmaDiagnostics", "bma_run"]
 
 _STAR = 2  # symbol code for the virtual padding
+_CHUNK = 64  # most rounds one majority-run step covers
+_SYMBOL_CHARS = bytes.maketrans(b"\x00\x01\x02", b"01*")
 
 
 @dataclass(frozen=True)
@@ -43,16 +57,33 @@ def _run_rounds(
     sequences: list[BitString],
     start_cursors: list[int],
     rounds: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Core loop.  Returns (emitted symbols, margins, final cursors)."""
+) -> tuple[bytes, list[int], list[int]]:
+    """Core loop.  Returns (emitted symbol codes, margins, final cursors)."""
     m_count = len(sequences)
     data = [s.tobytes() for s in sequences]
-    lens = [len(b) for b in data]
     cursors = list(start_cursors)
-    emitted = []
-    margins = []
-    for _ in range(rounds):
-        syms = [b[c - 1] if c <= n else _STAR for b, c, n in zip(data, cursors, lens)]
+    emitted = bytearray()
+    margins: list[int] = []
+    while len(emitted) < rounds:
+        span = min(_CHUNK, rounds - len(emitted))
+        slices = [b[c - 1 : c - 1 + span] for b, c in zip(data, cursors)]
+        word, count = Counter(slices).most_common(1)[0]
+        if 2 * count > m_count and len(word) == span:
+            base = len(margins)
+            margins += [count] * span
+            for i, s in enumerate(slices):
+                if s == word:
+                    cursors[i] += span
+                    continue
+                p = 0
+                for k, w in enumerate(word):
+                    if p < len(s) and s[p] == w:
+                        p += 1
+                        margins[base + k] += 1
+                cursors[i] += p
+            emitted += word
+            continue
+        syms = [s[0] if s else _STAR for s in slices]
         c0 = syms.count(0)
         c1 = syms.count(1)
         cs = m_count - c0 - c1
@@ -65,14 +96,7 @@ def _run_rounds(
         emitted.append(w)
         margins.append(margin)
         cursors = [c + (y == w) for c, y in zip(cursors, syms)]
-    return (
-        np.array(emitted, dtype=np.uint8),
-        np.array(margins, dtype=np.int64),
-        np.array(cursors, dtype=np.int64),
-    )
-
-
-_SYMBOL_CHARS = np.array(["0", "1", "*"])
+    return bytes(emitted), margins, cursors
 
 
 def bma_run(
@@ -85,10 +109,7 @@ def bma_run(
     """
     _check_inputs(sequences, start_cursors, rounds)
     emitted, margins, final = _run_rounds(sequences, start_cursors, rounds)
-    symbols = "".join(_SYMBOL_CHARS[emitted])
-    if (emitted == _STAR).any():
-        out = BitString("")
-    else:
-        out = BitString(emitted)
-    diags = BmaDiagnostics(symbols=symbols, margins=tuple(int(v) for v in margins))
-    return out, tuple(int(c) for c in final), diags
+    out = BitString("") if _STAR in emitted else BitString(emitted)
+    diags = BmaDiagnostics(symbols=emitted.translate(_SYMBOL_CHARS).decode("ascii"),
+                           margins=tuple(margins))
+    return out, tuple(final), diags

@@ -238,11 +238,14 @@ def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
     return d if d <= cap else None
 
 
-def _window_prefix_distances(template: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Distance from ``template`` to every prefix of every candidate window.
+def _window_prefix_distances(
+    template: np.ndarray, windows: np.ndarray, min_len: int = 1
+) -> np.ndarray:
+    """Distance from ``template`` to every prefix of at least ``min_len``
+    bits of every candidate window.
 
     ``windows`` has one row per candidate, padded on the right with a value
-    outside {0, 1}; column j - 1 of the result is the distance to the
+    outside {0, 1}; column j - min_len of the result is the distance to the
     length-j prefix of that row.
 
     One ``_lcs_steps`` pass scores all rows: row r holds bits
@@ -250,7 +253,8 @@ def _window_prefix_distances(template: np.ndarray, windows: np.ndarray) -> np.nd
     ``v - u`` never borrows because ``u`` is a subset of ``v``, and a carry
     out of a row stops at its guard bit, which the mask clears.  The LCS
     with a length-j prefix is then the number of zero bits among the row's
-    first j.
+    first j: the zeros before column ``min_len`` are counted once per row,
+    and only the columns from there on are summed up one by one.
     """
     k, width = windows.shape
     rows = np.full((k, width + 1), 2, dtype=np.uint8)  # last column: guard bits
@@ -259,9 +263,11 @@ def _window_prefix_distances(template: np.ndarray, windows: np.ndarray) -> np.nd
     v = _lcs_steps(template, _match_masks(rows), mask, mask)
     packed = np.frombuffer(v.to_bytes((rows.size + 7) // 8, "little"), dtype=np.uint8)
     bits = np.unpackbits(packed, count=rows.size, bitorder="little").reshape(rows.shape)
-    dist = np.cumsum(bits[:, :width] == 0, axis=1, dtype=np.int32)  # lcs
+    skip = min_len - 1
+    dist = np.cumsum(bits[:, skip:width] == 0, axis=1, dtype=np.int32)  # lcs
+    dist += (skip - bits[:, :skip].sum(axis=1, dtype=np.int32))[:, None]
     dist *= -2
-    dist += np.arange(template.size + 1, template.size + width + 1, dtype=np.int32)
+    dist += np.arange(template.size + min_len, template.size + width + 1, dtype=np.int32)
     return dist
 
 
@@ -361,9 +367,12 @@ def find_closest_subwords(
     """For each haystack, the first subword interval within its search
     interval whose edit distance to ``template`` is at most ``max_dist``.
 
-    Deterministic scan order per haystack: candidate start ascending, then
-    candidate length ascending over ``[|template| - max_dist : |template| +
-    max_dist]``.  An entry is None when no candidate qualifies.
+    Despite the name, an entry is the *first* window within budget in scan
+    order, not the closest one: a later window may be nearer to the
+    template.  Deterministic scan order per haystack: candidate start
+    ascending, then candidate length ascending over ``[|template| - max_dist
+    : |template| + max_dist]``.  An entry is None when no candidate
+    qualifies.
     ``indexes[h]`` is ``kmer_index(haystacks[h])`` or None, for callers that
     search one haystack many times; a missing index is built when the
     prefilter needs one.
@@ -424,7 +433,7 @@ def find_closest_subwords(
             if len(take) < len(starts):
                 rest.append((h, starts[len(take) :]))
         rows = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(len(rows_q), max_len)
-        hit = _window_prefix_distances(template.array, rows)[:, min_len - 1 :] <= max_dist
+        hit = _window_prefix_distances(template.array, rows, min_len) <= max_dist
         first = hit.argmax(axis=1).tolist()  # shortest qualifying length per row
         for r in np.flatnonzero(hit.any(axis=1)).tolist():
             h = rows_h[r]
@@ -443,7 +452,8 @@ def find_closest_subword(
 ) -> Interval | None:
     """First subword interval of ``haystack`` within ``search`` whose edit
     distance to ``template`` is at most ``max_dist``, or None: the
-    one-haystack call of :func:`find_closest_subwords`.
+    one-haystack call of :func:`find_closest_subwords`.  The first window
+    within budget in scan order is returned, not the closest one.
     """
     return find_closest_subwords(template, [haystack], [search], max_dist, [index])[0]
 

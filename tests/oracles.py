@@ -52,15 +52,17 @@ def edit_distance_dp(a, b) -> int:
 def bma_literal_walk(sequences, cursors, rounds):
     """Line-by-line majority alignment with materialized '*' padding.
 
-    Returns (word_or_empty, history): the emitted word as bma_run gives it,
-    and the cursors before every round and after the last, rounds + 1
-    tuples.
+    Returns (word_or_empty, history, symbols, margins): the emitted word as
+    bma_run gives it; the cursors before every round and after the last,
+    rounds + 1 tuples; the emitted symbols as a string over "01*"; and each
+    round's count of cursors reading the winning symbol.
     """
     seqs = [str(s) for s in sequences]
     padded = [s + "*" * (rounds + 1) for s in seqs]
     cur = list(cursors)
     history = [tuple(cur)]
     out = []
+    margins = []
     for _ in range(rounds):
         symbols = [padded[m][cur[m] - 1] for m in range(len(seqs))]
         counts = {"0": 0, "1": 0, "*": 0}
@@ -69,19 +71,19 @@ def bma_literal_walk(sequences, cursors, rounds):
         # plurality with ties broken 0 > 1 > *
         w = max(("0", "1", "*"), key=lambda c: (counts[c], c == "0", c == "1"))
         out.append(w)
+        margins.append(counts[w])
         for m in range(len(seqs)):
             if symbols[m] == w:
                 cur[m] += 1
         history.append(tuple(cur))
-    word = "".join(out)
-    if "*" in word:
-        word = ""
-    return BitString(word), history
+    emitted = "".join(out)
+    word = "" if "*" in emitted else emitted
+    return BitString(word), history, emitted, tuple(margins)
 
 
 def bma_literal(sequences, cursors, rounds):
     """Returns (word_or_empty, final_cursors) exactly like bma_run."""
-    word, history = bma_literal_walk(sequences, cursors, rounds)
+    word, history, _, _ = bma_literal_walk(sequences, cursors, rounds)
     return word, history[-1]
 
 
@@ -105,7 +107,7 @@ def bma_with_provenance(records, start_cursors, rounds):
     the first source bit starts one ahead.  It must stay non-negative
     whenever the majority tracks the source word, which is asserted.
     """
-    word, history = bma_literal_walk([r.trace for r in records], start_cursors, rounds)
+    word, history, _, _ = bma_literal_walk([r.trace for r in records], start_cursors, rounds)
     last = np.array(
         [[source_of(rec, h[m]) for h in history] for m, rec in enumerate(records)],
         dtype=np.int64,

@@ -17,7 +17,18 @@ from tracerecon import (
 )
 from tracerecon.rng import stream
 
-from .oracles import bma_literal, bma_star, bma_with_provenance
+from .oracles import bma_literal_walk, bma_star, bma_with_provenance
+
+
+def assert_matches_oracle(seqs, cursors, rounds):
+    """bma_run agrees with the literal walk on the word, the final cursors,
+    the emitted symbols and the margins."""
+    out, final, diag = bma_run(seqs, cursors, rounds)
+    word, history, symbols, margins = bma_literal_walk(seqs, cursors, rounds)
+    assert out == word
+    assert final == history[-1]
+    assert diag.symbols == symbols
+    assert diag.margins == margins
 
 
 class TestBmaRun:
@@ -62,10 +73,38 @@ class TestBmaRun:
         cursors = [
             data.draw(st.integers(min_value=1, max_value=len(s) + 2)) for s in raw
         ]
-        got = bma_run(seqs, cursors, rounds)
-        want = bma_literal(raw, cursors, rounds)
-        assert got[0] == want[0]
-        assert got[1] == want[1]
+        assert_matches_oracle(seqs, cursors, rounds)
+
+    def test_parked_and_short_traces_against_oracle(self):
+        # the majority runs in long agreed stretches while two traces
+        # dissent: one parked at cursor 1 of the whole source, one cut short
+        # so that it votes '*' for the last rounds
+        g = stream(21, 0)
+        x = random_bits(400, g)
+        segment = x.subword(101, 400)
+        seqs = [transmit(segment, 0.01, g).trace for _ in range(23)]
+        seqs.append(transmit(x, 0.01, g).trace)
+        seqs.append(transmit(segment, 0.01, g).trace.subword(1, 150))
+        assert_matches_oracle(seqs, [1] * 25, 250)
+
+    def test_even_split_takes_the_tie_rule(self):
+        # exactly half of the cursors agree on every round: no strict
+        # majority, so each round breaks the tie 0 over 1
+        ones, zeros = BitString("1" * 80), BitString("0" * 80)
+        assert_matches_oracle([ones, ones, zeros, zeros], [1, 1, 1, 1], 70)
+        out, _, diag = bma_run([ones, ones, zeros, zeros], [1, 1, 1, 1], 70)
+        assert str(out) == "0" * 70
+        assert diag.margins == (2,) * 70
+
+    def test_majority_splits_within_a_run(self):
+        # three of five sequences agree for 40 bits, then each goes its own
+        # way; rounds span both stretches
+        g = stream(22, 0)
+        common = str(random_bits(40, g))
+        seqs = [BitString(common + str(random_bits(100, g))) for _ in range(3)]
+        seqs += [random_bits(140, g) for _ in range(2)]
+        assert_matches_oracle(seqs, [1] * 5, 120)
+        assert_matches_oracle(seqs, [1, 1, 1, 3, 7], 130)
 
     @given(
         st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=5),

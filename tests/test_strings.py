@@ -320,6 +320,25 @@ class TestFindClosestSubword:
             want = [edit_distance_dp(template, r[:j]) for j in range(1, len(r) + 1)]
             assert got[i, : len(r)].tolist() == want
 
+    @given(
+        st.text(alphabet="01", min_size=1, max_size=12),
+        st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=5),
+        st.data(),
+    )
+    def test_prefix_distances_from_min_len_match_dp(self, template, raw_rows, data):
+        # the search reads only prefixes of at least min_len bits; the zeros
+        # of the columns before them still count towards every LCS
+        width = max(len(r) for r in raw_rows)
+        min_len = data.draw(st.integers(min_value=1, max_value=width))
+        windows = np.full((len(raw_rows), width), 2, dtype=np.uint8)
+        for i, r in enumerate(raw_rows):
+            windows[i, : len(r)] = BitString(r).array
+        got = _window_prefix_distances(BitString(template).array, windows, min_len)
+        assert got.shape == (len(raw_rows), width - min_len + 1)
+        for i, r in enumerate(raw_rows):
+            want = [edit_distance_dp(template, r[:j]) for j in range(min_len, len(r) + 1)]
+            assert got[i, : len(want)].tolist() == want
+
 
 class TestFindClosestSubwords:
     """The batched search returns, for every haystack, what the exhaustive
