@@ -7,17 +7,24 @@ freezing the round count.  Ties break 0 over 1 over '*' (the analysis never
 hits a tie in its regime; a fixed order keeps runs reproducible).
 
 The rounds run a majority run at a time.  Each step reads the next ``span``
-bits under every cursor (up to 64, never past the last round).  When one
-full-length slice ``word`` is under a strict majority of the cursors, those
-cursors read ``word[k]`` in round k of the step and all advance, so
+bits under every cursor (at most ``size``, never past the last round).  When
+one full-length slice ``word`` is under a strict majority of the cursors,
+those cursors read ``word[k]`` in round k of the step and all advance, so
 ``word[k]`` is always held by more than half of the cursors: it is the
 unique plurality of the round, whatever the others read, and no tie rule
 comes into play.  The step therefore emits ``word`` whole and moves the
 majority on by ``span``; each dissenting cursor is walked alone against
 ``word``, advancing (and adding one to that round's margin) where its next
 bit equals ``word[k]``.  A cursor at its end reads '*', which never equals a
-bit, so it stays put.  Without a strict majority the step is one ordinary
-round.  The result is the same, round for round, as the plain loop.
+bit, so it stays put.  The result is the same, round for round, as the plain
+loop, whatever ``size`` is.
+
+A run of ``size`` rounds is likely only while delta * size is well below 1,
+so ``size`` adapts: it doubles (up to 64) after a jump and halves (down to
+8) after a miss, and the step is retried at once.  A miss at the floor runs
+ordinary rounds instead, with the tie rule, and their number before the next
+attempt doubles (up to 64) with each further miss, so a stretch with no
+majority costs about one attempt per 64 ordinary rounds.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ __all__ = ["BmaDiagnostics", "bma_run"]
 
 _STAR = 2  # symbol code for the virtual padding
 _CHUNK = 64  # most rounds one majority-run step covers
+_MIN_RUN = 8  # fewest rounds an attempt covers before ordinary rounds run
 _SYMBOL_CHARS = bytes.maketrans(b"\x00\x01\x02", b"01*")
 
 
@@ -61,29 +69,42 @@ def _run_rounds(
     """Core loop.  Returns (emitted symbol codes, margins, final cursors)."""
     m_count = len(sequences)
     data = [s.tobytes() for s in sequences]
+    lens = [len(b) for b in data]
     cursors = list(start_cursors)
     emitted = bytearray()
     margins: list[int] = []
+    size = _CHUNK  # rounds the next majority-run attempt covers
+    wait = 0  # ordinary rounds to run before the next attempt
+    backoff = 1
     while len(emitted) < rounds:
-        span = min(_CHUNK, rounds - len(emitted))
-        slices = [b[c - 1 : c - 1 + span] for b, c in zip(data, cursors)]
-        word, count = Counter(slices).most_common(1)[0]
-        if 2 * count > m_count and len(word) == span:
-            base = len(margins)
-            margins += [count] * span
-            for i, s in enumerate(slices):
-                if s == word:
-                    cursors[i] += span
-                    continue
-                p = 0
-                for k, w in enumerate(word):
-                    if p < len(s) and s[p] == w:
-                        p += 1
-                        margins[base + k] += 1
-                cursors[i] += p
-            emitted += word
-            continue
-        syms = [s[0] if s else _STAR for s in slices]
+        if not wait:
+            span = min(size, rounds - len(emitted))
+            slices = [b[c - 1 : c - 1 + span] for b, c in zip(data, cursors)]
+            word, count = Counter(slices).most_common(1)[0]
+            if 2 * count > m_count and len(word) == span:
+                base = len(margins)
+                margins += [count] * span
+                for i, s in enumerate(slices):
+                    if s == word:
+                        cursors[i] += span
+                        continue
+                    p = 0
+                    for k, w in enumerate(word):
+                        if p < len(s) and s[p] == w:
+                            p += 1
+                            margins[base + k] += 1
+                    cursors[i] += p
+                emitted += word
+                size = min(2 * size, _CHUNK)
+                backoff = 1
+                continue
+            if size > _MIN_RUN:
+                size //= 2
+                continue
+            wait = backoff
+            backoff = min(2 * backoff, _CHUNK)
+        wait -= 1
+        syms = [b[c - 1] if c <= n else _STAR for b, c, n in zip(data, cursors, lens)]
         c0 = syms.count(0)
         c1 = syms.count(1)
         cs = m_count - c0 - c1

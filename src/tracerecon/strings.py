@@ -239,7 +239,7 @@ def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
 
 
 def _window_prefix_distances(
-    template: np.ndarray, windows: np.ndarray, min_len: int = 1
+    template: np.ndarray, windows: np.ndarray, min_len: int
 ) -> np.ndarray:
     """Distance from ``template`` to every prefix of at least ``min_len``
     bits of every candidate window.

@@ -106,6 +106,19 @@ class TestBmaRun:
         assert_matches_oracle(seqs, [1] * 5, 120)
         assert_matches_oracle(seqs, [1, 1, 1, 3, 7], 130)
 
+    def test_short_runs_and_no_majority_against_oracle(self):
+        # at delta=0.05 the majority agrees only over a few bits at a time,
+        # so the runs shrink to their floor; unrelated sequences never hold
+        # a majority, so the attempts back off between ordinary rounds; a
+        # shared tail after an unrelated head brings the long runs back
+        g = stream(23, 0)
+        x = random_bits(300, g)
+        assert_matches_oracle([transmit(x, 0.05, g).trace for _ in range(20)], [1] * 20, 250)
+        assert_matches_oracle([random_bits(300, g) for _ in range(7)], [1] * 7, 280)
+        tail = str(random_bits(300, g))
+        seqs = [BitString(str(random_bits(20, g)) + tail) for _ in range(5)]
+        assert_matches_oracle(seqs, [1] * 5, 300)
+
     @given(
         st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=5),
         st.text(alphabet="01", max_size=10),

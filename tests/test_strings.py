@@ -288,7 +288,7 @@ class TestFindClosestSubword:
         template = BitString("1" * t)
         windows = np.ones((7, t + max_dist), dtype=np.uint8)
         want = [abs(t - j) for j in range(1, t + max_dist + 1)]
-        assert (_window_prefix_distances(template.array, windows) == want).all()
+        assert (_window_prefix_distances(template.array, windows, 1) == want).all()
         trace = BitString("1" * 200)
         window = Interval(1, 200)
         got = find_closest_subword(template, trace, window, max_dist)
@@ -315,7 +315,7 @@ class TestFindClosestSubword:
         windows = np.full((len(raw_rows), width), 2, dtype=np.uint8)
         for i, r in enumerate(raw_rows):
             windows[i, : len(r)] = BitString(r).array
-        got = _window_prefix_distances(BitString(template).array, windows)
+        got = _window_prefix_distances(BitString(template).array, windows, 1)
         for i, r in enumerate(raw_rows):
             want = [edit_distance_dp(template, r[:j]) for j in range(1, len(r) + 1)]
             assert got[i, : len(r)].tolist() == want
