@@ -17,6 +17,10 @@ Three layers, each executable:
    string; composite traces built from PRLP samples are distributed exactly
    like deletion-channel traces of the embedded string, so any trace
    reconstructor induces a PRLP decoder.
+
+Every binomial draw comes from one sampler, `_binomial`, which runs numpy's
+inversion walk vectorized on one uniform double per draw, so it makes
+`Generator.binomial`'s draws wherever numpy inverts (n * min(p, 1-p) <= 30).
 """
 
 from __future__ import annotations
@@ -57,7 +61,60 @@ def _binom_row(n: int, p: float, kmax: int) -> np.ndarray:
     return out
 
 
-def _check_delta(delta: float) -> None:
+def _binomial(
+    rng: np.random.Generator, n: int | np.ndarray, p: float, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Bin(n, p) draws of the given shape, by inversion from one uniform
+    double per draw; `n` is an int or an int array that broadcasts to `shape`.
+
+    This is numpy's own inversion walk with the same float operations in the
+    same order: with p' = min(p, 1-p) and q = 1 - p', px starts at q^n and
+    steps to (n-x+1) p' px / (x q) while the uniform exceeds it, and a draw
+    for p > 1/2 is n minus the walk's count.  Wherever `Generator.binomial`
+    inverts (n p' <= 30) the draws therefore equal its draws, and the
+    generator is left in the same state.  The one exception is numpy's
+    redraw of a walk that rounding carries past every outcome (probability
+    below 1e-17 at these n); this walk stops at n instead.  Beyond n p' = 30
+    numpy switches to BTPE, so the stream differs there, but this is still an
+    exact inverse-CDF sampler.  At p = 0 no double is drawn, as in numpy.
+    """
+    n_arr = np.asarray(n)
+    hi = int(n_arr.max(initial=0))
+    lo = int(n_arr.min(initial=hi))
+    dtype = np.int8 if hi < 128 else np.int64
+    if p == 0.0:
+        return np.zeros(shape, dtype=dtype)
+    flip = p > 0.5
+    pp = 1.0 - p if flip else p
+    q = 1.0 - pp
+    # steps[k, j]: the walk's px at step k for n = lo + j; inf past n ends it
+    steps = np.full((hi, hi - lo + 1), np.inf)
+    for j in range(hi - lo + 1):
+        nj = lo + j
+        px = math.exp(nj * math.log(q))
+        for k in range(nj):
+            steps[k, j] = px
+            px = ((nj - k) * pp * px) / ((k + 1) * q)
+    row = None if n_arr.ndim == 0 else n_arr - lo
+    u = rng.random(shape)
+    x = np.zeros(shape, dtype=dtype)
+    act = np.empty(shape, dtype=bool)
+    for k in range(hi):
+        # a Python float keeps numpy's scalar fast path for the common case
+        px = float(steps[k, 0]) if row is None else steps[k][row]
+        np.greater(u, px, out=act)
+        if not act.any():
+            break
+        x += act
+        u -= px
+    if flip:
+        np.subtract(n, x, out=x)
+    return x
+
+
+def _check_params(m_pairs: int, delta: float) -> None:
+    if m_pairs < 1:
+        raise ValueError("M must be >= 1")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1]")
 
@@ -69,9 +126,7 @@ def atomic_tables(m_pairs: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     p0[a, b] = Pr[Bin(M,1-d)=a] * Pr[Bin(M+1,1-d)=b]; p1 swaps the roles.
     Cells outside a distribution's support are exactly 0.
     """
-    if m_pairs < 1:
-        raise ValueError("M must be >= 1")
-    _check_delta(delta)
+    _check_params(m_pairs, delta)
     p = 1.0 - delta
     kmax = m_pairs + 1
     row_m = _binom_row(m_pairs, p, kmax)
@@ -97,15 +152,22 @@ def sample_atomic(
     """`count` independent pairs from D_b, as an int array of shape (count, 2)."""
     if b not in (0, 1):
         raise ValueError("b must be a bit")
+    _check_params(m_pairs, delta)
     p = 1.0 - delta
     n1, n2 = (m_pairs, m_pairs + 1) if b == 0 else (m_pairs + 1, m_pairs)
-    first = rng.binomial(n1, p, size=count)
-    second = rng.binomial(n2, p, size=count)
+    first = _binomial(rng, n1, p, (count,))
+    second = _binomial(rng, n2, p, (count,))
     return np.stack([first, second], axis=1).astype(np.int64)
 
 
 def bayes_decide_atomic(pairs: Sequence | np.ndarray, m_pairs: int, delta: float) -> int:
-    """0 iff the product likelihood under D0 is >= the one under D1."""
+    """0 iff the product likelihood under D0 is >= the one under D1, as
+    sums of float log-likelihoods.
+
+    Wherever N = prod(M+1-a_i) and D = prod(M+1-b_i) differ, this is the
+    exact comparison N >= D.  An exact tie N = D (P0 = P1, where either
+    decision is Bayes-optimal) falls either way with the rounding of the sums.
+    """
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     _validate_pairs(arr, m_pairs)
     p0, p1 = atomic_tables(m_pairs, delta)
@@ -128,7 +190,7 @@ def exact_atomic_failure_prob(m_pairs: int, delta: float) -> float:
     """
     if not 1 <= m_pairs <= 4:
         raise ValueError("exact failure supports 1 <= M <= 4; use the Monte Carlo variant")
-    _check_delta(delta)
+    _check_params(m_pairs, delta)
     p = 1.0 - delta
     n_vals, n_pmf = _ratio_pmf(m_pairs, _binom_row(m_pairs, p, m_pairs))
     d_vals, d_pmf = _ratio_pmf(m_pairs, _binom_row(m_pairs + 1, p, m_pairs + 1))
@@ -185,13 +247,15 @@ def mc_atomic_failure_prob(
         n1, n2 = (m_pairs, m_pairs + 1) if b == 0 else (m_pairs + 1, m_pairs)
         for r in range(0, half, rows):
             block = first[r : r + rows]
-            block[...] = rng.binomial(n1, p, size=block.shape)
+            block[...] = _binomial(rng, n1, p, block.shape)
         for r in range(0, half, rows):
             block = first[r : r + rows]
-            idx = block.astype(np.int64) * width + rng.binomial(n2, p, size=block.shape)
+            idx = block.astype(np.int64) * width + _binomial(rng, n2, p, block.shape)
             s0 = l0[idx].sum(axis=1)
             s1 = l1[idx].sum(axis=1)
-            # the decision is 1 iff s0 < s1; ties go to 0
+            # decide 1 iff s0 < s1.  An exact tie N = D falls either way
+            # with the rounding of the log sums; there P0 = P1, so either
+            # decision is Bayes-optimal and the estimate stays unbiased.
             errors += int(((s0 < s1) != b).sum())
     total = 2 * half
     p_hat = errors / total
@@ -203,18 +267,19 @@ def sample_prlp(
 ) -> np.ndarray:
     """M draws from D_z, as an int array of shape (M, B, 2); coordinate b of
     every draw follows D_{z_b}."""
+    _check_params(m_pairs, delta)
     zb = z.array.astype(np.int64)
     b_len = zb.size
     p = 1.0 - delta
-    n1 = np.broadcast_to(m_pairs + zb, (m_pairs, b_len))
-    n2 = np.broadcast_to(m_pairs + 1 - zb, (m_pairs, b_len))
-    first = rng.binomial(n1, p)
-    second = rng.binomial(n2, p)
+    first = _binomial(rng, m_pairs + zb, p, (m_pairs, b_len))
+    second = _binomial(rng, m_pairs + 1 - zb, p, (m_pairs, b_len))
     return np.stack([first, second], axis=2).astype(np.int64)
 
 
 def decode_prlp_bayes(samples: np.ndarray, m_pairs: int, delta: float) -> BitString:
-    """Coordinatewise Bayes decoding: bit b from the M pairs at coordinate b."""
+    """Coordinatewise Bayes decoding: bit b from the M pairs at coordinate b,
+    decided as in :func:`bayes_decide_atomic`, with exact ties falling either
+    way with the rounding of the float log sums."""
     s = np.asarray(samples, dtype=np.int64)
     if s.ndim != 3 or s.shape[0] != m_pairs or s.shape[2] != 2:
         raise ValueError("samples must have shape (M, B, 2)")
@@ -241,14 +306,13 @@ def mc_prlp_exact_match(
     first = np.empty((trials, m_pairs, b_len), dtype=np.min_scalar_type(m_pairs + 1))
     for r in range(0, trials, rows):
         block = first[r : r + rows]
-        n1 = np.broadcast_to(m_pairs + z[r : r + rows, None, :], block.shape)
-        block[...] = rng.binomial(n1, p)
+        block[...] = _binomial(rng, m_pairs + z[r : r + rows, None, :], p, block.shape)
     matches = 0
     for r in range(0, trials, rows):
         zb = z[r : r + rows]
         block = first[r : r + rows]
-        n2 = np.broadcast_to(m_pairs + 1 - zb[:, None, :], block.shape)
-        idx = block.astype(np.int64) * width + rng.binomial(n2, p)
+        second = _binomial(rng, m_pairs + 1 - zb[:, None, :], p, block.shape)
+        idx = block.astype(np.int64) * width + second
         s0 = l0[idx].sum(axis=1)
         s1 = l1[idx].sum(axis=1)
         matches += int(((s0 < s1) == zb).all(axis=1).sum())

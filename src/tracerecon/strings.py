@@ -214,13 +214,19 @@ def _lcs_length(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> int:
 
 
 def edit_distance(a: BitString, b: BitString) -> int:
-    """Insert/delete edit distance between two bit strings.
+    """Insert/delete edit distance between two bit strings, exact whatever
+    the distance.
 
-    Exact whatever the distance: one bit-parallel LCS pass over every column
-    costs O(|a| * |b| / w) for int digit size w.  When a cap on the distance
-    is known, :func:`edit_distance_bounded` is cheaper.
+    Runs :func:`edit_distance_bounded` with caps 256, 512, ... and returns the
+    first distance within its cap, so a distance d costs band passes of
+    O(|a| * d / w) in all for int digit size w, not one O(|a| * |b| / w) pass
+    over every column.  Once the cap reaches |a| + |b| the pass is over every
+    column and always returns.
     """
-    return len(a) + len(b) - 2 * _lcs_length(a.array, b.array)
+    cap = 256
+    while (d := edit_distance_bounded(a, b, cap)) is None:
+        cap *= 2
+    return d
 
 
 def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:

@@ -50,7 +50,8 @@ def edit_distance_dp(a, b) -> int:
 
 
 def bma_literal_walk(sequences, cursors, rounds):
-    """Line-by-line majority alignment with materialized '*' padding.
+    """Line-by-line majority alignment; a cursor past a sequence's end
+    reads '*'.
 
     Returns (word_or_empty, history, symbols, margins): the emitted word as
     bma_run gives it; the cursors before every round and after the last,
@@ -58,13 +59,12 @@ def bma_literal_walk(sequences, cursors, rounds):
     round's count of cursors reading the winning symbol.
     """
     seqs = [str(s) for s in sequences]
-    padded = [s + "*" * (rounds + 1) for s in seqs]
     cur = list(cursors)
     history = [tuple(cur)]
     out = []
     margins = []
     for _ in range(rounds):
-        symbols = [padded[m][cur[m] - 1] for m in range(len(seqs))]
+        symbols = [s[c - 1] if c <= len(s) else "*" for s, c in zip(seqs, cur)]
         counts = {"0": 0, "1": 0, "*": 0}
         for s in symbols:
             counts[s] += 1

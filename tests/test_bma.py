@@ -56,6 +56,14 @@ class TestBmaRun:
         out, _, diag = bma_run([BitString("01")], [5], 1)
         assert len(out) == 0 and diag.symbols == "*"
 
+    def test_cursors_far_past_end_against_oracle(self):
+        # cursors 3 and 10 past the end read '*' on every round, also once
+        # '*' wins the rounds and moves them further on
+        seqs = [BitString("0110"), BitString("0110"), BitString("01"), BitString("1")]
+        for rounds in (1, 6):
+            assert_matches_oracle(seqs, [1, 1, 2 + 3, 1 + 10], rounds)
+            assert_matches_oracle(seqs, [4 + 3, 4 + 10, 2 + 10, 1 + 3], rounds)
+
     def test_margins(self):
         seqs = [BitString("0101"), BitString("0101"), BitString("011")]
         _, _, diag = bma_run(seqs, [1, 1, 1], 4)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -29,7 +30,7 @@ from tracerecon import (
     sample_prlp,
     simulate_aprlp,
 )
-from tracerecon.lower_bound import _BLOCK, atomic_tables
+from tracerecon.lower_bound import _BLOCK, _binomial, atomic_tables
 from tracerecon.rng import stream
 
 from .oracles import (
@@ -108,6 +109,22 @@ class TestBayesDecide:
     def test_rejects_outside_support(self):
         with pytest.raises(ValueError):
             bayes_decide_atomic([(3, 3)], 1, 0.5)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.25, 0.5])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_float_decision_is_exact_off_ties(self, m, delta):
+        # every outcome of M pairs in the union support: wherever
+        # N = prod(M+1-a_i) and D = prod(M+1-b_i) differ, the float log sums
+        # decide 1 exactly when N < D; exact ties N = D may fall either way
+        pairs = [(a, b) for a in range(m + 2) for b in range(m + 2) if (a, b) != (m + 1, m + 1)]
+        outcomes = np.array(list(itertools.product(pairs, repeat=m)))  # (T, M, 2)
+        n_d = (m + 1 - outcomes).prod(axis=1)
+        off_tie = n_d[:, 0] != n_d[:, 1]
+        want = n_d[off_tie, 0] < n_d[off_tie, 1]
+        decoded = decode_prlp_bayes(outcomes.transpose(1, 0, 2), m, delta).array
+        assert np.array_equal(decoded[off_tie], want)
+        single = [bayes_decide_atomic(o, m, delta) for o in outcomes[off_tie]]
+        assert np.array_equal(single, want)
 
 
 class TestExactFailure:
@@ -209,6 +226,40 @@ class TestPrlp:
     def test_decode_shape_validation(self):
         with pytest.raises(ValueError):
             decode_prlp_bayes(np.zeros((2, 3)), 2, 0.1)
+
+
+class TestBinomialSampler:
+    """`_binomial` makes `Generator.binomial`'s draws, draw for draw, and
+    leaves the generator in the same state."""
+
+    PS = [0.0, 1e-3, 0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0]
+
+    @pytest.mark.parametrize("p", PS)
+    def test_scalar_n(self, p):
+        for n in range(1, 27):
+            g1, g2 = stream(60, n), stream(60, n)
+            got = _binomial(g1, n, p, (7, 31))
+            assert np.array_equal(got, g2.binomial(n, p, size=(7, 31)))
+            assert g1.random() == g2.random()
+
+    def test_no_double_drawn_at_p_zero(self):
+        g, fresh = stream(61, 0), stream(61, 0)
+        assert not _binomial(g, 5, 0.0, (100,)).any()
+        assert not _binomial(g, np.array([5, 6]), 0.0, (3, 2)).any()
+        assert g.random() == fresh.random()
+
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("m", [1, 4, 25])
+    def test_z_indexed_n(self, m, p):
+        # n is M or M+1 as z selects, on a (rows, M, B) shape, as in the
+        # PRLP kernels
+        g1, g2 = stream(62, m), stream(62, m)
+        z = stream(63, m).integers(0, 2, size=(13, 1, 17))
+        shape = (13, m, 17)
+        for n in (m + z, m + 1 - z):
+            got = _binomial(g1, n, p, shape)
+            assert np.array_equal(got, g2.binomial(np.broadcast_to(n, shape), p))
+        assert g1.random() == g2.random()
 
 
 class TestBlockedMonteCarlo:

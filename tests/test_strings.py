@@ -122,6 +122,52 @@ class TestEditDistance:
         assert edit_distance_bounded(trace, x, d) == d
         assert edit_distance_bounded(x, trace, d - 1) is None
 
+    @staticmethod
+    def _record_caps(monkeypatch) -> list[int]:
+        caps: list[int] = []
+        real = strings_module.edit_distance_bounded
+
+        def recording(a, b, cap):
+            caps.append(cap)
+            return real(a, b, cap)
+
+        monkeypatch.setattr(strings_module, "edit_distance_bounded", recording)
+        return caps
+
+    @pytest.mark.parametrize(
+        "k, j, caps_run",
+        [
+            (127, 1, [256]),
+            (128, 0, [256]),
+            (128, 1, [256, 512]),
+            (255, 1, [256, 512]),
+            (256, 0, [256, 512]),
+            (256, 1, [256, 512, 1024]),
+        ],
+    )
+    def test_distance_around_a_doubling_cap(self, k, j, caps_run, monkeypatch):
+        # 1^k 0^400 against 0^400 1^(k+j): only the zeros are common, so
+        # d = 2k + j, just below, at or just above a cap, with every optimal
+        # alignment on the band's outermost diagonals
+        caps = self._record_caps(monkeypatch)
+        a = BitString("1" * k + "0" * 400)
+        b = BitString("0" * 400 + "1" * (k + j))
+        assert edit_distance(a, b) == 2 * k + j
+        assert caps == caps_run
+        assert len(a) + len(b) - 2 * _lcs_length(a.array, b.array) == 2 * k + j
+
+    def test_length_gap_past_the_first_cap(self, monkeypatch, rng):
+        # a trace is at distance n - |trace| from its source; a gap of 300
+        # alone rules out the first cap
+        caps = self._record_caps(monkeypatch)
+        n = 1000
+        x = random_bits(n, rng)
+        deleted = {int(p) for p in rng.choice(np.arange(1, n + 1), size=300, replace=False)}
+        trace = apply_deletions(x, deleted).trace
+        assert edit_distance(x, trace) == 300
+        assert edit_distance(trace, x) == 300
+        assert caps == [256, 512, 256, 512]
+
 
 class TestBandedDistance:
     """``edit_distance_bounded`` computes only the diagonals its cap allows."""
@@ -173,7 +219,7 @@ class TestBandedDistance:
         # shorter trace's length no multiple of the chunk height
         x = random_bits(n, rng)
         a, b = transmit(x, 0.01, rng).trace, transmit(x, 0.01, rng).trace
-        d = edit_distance(a, b)
+        d = len(a) + len(b) - 2 * _lcs_length(a.array, b.array)
         gap = abs(len(a) - len(b))
         assert gap < d - 1
         for cap in (d - 1, d, d + 1):
@@ -194,7 +240,7 @@ class TestBandedDistance:
 
         monkeypatch.setattr(strings_module, "_lcs_steps", recording_steps)
         a, b = random_bits(300, rng), random_bits(280, rng)
-        d = edit_distance(a, b)
+        d = len(a) + len(b) - 2 * _lcs_length(a.array, b.array)
         assert widths == [300]
         widths.clear()
         assert edit_distance_bounded(a, b, 580) == d
