@@ -14,18 +14,19 @@ import sys
 
 from .harness import KINDS, ExperimentConfig, emit_report, run_experiment
 
+# grid-point fields a flag may set: name -> argparse type, or choices
 _POINT_FLAGS = {
-    "n": "n",
-    "delta": "delta",
-    "m_traces": "m_traces",
-    "k_const": "k_const",
-    "tau": "tau",
-    "gamma": "gamma",
-    "b_len": "b_len",
-    "mc_samples": "mc_samples",
-    "l_desert": "l_desert",
-    "g_desert": "g_desert",
-    "reconstructor": "reconstructor",
+    "n": int,
+    "delta": float,
+    "m_traces": int,
+    "k_const": float,
+    "tau": float,
+    "gamma": float,
+    "b_len": int,
+    "mc_samples": int,
+    "l_desert": int,
+    "g_desert": int,
+    "reconstructor": ("first_trace", "full"),
 }
 
 
@@ -43,17 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report path")
         p.add_argument("--format", choices=("csv", "jsonl"), dest="fmt")
         p.add_argument("--workers", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--m-traces", type=int, dest="m_traces")
-        p.add_argument("--k-const", type=float, dest="k_const")
-        p.add_argument("--tau", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--b-len", type=int, dest="b_len")
-        p.add_argument("--mc-samples", type=int, dest="mc_samples")
-        p.add_argument("--l-desert", type=int, dest="l_desert")
-        p.add_argument("--g-desert", type=int, dest="g_desert")
-        p.add_argument("--reconstructor", choices=("first_trace", "full"))
+        for name, kind in _POINT_FLAGS.items():
+            flag = "--" + name.replace("_", "-")
+            if isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, dest=name)
+            else:
+                p.add_argument(flag, type=kind, dest=name)
     return parser
 
 

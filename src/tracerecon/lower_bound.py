@@ -170,11 +170,7 @@ def bayes_decide_atomic(pairs: Sequence | np.ndarray, m_pairs: int, delta: float
     """
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     _validate_pairs(arr, m_pairs)
-    p0, p1 = atomic_tables(m_pairs, delta)
-    with np.errstate(divide="ignore"):
-        l0 = np.log(p0[arr[:, 0], arr[:, 1]]).sum()
-        l1 = np.log(p1[arr[:, 0], arr[:, 1]]).sum()
-    return 0 if l0 >= l1 else 1
+    return int(_bayes_ones(m_pairs, delta, arr[:, 0], arr[:, 1], axis=0))
 
 
 def exact_atomic_failure_prob(m_pairs: int, delta: float) -> float:
@@ -218,10 +214,28 @@ def _ratio_pmf(m_pairs: int, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK = 1 << 16
 
 
+@lru_cache(maxsize=64)
 def _log_tables(m_pairs: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat log pmfs of D0 and D1: entry a * (M+2) + b of each is
+    log p[a, b], -inf outside the distribution's support."""
     p0, p1 = atomic_tables(m_pairs, delta)
     with np.errstate(divide="ignore"):
-        return np.log(p0.ravel()), np.log(p1.ravel())
+        l0, l1 = np.log(p0.ravel()), np.log(p1.ravel())
+    l0.setflags(write=False)
+    l1.setflags(write=False)
+    return l0, l1
+
+
+def _bayes_ones(
+    m_pairs: int, delta: float, first: np.ndarray, second: np.ndarray, axis: int
+) -> np.ndarray:
+    """The Bayes decision over the pairs ``(first, second)`` along ``axis``:
+    True (decide 1) where the summed float log-likelihood under D0 is below
+    the one under D1.  An exact tie N = D (P0 = P1, where either decision is
+    Bayes-optimal) falls either way with the rounding of the sums."""
+    l0, l1 = _log_tables(m_pairs, delta)
+    idx = first.astype(np.int64) * (m_pairs + 2) + second
+    return l0[idx].sum(axis=axis) < l1[idx].sum(axis=axis)
 
 
 def mc_atomic_failure_prob(
@@ -237,8 +251,6 @@ def mc_atomic_failure_prob(
     if trials < 2:
         raise ValueError("need at least 2 trials")
     half = trials // 2
-    l0, l1 = _log_tables(m_pairs, delta)
-    width = m_pairs + 2
     p = 1.0 - delta
     rows = max(1, _BLOCK // m_pairs)
     first = np.empty((half, m_pairs), dtype=np.min_scalar_type(m_pairs + 1))
@@ -250,13 +262,10 @@ def mc_atomic_failure_prob(
             block[...] = _binomial(rng, n1, p, block.shape)
         for r in range(0, half, rows):
             block = first[r : r + rows]
-            idx = block.astype(np.int64) * width + _binomial(rng, n2, p, block.shape)
-            s0 = l0[idx].sum(axis=1)
-            s1 = l1[idx].sum(axis=1)
-            # decide 1 iff s0 < s1.  An exact tie N = D falls either way
-            # with the rounding of the log sums; there P0 = P1, so either
-            # decision is Bayes-optimal and the estimate stays unbiased.
-            errors += int(((s0 < s1) != b).sum())
+            second = _binomial(rng, n2, p, block.shape)
+            # an exact tie may fall either way; there either decision is
+            # Bayes-optimal, so the estimate stays unbiased
+            errors += int((_bayes_ones(m_pairs, delta, block, second, axis=1) != b).sum())
     total = 2 * half
     p_hat = errors / total
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / total)
@@ -284,12 +293,7 @@ def decode_prlp_bayes(samples: np.ndarray, m_pairs: int, delta: float) -> BitStr
     if s.ndim != 3 or s.shape[0] != m_pairs or s.shape[2] != 2:
         raise ValueError("samples must have shape (M, B, 2)")
     _validate_pairs(s, m_pairs)
-    l0, l1 = _log_tables(m_pairs, delta)
-    width = m_pairs + 2
-    idx = s[:, :, 0] * width + s[:, :, 1]
-    s0 = l0[idx].sum(axis=0)
-    s1 = l1[idx].sum(axis=0)
-    return BitString((s0 < s1).astype(np.uint8))
+    return BitString(_bayes_ones(m_pairs, delta, s[:, :, 0], s[:, :, 1], axis=0))
 
 
 def mc_prlp_exact_match(
@@ -298,8 +302,6 @@ def mc_prlp_exact_match(
     """Empirical Pr[z_hat = z] for the coordinatewise Bayes decoder, with z
     uniform per trial.  Vectorized across blocks of trials, drawn in the
     same order as one (trials, M, B) draw."""
-    l0, l1 = _log_tables(m_pairs, delta)
-    width = m_pairs + 2
     p = 1.0 - delta
     z = rng.integers(0, 2, size=(trials, b_len), dtype=np.int64)
     rows = max(1, _BLOCK // (m_pairs * b_len))
@@ -312,10 +314,7 @@ def mc_prlp_exact_match(
         zb = z[r : r + rows]
         block = first[r : r + rows]
         second = _binomial(rng, m_pairs + 1 - zb[:, None, :], p, block.shape)
-        idx = block.astype(np.int64) * width + second
-        s0 = l0[idx].sum(axis=1)
-        s1 = l1[idx].sum(axis=1)
-        matches += int(((s0 < s1) == zb).all(axis=1).sum())
+        matches += int((_bayes_ones(m_pairs, delta, block, second, axis=1) == zb).all(axis=1).sum())
     return matches / trials
 
 

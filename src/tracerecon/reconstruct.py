@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bma import bma_run
 from .align import align
 from .params import DESK_DEFAULTS, ReconParams, check_regime, derive_params, reduce_m_traces
@@ -84,15 +82,11 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
             ell_star += params.R
             continue
         out, final, _ = bma_run([y_star, *traces], [ell_star, *cursors], params.R)
-        if len(out):
-            pieces.append(out)
+        pieces.append(out)
         segments.append((ell_star, len(out)))
         ell_star = final[0] + 1
 
-    if pieces:
-        hypothesis = BitString(np.concatenate([p.array for p in pieces]))
-    else:
-        hypothesis = BitString("")
+    hypothesis = BitString(b"".join(p.tobytes() for p in pieces))
     return ReconResult(hypothesis, tuple(segments), "run_full", params.m_traces)
 
 
@@ -123,20 +117,17 @@ def reconstruct_with_fallback(
     if not 1 <= M <= len(traces):
         raise ValueError("m_traces out of range")
 
-    report = check_regime(n, delta, M, k_const)
-    if report.recommended_action == "output_single_trace":
+    action = check_regime(n, delta, M, k_const).recommended_action
+    if action == "reduce_M":
+        # the reduced count is one check_regime runs in full
+        M = reduce_m_traces(n, delta, M, k_const)
+    if action == "output_single_trace" or M is None:
+        # below the regime, or no feasible smaller trace count: a single
+        # trace is the bound
         return ReconResult(traces[0], (), "output_single_trace", 1)
-    if report.recommended_action == "reduce_M":
-        m2 = reduce_m_traces(n, delta, M, k_const)
-        if m2 is None:
-            # no feasible smaller trace count; a single trace is the bound
-            return ReconResult(traces[0], (), "output_single_trace", 1)
-        inner = reconstruct_with_fallback(
-            n, delta, traces[:m2], m_traces=m2, k_const=k_const, tau=tau, gamma=gamma,
-        )
-        if inner.regime_action != "run_full":
-            # a single-trace answer keeps its own label
-            return inner
-        return replace(inner, regime_action="reduce_M")
     params = derive_params(n, delta, M, k_const=k_const, tau=tau, gamma=gamma)
-    return reconstruct(params, traces[0], traces[:M])
+    result = reconstruct(params, traces[0], traces[:M])
+    if action == "reduce_M" and result.regime_action == "run_full":
+        # a single-trace answer keeps its own label
+        return replace(result, regime_action="reduce_M")
+    return result

@@ -3,7 +3,10 @@
 Everything downstream (channel records, alignment, reconstruction) works on
 immutable binary strings with the 1-based indexing convention used throughout
 the package: ``x[1]`` is the first bit and subwords are closed intervals
-``x[i : j]``.  Strings are stored as one byte per bit.  The window search
+``x[i : j]``.  A :class:`BitString` holds one ``bytes`` value, one byte
+(0 or 1) per bit: the vote, the window search and the common-word search
+read it as bytes, and the numpy kernels read ``array``, a read-only view of
+the same bytes made without a copy.  The window search
 :func:`find_closest_subwords` looks for one template in many haystacks at
 once: a prefilter looks the template's pieces up in each haystack's
 12-bit-word index (:func:`kmer_index`, which a caller searching one
@@ -13,11 +16,11 @@ one-haystack call.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
-kernel computes it, the bit-parallel LCS recurrence on Python ints: over
-every column in O(|a| * |b| / w) for the exact distance, or over the band
-of diagonals a cap allows in O(|a| * cap / w) for the bounded one.  The
-same recurrence, run once over up to 2048 candidate windows packed into one
-int, serves the window search.
+kernel computes it, the bit-parallel LCS recurrence on Python ints, over
+the band of diagonals a cap allows in O(|a| * cap / w): once for the
+bounded distance, and at most twice for the exact one, the second pass at
+the first pass's distance.  The same recurrence, run once over up to 2048
+candidate windows packed into one int, serves the window search.
 """
 
 from __future__ import annotations
@@ -41,89 +44,77 @@ __all__ = [
     "kmer_index",
 ]
 
-class BitString:
-    """Immutable sequence of bits with 1-based accessors."""
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes to ASCII digits
+# ASCII digits to bit bytes; every other byte becomes 0xff, which is no bit
+_FROM_DIGITS = b"\xff" * 48 + b"\x00\x01" + b"\xff" * 206
 
-    __slots__ = ("_data", "_bytes")
+
+class BitString:
+    """Immutable sequence of bits with 1-based accessors, held as one
+    ``bytes`` value with one byte (0 or 1) per bit."""
+
+    __slots__ = ("_bytes",)
 
     def __init__(self, bits: "str | bytes | Iterable[int] | np.ndarray" = ()):
         if isinstance(bits, BitString):
-            self._data = bits._data
-            self._bytes = bits._bytes
-            return
-        if isinstance(bits, str):
-            arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+            data = bits._bytes
+        elif isinstance(bits, str):
+            data = bits.encode("ascii").translate(_FROM_DIGITS)
         elif isinstance(bits, (bytes, bytearray)):
-            arr = np.frombuffer(bytes(bits), dtype=np.uint8)
+            data = bytes(bits)
         elif isinstance(bits, np.ndarray):
-            arr = bits.astype(np.uint8, copy=True)
+            data = bits.astype(np.uint8, copy=False).tobytes()
         else:
-            arr = np.fromiter(bits, dtype=np.uint8)
-        if arr.size and (arr.max(initial=0) > 1):
+            data = bytes(iter(bits))  # iter: bytes(n) of an int n would be n zeros
+        if data.translate(None, b"\x00\x01"):
             raise ValueError("bits must be 0 or 1")
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        arr.setflags(write=False)
-        self._data = arr
-        self._bytes: bytes | None = None
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "BitString":
-        out = cls.__new__(cls)
-        arr = np.ascontiguousarray(arr, dtype=np.uint8)
-        arr.setflags(write=False)
-        out._data = arr
-        out._bytes = None
-        return out
+        self._bytes = data
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only uint8 view with values in {0, 1}."""
-        return self._data
+        """Read-only uint8 view of the bytes, with values in {0, 1}."""
+        return np.frombuffer(self._bytes, np.uint8)
 
     def tobytes(self) -> bytes:
-        if self._bytes is None:
-            self._bytes = self._data.tobytes()
         return self._bytes
 
     def __len__(self) -> int:
-        return int(self._data.size)
+        return len(self._bytes)
 
     def bit(self, i: int) -> int:
         """Bit at 1-based position ``i``."""
-        if not 1 <= i <= self._data.size:
-            raise IndexError(f"position {i} out of range 1..{self._data.size}")
-        return int(self._data[i - 1])
+        if not 1 <= i <= len(self._bytes):
+            raise IndexError(f"position {i} out of range 1..{len(self._bytes)}")
+        return self._bytes[i - 1]
 
     def subword(self, i: int, j: int) -> "BitString":
         """Subword at the closed 1-based interval ``[i : j]``; empty if j < i."""
-        if i < 1 or j > self._data.size:
-            raise IndexError(f"[{i}:{j}] out of range for length {self._data.size}")
-        if j < i:
-            return BitString._wrap(np.empty(0, dtype=np.uint8))
-        return BitString._wrap(self._data[i - 1 : j])
+        if i < 1 or j > len(self._bytes):
+            raise IndexError(f"[{i}:{j}] out of range for length {len(self._bytes)}")
+        return BitString(self._bytes[i - 1 : j])
 
     def concat(self, other: "BitString") -> "BitString":
-        return BitString._wrap(np.concatenate([self._data, other._data]))
+        return BitString(self._bytes + other._bytes)
 
     def find(self, sub: "BitString", start: int = 1, end: int | None = None) -> int | None:
         """Leftmost 1-based start of ``sub`` inside ``self[start : end]``, or None."""
-        hi = self._data.size if end is None else end
-        pos = self.tobytes().find(sub.tobytes(), start - 1, hi)
+        hi = len(self._bytes) if end is None else end
+        pos = self._bytes.find(sub._bytes, start - 1, hi)
         return None if pos < 0 else pos + 1
 
     def __iter__(self) -> Iterator[int]:
-        return iter(int(b) for b in self._data)
+        return iter(self._bytes)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self.tobytes() == other.tobytes()
+        return self._bytes == other._bytes
 
     def __hash__(self) -> int:
-        return hash(self.tobytes())
+        return hash(self._bytes)
 
     def __str__(self) -> str:
-        return (self._data + ord("0")).tobytes().decode("ascii")
+        return self._bytes.translate(_DIGITS).decode("ascii")
 
     def __repr__(self) -> str:
         s = str(self)
@@ -134,7 +125,7 @@ class BitString:
 
 def random_bits(n: int, rng: np.random.Generator) -> BitString:
     """Uniformly random bit string of length ``n``."""
-    return BitString._wrap(rng.integers(0, 2, size=n, dtype=np.uint8))
+    return BitString(rng.integers(0, 2, size=n, dtype=np.uint8).tobytes())
 
 
 @dataclass(frozen=True)
@@ -217,15 +208,18 @@ def edit_distance(a: BitString, b: BitString) -> int:
     """Insert/delete edit distance between two bit strings, exact whatever
     the distance.
 
-    Runs :func:`edit_distance_bounded` with caps 256, 512, ... and returns the
-    first distance within its cap, so a distance d costs band passes of
-    O(|a| * d / w) in all for int digit size w, not one O(|a| * |b| / w) pass
-    over every column.  Once the cap reaches |a| + |b| the pass is over every
-    column and always returns.
+    A first band pass at cap ``max(256, ||a| - |b||)`` gives a distance
+    d1 >= d, since the band never overstates the LCS.  A band pass is exact
+    at any cap >= d, so d1 is d when it is within that cap; otherwise one
+    more pass at cap d1 is exact.  That is at most two band passes, in
+    O(|a| * d1 / w) for int digit size w, and the second is never wider
+    than one pass over every column.
     """
-    cap = 256
-    while (d := edit_distance_bounded(a, b, cap)) is None:
-        cap *= 2
+    total = len(a) + len(b)
+    cap = max(256, abs(len(a) - len(b)))
+    d = total - 2 * _lcs_length(a.array, b.array, cap)
+    if d > cap:
+        d = total - 2 * _lcs_length(a.array, b.array, d)
     return d
 
 
@@ -299,9 +293,6 @@ def kmer_index(bits: BitString) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.zeros((1 << _KMER) + 1, dtype=np.int32)
     np.cumsum(np.bincount(codes, minlength=1 << _KMER), out=offsets[1:])
     return offsets, starts
-
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes to ASCII digits
 
 
 @functools.lru_cache(maxsize=1)
@@ -497,5 +488,5 @@ def find_common_word(
                 else:
                     starts.append(None)
             if count >= threshold:
-                return BitString(np.frombuffer(cand, dtype=np.uint8)), starts
+                return BitString(cand), starts
     return None

@@ -212,7 +212,7 @@ class TestTraceIndex:
         assert len(built) == len(traces)
         assert all(b is t for b, t in zip(built, traces))
         # the index lives only as long as the call; strings carry no cache of it
-        assert BitString.__slots__ == ("_data", "_bytes")
+        assert BitString.__slots__ == ("_bytes",)
 
 
 class TestFallbackRouting:

@@ -70,6 +70,52 @@ class TestBitString:
     def test_roundtrip(self, s):
         assert str(BitString(s)) == s
 
+    # the same bits, 0110, in every input form
+    FORMS = {
+        "str": "0110",
+        "bytes": b"\x00\x01\x01\x00",
+        "bytearray": bytearray(b"\x00\x01\x01\x00"),
+        "ndarray": np.array([0, 1, 1, 0], dtype=np.int64),
+        "list": [0, 1, 1, 0],
+    }
+    NOT_BITS = {
+        "str": ["0120", "01 0", "0\x001"],
+        "bytes": [b"\x00\x02", b"01"],
+        "bytearray": [bytearray(b"\x01\xff")],
+        "ndarray": [np.array([0, 2]), np.array([1, -1])],
+        "list": [[0, 1, 2], [-1]],
+    }
+
+    @pytest.mark.parametrize("form", sorted(NOT_BITS))
+    def test_every_form_rejects_a_non_bit(self, form):
+        for value in self.NOT_BITS[form]:
+            with pytest.raises(ValueError):
+                BitString(value)
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_every_form_builds_the_same_string(self, form):
+        w = BitString(self.FORMS[form])
+        want = BitString("0110")
+        assert w == want and hash(w) == hash(want)
+        assert w.tobytes() == b"\x00\x01\x01\x00" and str(w) == "0110"
+        assert BitString(w) == want
+
+    @given(bits)
+    def test_array_is_a_read_only_view_of_the_bytes(self, s):
+        w = BitString(s)
+        arr = w.array
+        assert arr.dtype == np.uint8 and not arr.flags.writeable
+        assert arr.base is w.tobytes()  # no copy
+        assert arr.tobytes() == w.tobytes()
+        with pytest.raises(ValueError):
+            arr[...] = 1
+
+    @pytest.mark.parametrize("i", [1, 3, 5])
+    def test_empty_strings(self, i):
+        empty = BitString("0110").subword(i, i - 1)
+        assert len(empty) == 0 and empty == BitString("") == BitString()
+        assert empty.tobytes() == b"" and str(empty) == ""
+
 
 class TestEditDistance:
     def test_examples(self):
@@ -124,41 +170,46 @@ class TestEditDistance:
 
     @staticmethod
     def _record_caps(monkeypatch) -> list[int]:
+        """Caps of the band passes ``edit_distance`` runs."""
         caps: list[int] = []
-        real = strings_module.edit_distance_bounded
+        real = strings_module._lcs_length
 
-        def recording(a, b, cap):
+        def recording(a, b, cap=None):
             caps.append(cap)
             return real(a, b, cap)
 
-        monkeypatch.setattr(strings_module, "edit_distance_bounded", recording)
+        monkeypatch.setattr(strings_module, "_lcs_length", recording)
         return caps
 
+    # the second cap, where there is one, is the first pass's distance
     @pytest.mark.parametrize(
         "k, j, caps_run",
         [
             (127, 1, [256]),
             (128, 0, [256]),
-            (128, 1, [256, 512]),
-            (255, 1, [256, 512]),
-            (256, 0, [256, 512]),
-            (256, 1, [256, 512, 1024]),
+            (128, 1, [256, 259]),
+            (255, 1, [256, 767]),
+            (256, 0, [256, 768]),
+            (256, 1, [256, 771]),
         ],
     )
     def test_distance_around_a_doubling_cap(self, k, j, caps_run, monkeypatch):
         # 1^k 0^400 against 0^400 1^(k+j): only the zeros are common, so
-        # d = 2k + j, just below, at or just above a cap, with every optimal
-        # alignment on the band's outermost diagonals
+        # d = 2k + j, just below, at or just above the first cap, with every
+        # optimal alignment on the band's outermost diagonals.  Past the cap
+        # the first pass's distance bounds d from above, so the second pass,
+        # at that distance, is exact.
         caps = self._record_caps(monkeypatch)
         a = BitString("1" * k + "0" * 400)
         b = BitString("0" * 400 + "1" * (k + j))
         assert edit_distance(a, b) == 2 * k + j
         assert caps == caps_run
+        assert all(cap >= 2 * k + j for cap in caps[1:])
         assert len(a) + len(b) - 2 * _lcs_length(a.array, b.array) == 2 * k + j
 
     def test_length_gap_past_the_first_cap(self, monkeypatch, rng):
         # a trace is at distance n - |trace| from its source; a gap of 300
-        # alone rules out the first cap
+        # widens the first cap to 300, within which the distance fits
         caps = self._record_caps(monkeypatch)
         n = 1000
         x = random_bits(n, rng)
@@ -166,7 +217,7 @@ class TestEditDistance:
         trace = apply_deletions(x, deleted).trace
         assert edit_distance(x, trace) == 300
         assert edit_distance(trace, x) == 300
-        assert caps == [256, 512, 256, 512]
+        assert caps == [300, 300]
 
 
 class TestBandedDistance:
