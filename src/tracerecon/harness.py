@@ -28,6 +28,8 @@ from .bma import bma_run
 from .channel import source_of, transmit
 from .deserts import contains_long_desert
 from .lower_bound import (
+    EXACT_MAX_M,
+    EmbeddingSpec,
     exact_atomic_failure_prob,
     mc_atomic_failure_prob,
     mc_prlp_exact_match,
@@ -224,7 +226,7 @@ def _run_atomic_exact(point: dict, rng: np.random.Generator) -> dict:
 
 def _validate_atomic_exact(point: dict) -> None:
     _require(point, "delta", "m_traces")
-    if not 1 <= point["m_traces"] <= 4 or not 0.0 <= point["delta"] <= 1.0:
+    if not 1 <= point["m_traces"] <= EXACT_MAX_M or not 0.0 <= point["delta"] <= 1.0:
         raise ValueError(f"bad atomic point {point}")
 
 
@@ -247,7 +249,7 @@ def _run_prlp(point: dict, rng: np.random.Generator) -> dict:
     samples = point.get("mc_samples", 10**5)
     rate = mc_prlp_exact_match(m, delta, b_len, samples, rng)
     out = {"exact_match_rate": rate, "mc_samples": float(samples)}
-    if m <= 4:
+    if m <= EXACT_MAX_M:
         p = exact_atomic_failure_prob(m, delta)
         out["ceiling"] = (1.0 - p) ** b_len
     return out
@@ -260,8 +262,6 @@ def _validate_prlp(point: dict) -> None:
 
 
 def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:
-    from .lower_bound import EmbeddingSpec
-
     m, delta, b_len = point["m_traces"], point["delta"], point["b_len"]
     spec = EmbeddingSpec.build(m, b_len)
     z = BitString(rng.integers(0, 2, size=b_len, dtype=np.int64))

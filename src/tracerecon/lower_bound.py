@@ -173,6 +173,9 @@ def bayes_decide_atomic(pairs: Sequence | np.ndarray, m_pairs: int, delta: float
     return int(_bayes_ones(m_pairs, delta, arr[:, 0], arr[:, 1], axis=0))
 
 
+EXACT_MAX_M = 4  # largest M whose outcomes exact_atomic_failure_prob enumerates
+
+
 def exact_atomic_failure_prob(m_pairs: int, delta: float) -> float:
     """Bayes failure probability from the likelihood-ratio factorization.
 
@@ -182,10 +185,11 @@ def exact_atomic_failure_prob(m_pairs: int, delta: float) -> float:
     Hence p = (1/2) * E0[min(1, D/N)], read off the pmfs of N and D: over
     n, sum(d * P_D(d) for d < n) / n plus sum(P_D(d) for d >= n).  The tail
     is its own suffix sum, not the total minus a prefix, which would lose
-    the small tails to cancellation.  Kept to 1 <= M <= 4.
+    the small tails to cancellation.  Kept to 1 <= M <= ``EXACT_MAX_M``.
     """
-    if not 1 <= m_pairs <= 4:
-        raise ValueError("exact failure supports 1 <= M <= 4; use the Monte Carlo variant")
+    if not 1 <= m_pairs <= EXACT_MAX_M:
+        raise ValueError(
+            f"exact failure supports 1 <= M <= {EXACT_MAX_M}; use the Monte Carlo variant")
     _check_params(m_pairs, delta)
     p = 1.0 - delta
     n_vals, n_pmf = _ratio_pmf(m_pairs, _binom_row(m_pairs, p, m_pairs))
@@ -414,7 +418,6 @@ def compose_traces(
     samples: np.ndarray,
     x_prime: BitString,
     occs: list[Interval],
-    spec: EmbeddingSpec,
     delta: float,
     rng: np.random.Generator,
 ) -> list[BitString]:
@@ -470,6 +473,6 @@ def simulate_aprlp(
     spec = EmbeddingSpec.build(s.shape[0], b_len)
     x_prime = random_bits(spec.n, rng)
     occs = find_pattern_occurrences(x_prime, spec, limit=b_len)
-    traces = compose_traces(s, x_prime, occs, spec, delta, rng)
+    traces = compose_traces(s, x_prime, occs, delta, rng)
     x_hat = reconstructor(traces)
     return extract_z(x_hat, spec, b_len)

@@ -125,17 +125,18 @@ def derive_params(
 def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeReport:
     """Classify (n, delta, M, K) against the operating-regime inequalities.
 
-    run_full requires all of: 1/n^2 <= delta < 1/(K*M), delta*M < 1,
-    K^2 <= M <= 1/(K*delta), and (delta*M)^(M/K) >= 1/n^2.  Below the first
-    two cuts a single trace is already within target; past the others fewer
-    traces do better.  For K >= 1, delta < 1/(K*M) implies delta*M < 1; the
+    run_full requires all of: 1/n^2 <= delta, K^2 <= M, delta < 1/(K*M)
+    (that is, M < 1/(K*delta)), delta*M < 1, and (delta*M)^(M/K) >= 1/n^2.
+    Below the first two cuts a single trace is already within target; past
+    the others fewer traces do better.  ``M_above_inv_Kdelta`` is set where
+    delta >= 1/(K*M).  For K >= 1, delta < 1/(K*M) implies delta*M < 1; the
     separate cut keeps a K < 1 run out of `derive_params`' H <= 0 error.
     """
     K = float(k_const)
     inv_n2 = 1.0 / (n * n)
     delta_below = delta < inv_n2
     m_below = m_traces < K * K
-    m_above = m_traces > 1.0 / (K * delta) if delta > 0 else False
+    m_above = delta >= 1.0 / (K * m_traces)
     # (delta*M)^(M/K) < 1/n^2, compared in log2 space
     if delta > 0:
         target_below = (m_traces / K) * math.log2(delta * m_traces) < -2.0 * math.log2(n)
@@ -144,7 +145,7 @@ def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeR
 
     if delta_below or m_below:
         action = "output_single_trace"
-    elif target_below or not delta < 1.0 / (K * m_traces) or delta * m_traces >= 1.0:
+    elif target_below or m_above or delta * m_traces >= 1.0:
         action = "reduce_M"
     else:
         action = "run_full"

@@ -25,7 +25,6 @@ candidate windows packed into one int, serves the window search.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -63,6 +62,9 @@ class BitString:
         elif isinstance(bits, (bytes, bytearray)):
             data = bytes(bits)
         elif isinstance(bits, np.ndarray):
+            # check before the cast, which would wrap 256 to 0 and cut 1.9 to 1
+            if bits.dtype not in (np.uint8, np.bool_) and ((bits != 0) & (bits != 1)).any():
+                raise ValueError("bits must be 0 or 1")
             data = bits.astype(np.uint8, copy=False).tobytes()
         else:
             data = bytes(iter(bits))  # iter: bytes(n) of an int n would be n zeros
@@ -295,60 +297,39 @@ def kmer_index(bits: BitString) -> tuple[np.ndarray, np.ndarray]:
     return offsets, starts
 
 
-@functools.lru_cache(maxsize=1)
-def _template_pieces(tb: bytes, pieces: int) -> tuple[tuple[int, bytes, int], ...]:
-    """``(offset, piece, code)`` for each of ``pieces`` contiguous pieces of
-    the template bytes ``tb``, cut at ``np.linspace`` bounds; ``code`` is the
-    index code of the piece's first ``_KMER`` bits.  The last template cut is
-    kept, so searching many haystacks for one template cuts it once.
-    """
-    bounds = np.linspace(0, len(tb), pieces + 1).astype(int).tolist()
-    return tuple(
-        (a, tb[a:b], int(tb[a : a + _KMER].translate(_DIGITS), 2))
-        for a, b in zip(bounds, bounds[1:])
-    )
-
-
 def _prefilter_starts(
-    template: np.ndarray,
-    hay: BitString,
+    pieces: Sequence[tuple[int, bytes, int]],
+    hay: bytes,
+    index: tuple[np.ndarray, np.ndarray],
     search: Interval,
     max_dist: int,
     min_len: int,
-    index: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray | None:
-    """Candidate window starts via exact-piece matching.
+) -> list[int]:
+    """Ascending 0-based window starts that exact-piece matching keeps.
 
-    Returns None, so that the caller scans every start, when the pieces are
-    too short to look up.
-
-    Splitting the template into ``max_dist + 1`` contiguous pieces, any window
-    within distance ``max_dist`` must contain at least one piece verbatim
-    (each edit touches at most one piece), displaced by at most ``max_dist``
-    from its template offset.  Each piece is at least ``_KMER`` bits long;
-    its first ``_KMER`` bits are looked up in the haystack's
-    :func:`kmer_index` (built here when ``index`` is None), and a position
-    is kept where the whole piece occurs inside ``search``.  That is every
-    exact occurrence, so this prunes long searches to a handful of
-    candidates without ever discarding a true match.
+    ``pieces`` holds ``(offset, piece, code)`` for the ``max_dist + 1``
+    contiguous pieces the template is cut into: any window within distance
+    ``max_dist`` contains at least one piece verbatim (each edit touches at
+    most one piece), displaced by at most ``max_dist`` from its template
+    offset.  Each piece is at least ``_KMER`` bits long; ``code``, the index
+    code of its first ``_KMER`` bits, is looked up in the haystack's
+    :func:`kmer_index` ``index``, and a position is kept where the whole
+    piece occurs inside ``search``.  That is every exact occurrence, so this
+    prunes long searches to a handful of candidates without ever discarding
+    a true match.
     """
-    t = template.size
-    pieces = max_dist + 1
-    if t // pieces < _KMER:
-        return None
     lo0, hi0 = search.lo - 1, search.hi - 1  # 0-based haystack span
-    offsets, starts = kmer_index(hay) if index is None else index
-    hay_b = hay.tobytes()
+    offsets, starts = index
     first_q, last_q = lo0, hi0 - min_len + 1  # where a window may start
     found: set[int] = set()
-    for a_off, piece, code in _template_pieces(template.tobytes(), pieces):
+    for a_off, piece, code in pieces:
         group = starts[offsets[code] : offsets[code + 1]].tolist()
         for p in group[bisect_left(group, lo0) : bisect_right(group, hi0 + 1 - len(piece))]:
-            if hay_b.startswith(piece, p):
+            if hay.startswith(piece, p):
                 anchor = p - a_off
                 found.update(range(max(anchor - max_dist, first_q),
                                    min(anchor + max_dist, last_q) + 1))
-    return np.array(sorted(found), dtype=np.int64)
+    return sorted(found)
 
 
 _BLOCK = 2048  # candidate rows per packed scoring pass
@@ -370,8 +351,11 @@ def find_closest_subwords(
     ascending, then candidate length ascending over ``[|template| - max_dist
     : |template| + max_dist]``.  An entry is None when no candidate
     qualifies.
-    ``indexes[h]`` is ``kmer_index(haystacks[h])`` or None, for callers that
-    search one haystack many times; a missing index is built when the
+    When the template cuts into ``max_dist + 1`` pieces of at least 12 bits,
+    it is cut once per call and only the starts near an exact piece in a
+    haystack are scored (:func:`_prefilter_starts`); otherwise every start
+    is.  ``indexes[h]`` is ``kmer_index(haystacks[h])`` or None, for callers
+    that search one haystack many times; a missing index is built when the
     prefilter needs one.
 
     The candidate windows of every haystack are scored together, in one
@@ -391,9 +375,9 @@ def find_closest_subwords(
     if indexes is None:
         indexes = [None] * len(haystacks)
     hits: list[Interval | None] = [None] * len(haystacks)
+    tb = template.tobytes()
 
     if max_dist == 0:
-        tb = template.tobytes()
         for h, (hay, search) in enumerate(zip(haystacks, searches)):
             pos = hay.tobytes().find(tb, search.lo - 1, search.hi)
             if pos != -1:
@@ -402,13 +386,22 @@ def find_closest_subwords(
 
     min_len = max(1, t - max_dist)
     max_len = t + max_dist
+    # The prefilter's template cut, when its pieces are long enough to look up
+    pieces: list[tuple[int, bytes, int]] = []
+    if t // (max_dist + 1) >= _KMER:
+        bounds = np.linspace(0, t, max_dist + 2).astype(int).tolist()
+        pieces = [(a, tb[a:b], int(tb[a : a + _KMER].translate(_DIGITS), 2))
+                  for a, b in zip(bounds, bounds[1:])]
     todo: list[tuple[int, Sequence[int]]] = []  # (haystack, 0-based starts to score)
     for h, (hay, search) in enumerate(zip(haystacks, searches)):
         last_start0 = (search.hi - 1) - min_len + 1
         if last_start0 < search.lo - 1:
             continue
-        cand = _prefilter_starts(template.array, hay, search, max_dist, min_len, indexes[h])
-        starts = range(search.lo - 1, last_start0 + 1) if cand is None else cand.tolist()
+        if pieces:
+            index = kmer_index(hay) if indexes[h] is None else indexes[h]
+            starts = _prefilter_starts(pieces, hay.tobytes(), index, search, max_dist, min_len)
+        else:
+            starts = range(search.lo - 1, last_start0 + 1)
         if starts:
             todo.append((h, starts))
 

@@ -207,13 +207,10 @@ def prefilter_starts_find(template, hay: bytes, search, max_dist: int, min_len: 
     ``template`` is a 0/1 uint8 array and ``hay`` the haystack's bytes.  Every
     occurrence of each of the ``max_dist + 1`` pieces inside ``search`` is
     found by repeated ``bytes.find``, and each adds the window starts within
-    ``max_dist`` of its anchor.  Returns the sorted int64 starts, or None
-    where the library scans every start instead.
+    ``max_dist`` of its anchor.  Returns the ascending starts.
     """
     t = template.size
     pieces = max_dist + 1
-    if t // pieces < 12:
-        return None
     lo0, hi0 = search.lo - 1, search.hi - 1
     starts: set[int] = set()
     bounds = np.linspace(0, t, pieces + 1).astype(int)
@@ -228,7 +225,7 @@ def prefilter_starts_find(template, hay: bytes, search, max_dist: int, min_len: 
                 if lo0 <= q <= hi0 - min_len + 1:
                     starts.add(q)
             pos = hay.find(piece, pos + 1, hi0 + 1)
-    return np.array(sorted(starts), dtype=np.int64)
+    return sorted(starts)
 
 
 def align_per_trace(params, ell_star: int, y_star, traces):

@@ -1,11 +1,10 @@
 """The benchmark's trial code, run on one instance per workload.
 
 ``bench/run.py`` draws each workload's inputs and checks each trial's
-outputs itself; its own smoke test runs for minutes.  Here every workload
-runs one trial on a one-instance pool at seed 1, and the digest of its
-outputs is checked against the one recorded before the last library change
-that kept the outputs, so a change to the outputs of any workload fails
-the Tier-1 suite.
+outputs itself; its own smoke test (``bench/test_bench.py``) runs for
+minutes.  Here every workload runs one trial on a one-instance pool at
+seed 1, and the sha256 digest of its outputs is pinned: a workload whose
+outputs change, or whose trial fails one of its checks, fails this suite.
 """
 
 from __future__ import annotations

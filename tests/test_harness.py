@@ -17,6 +17,7 @@ from tracerecon import (
 )
 from tracerecon import harness
 from tracerecon.harness import CSV_COLUMNS, KINDS, parse_jsonl
+from tracerecon.lower_bound import EXACT_MAX_M
 
 
 def small_config(**overrides):
@@ -141,6 +142,17 @@ class TestRunExperiment:
         )
         with pytest.raises(ValueError, match="bad atomic point"):
             run_experiment(cfg)
+
+    def test_exact_kinds_share_the_enumeration_limit(self):
+        top = EXACT_MAX_M
+        ok = ExperimentConfig(kind="atomic_exact", grid=[{"m_traces": top, "delta": 0.1}], seed=1)
+        assert run_experiment(ok)[0].error is None
+        past = dataclasses.replace(ok, grid=[{"m_traces": top + 1, "delta": 0.1}])
+        with pytest.raises(ValueError, match="bad atomic point"):
+            run_experiment(past)
+        prlp = [{"m_traces": m, "delta": 0.1, "b_len": 4, "mc_samples": 10} for m in (top, top + 1)]
+        at, above = run_experiment(ExperimentConfig(kind="prlp", grid=prlp, seed=1))
+        assert "ceiling" in at.metrics and "ceiling" not in above.metrics
 
     def test_atomic_exact_value(self):
         cfg = ExperimentConfig(

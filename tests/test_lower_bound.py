@@ -458,7 +458,7 @@ class TestComposeTraces:
         spec = EmbeddingSpec.build(3, 4)
         x_prime = random_bits(spec.n // 16, rng)
         occs = find_pattern_occurrences(x_prime, spec, limit=4)
-        traces = compose_traces(s, x_prime, occs, spec, 0.0, rng)
+        traces = compose_traces(s, x_prime, occs, 0.0, rng)
         want = embed_instance(z, x_prime, spec)
         # only the first len(occs) bits of z are embedded
         for t in traces:
@@ -471,7 +471,7 @@ class TestComposeTraces:
         spec = EmbeddingSpec.build(2, 2)
         x_prime = random_bits(1000, g)
         occs = find_pattern_occurrences(x_prime, spec, limit=2)
-        traces = compose_traces(s, x_prime, occs, spec, 0.2, g)
+        traces = compose_traces(s, x_prime, occs, 0.2, g)
         assert len(traces) == 2
         for t in traces:
             assert len(t) <= 1000

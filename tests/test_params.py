@@ -125,6 +125,14 @@ class TestCheckRegime:
         assert rep.M_above_inv_Kdelta
         assert rep.recommended_action == "reduce_M"
 
+    def test_delta_at_inv_km_sets_its_flag(self):
+        # delta = 1/(K*M) exactly: run_full needs delta < 1/(K*M), so the
+        # flag and the action agree that M is one too many here
+        rep = check_regime(10**6, 0.01, 50, 2.0)
+        assert rep.M_above_inv_Kdelta
+        assert not (rep.delta_below_inv_n2 or rep.M_below_K2 or rep.target_distance_below_one)
+        assert rep.recommended_action == "reduce_M"
+
     def test_desk_defaults_run_full(self):
         rep = check_regime(2**17, 0.01, 25, 2.0)
         assert rep.recommended_action == "run_full"

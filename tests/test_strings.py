@@ -34,6 +34,20 @@ from tracerecon.strings import (
 bits = st.text(alphabet="01", max_size=64)
 
 
+@pytest.fixture
+def prefilter_calls(monkeypatch):
+    """The haystack bytes of every prefilter call the window search makes."""
+    calls = []
+    real = strings_module._prefilter_starts
+
+    def recording(pieces, hay, *args):
+        calls.append(hay)
+        return real(pieces, hay, *args)
+
+    monkeypatch.setattr(strings_module, "_prefilter_starts", recording)
+    return calls
+
+
 class TestBitString:
     def test_basics(self):
         w = BitString("0110")
@@ -76,13 +90,17 @@ class TestBitString:
         "bytes": b"\x00\x01\x01\x00",
         "bytearray": bytearray(b"\x00\x01\x01\x00"),
         "ndarray": np.array([0, 1, 1, 0], dtype=np.int64),
+        "ndarray_bool": np.array([False, True, True, False]),
+        "ndarray_float": np.array([0.0, 1.0, 1.0, 0.0]),
         "list": [0, 1, 1, 0],
     }
     NOT_BITS = {
         "str": ["0120", "01 0", "0\x001"],
         "bytes": [b"\x00\x02", b"01"],
         "bytearray": [bytearray(b"\x01\xff")],
-        "ndarray": [np.array([0, 2]), np.array([1, -1])],
+        # a uint8 cast before the check would read 101 and 01 from the 2nd and 3rd
+        "ndarray": [np.array([0, 2]), np.array([1, -1]), np.array([1, 256, 257]),
+                    np.array([0.5, 1.9]), np.array([-1]), np.array([0.0, np.nan])],
         "list": [[0, 1, 2], [-1]],
     }
 
@@ -365,7 +383,7 @@ class TestFindClosestSubword:
         assert edit_distance_dp(template, cand) <= max_dist
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_planted_copy_through_prefilter(self, seed):
+    def test_planted_copy_through_prefilter(self, seed, prefilter_calls):
         # t >= 12 * (max_dist + 1) and a search longer than 4t: the exact-piece
         # prefilter chooses the candidates, and the packed kernel scores them
         rng = np.random.default_rng(seed)
@@ -374,8 +392,8 @@ class TestFindClosestSubword:
         copy = trace.subword(at, at + 39)
         template = apply_deletions(copy, [int(rng.integers(1, 41))]).trace
         window = Interval(1, len(trace))
-        assert _prefilter_starts(template.array, trace, window, 1, 38) is not None
         got = find_closest_subword(template, trace, window, 1)
+        assert prefilter_calls == [trace.tobytes()]
         assert got is not None and got.lo <= at
         assert got == find_closest_subword_naive(template, trace, window, 1)
 
@@ -466,21 +484,20 @@ class TestFindClosestSubwords:
             searches.append(Interval(lo, hi))
         self.check(BitString(template), hays, searches, max_dist)
 
-    def test_planted_copies_through_prefilter(self):
+    def test_planted_copies_through_prefilter(self, prefilter_calls):
         # t >= 12 * (max_dist + 1): the prefilter picks every haystack's
         # candidates, one haystack misses and one search is shorter than the
-        # shortest window
+        # shortest window, so it is never searched
         rng = np.random.default_rng(5)
         hays = [random_bits(300, rng) for _ in range(4)]
         template = hays[1].subword(101, 140)
         hays[2] = BitString(np.concatenate([hays[2].array[:50], template.array[1:], hays[2].array[50:]]))
         searches = [Interval(1, 300), Interval(1, 300), Interval(20, 301), Interval(101, 137)]
-        for h, s in zip(hays, searches):
-            assert _prefilter_starts(template.array, h, s, 1, 39) is not None
         got = self.check(template, hays, searches, 1)
+        assert prefilter_calls == [h.tobytes() for h in hays[:3]]
         assert got[0] is None and got[1].lo <= 101 and got[2].lo <= 51 and got[3] is None
 
-    def test_block_boundary_inside_one_haystack(self):
+    def test_block_boundary_inside_one_haystack(self, prefilter_calls):
         # pieces of 3 bits force every start to be scored; the first
         # haystack's 1495 misses leave room for only part of the second's
         # candidates in the first 2048-row block, and its hit is in the next
@@ -489,9 +506,9 @@ class TestFindClosestSubwords:
         hays = [BitString("0" * 1500), BitString(plant), BitString("1" * 700 + plant),
                 BitString("01" * 900)]
         searches = [Interval(1, len(h)) for h in hays]
-        assert _prefilter_starts(template.array, hays[1], searches[1], 1, 6) is None
         assert len(hays[0]) - 6 < strings_module._BLOCK < len(hays[0]) - 6 + 1001
         got = self.check(template, hays, searches, 1)
+        assert prefilter_calls == []
         assert got[0] is None and got[1] is not None and got[2] is not None
 
     def test_exact_search_per_haystack(self):
@@ -535,15 +552,17 @@ class TestPrefilter:
 
     @staticmethod
     def check(template: np.ndarray, hay: BitString, search: Interval, max_dist: int):
-        min_len = max(1, template.size - max_dist)
+        # the cut find_closest_subwords makes: max_dist + 1 pieces at
+        # np.linspace bounds, each long enough to look up in the index
+        t, tb = template.size, template.tobytes()
+        assert t // (max_dist + 1) >= strings_module._KMER
+        bounds = np.linspace(0, t, max_dist + 2).astype(int).tolist()
+        pieces = [(a, tb[a:b], int("".join(map(str, tb[a : a + 12])), 2))
+                  for a, b in zip(bounds, bounds[1:])]
+        min_len = max(1, t - max_dist)
         want = prefilter_starts_find(template, hay.tobytes(), search, max_dist, min_len)
-        got = _prefilter_starts(template, hay, search, max_dist, min_len)
-        got_indexed = _prefilter_starts(
-            template, hay, search, max_dist, min_len, kmer_index(hay)
-        )
-        assert want is not None and got is not None
-        assert got.dtype == want.dtype == got_indexed.dtype
-        assert np.array_equal(got, want) and np.array_equal(got_indexed, want)
+        got = _prefilter_starts(pieces, hay.tobytes(), kmer_index(hay), search, max_dist, min_len)
+        assert got == want
         return got
 
     @pytest.mark.parametrize("seed", range(4))
@@ -600,8 +619,8 @@ class TestPrefilter:
             anchor = end0 - t
         got = self.check(template, hay, Interval(lo, hi), max_dist)
         inside = edge in ("first_at_lo", "last_at_hi")
-        assert (anchor in got.tolist()) == inside
-        assert got.size == (2 * max_dist + 1 if inside else 0) - (edge == "first_at_lo") * max_dist
+        assert (anchor in got) == inside
+        assert len(got) == (2 * max_dist + 1 if inside else 0) - (edge == "first_at_lo") * max_dist
 
     @pytest.mark.parametrize("max_dist", [1, 2, 3, 4])
     @pytest.mark.parametrize("kind", ["zeros", "sparse", "p2", "p3", "p7"])
@@ -613,7 +632,7 @@ class TestPrefilter:
         at = int(rng.integers(300, 2000))
         template = hay.subword(at, at + t - 1).array
         got = self.check(template, hay, Interval(211, 2301), max_dist)
-        assert got.size > 0
+        assert got
 
     @pytest.mark.parametrize("span", [170, 4 * 55, 56, 40])
     @pytest.mark.parametrize("seed", range(3))
@@ -628,25 +647,25 @@ class TestPrefilter:
         assert len(template) == 55
         search = Interval(at - int(rng.integers(0, 20)), at - 20 + span)
         got = self.check(template.array, hay, search, 1)
-        assert (got.size > 0) == (span >= 170)  # the copy fits in the span
+        assert bool(got) == (span >= 170)  # the copy fits in the span
         assert find_closest_subword(template, hay, search, 1, kmer_index(hay)) == (
             find_closest_subword_naive(template, hay, search, 1)
         )
 
     @pytest.mark.parametrize("kind", ["random", "sparse", "p3"])
     @pytest.mark.parametrize("max_dist", [1, 2])
-    def test_find_closest_subword_with_and_without_index(self, kind, max_dist):
+    def test_find_closest_subword_with_and_without_index(self, kind, max_dist, prefilter_calls):
         rng = np.random.default_rng(7 + max_dist)
         hay = random_bits(400, rng) if kind == "random" else _low_entropy(kind, 400, rng)
         t = 12 * (max_dist + 1) + 3
         copy = hay.subword(150, 150 + t - 1)
         template = apply_deletions(copy, [int(rng.integers(1, t + 1))]).trace
         search = Interval(int(rng.integers(2, 60)), int(rng.integers(340, 400)))
-        assert _prefilter_starts(template.array, hay, search, max_dist, t - 1 - max_dist) is not None
         want = find_closest_subword_naive(template, hay, search, max_dist)
         assert want is not None
         assert find_closest_subword(template, hay, search, max_dist) == want
         assert find_closest_subword(template, hay, search, max_dist, kmer_index(hay)) == want
+        assert len(prefilter_calls) == 2
 
 class TestFindCommonWord:
     def test_shared_word(self):
