@@ -131,7 +131,14 @@ def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeR
     the others fewer traces do better.  ``M_above_inv_Kdelta`` is set where
     delta >= 1/(K*M).  For K >= 1, delta < 1/(K*M) implies delta*M < 1; the
     separate cut keeps a K < 1 run out of `derive_params`' H <= 0 error.
+    Raises ValueError for n < 1, M < 1 or K <= 0.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if m_traces < 1:
+        raise ValueError("m_traces must be >= 1")
+    if k_const <= 0:
+        raise ValueError("k_const must be > 0")
     K = float(k_const)
     inv_n2 = 1.0 / (n * n)
     delta_below = delta < inv_n2

@@ -4,15 +4,15 @@ Everything downstream (channel records, alignment, reconstruction) works on
 immutable binary strings with the 1-based indexing convention used throughout
 the package: ``x[1]`` is the first bit and subwords are closed intervals
 ``x[i : j]``.  A :class:`BitString` holds one ``bytes`` value, one byte
-(0 or 1) per bit: the vote, the window search and the common-word search
-read it as bytes, and the numpy kernels read ``array``, a read-only view of
-the same bytes made without a copy.  The window search
+(0 or 1) per bit: the distance kernel, the vote, the window search and the
+common-word search read it as bytes, and the numpy kernels read ``array``,
+a read-only view of the same bytes made without a copy.  The window search
 :func:`find_closest_subwords` looks for one template in many haystacks at
 once: a prefilter looks the template's pieces up in each haystack's
 12-bit-word index (:func:`kmer_index`, which a caller searching one
 haystack many times builds once and passes in), and the candidate windows
-of all haystacks are scored together.  :func:`find_closest_subword` is its
-one-haystack call.
+of all haystacks are scored together, every haystack's first start before
+any later one.  :func:`find_closest_subword` is its one-haystack call.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
@@ -20,7 +20,10 @@ kernel computes it, the bit-parallel LCS recurrence on Python ints, over
 the band of diagonals a cap allows in O(|a| * cap / w): once for the
 bounded distance, and at most twice for the exact one, the second pass at
 the first pass's distance.  The same recurrence, run once over up to 2048
-candidate windows packed into one int, serves the window search.
+candidate windows packed into one int, serves the window search.  Its
+match masks are built from the bytes with ``bytes.translate`` and
+``int(digits, 2)``, and the window search reads its result back from the
+binary digits of the int with ``str.count``.
 """
 
 from __future__ import annotations
@@ -142,34 +145,43 @@ class Interval:
             raise ValueError(f"invalid interval [{self.lo}:{self.hi}]")
 
 
-def _pack(bits: np.ndarray) -> int:
-    """Python int whose bit i is set where ``bits`` (flattened) is true."""
-    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
+# A packed block holds bit bytes (0 or 1), pad bytes (2) that match nothing
+# and guard bytes (3) that end each row; these tables turn it into the
+# digits of a match mask, or of the mask of its non-guard columns
+_MATCHES_0 = bytes.maketrans(b"\x00\x01\x02\x03", b"1000")
+_MATCHES_1 = bytes.maketrans(b"\x00\x01\x02\x03", b"0100")
+_COLUMNS = bytes.maketrans(b"\x00\x01\x02\x03", b"1110")
 
 
-def _match_masks(b: np.ndarray) -> tuple[int, int]:
-    """Bit j of mask c is set where ``b[j] == c``; other symbols match nothing."""
-    return _pack(b == 0), _pack(b == 1)
+def _match_masks(b: bytes) -> tuple[int, int]:
+    """Bit j of mask c is set where ``b[j] == c``; other symbols match nothing.
+
+    ``b`` is non-empty; ``int`` reads its first digit as the most
+    significant, so the digits are read from the reversed bytes.
+    """
+    rev = b[::-1]
+    return int(rev.translate(_MATCHES_0), 2), int(rev.translate(_MATCHES_1), 2)
 
 
-def _lcs_steps(a: np.ndarray, peq: tuple[int, int], v: int, mask: int) -> int:
+def _lcs_steps(a: bytes, peq: tuple[int, int], v: int, mask: int) -> int:
     """Bit-parallel LCS rows of ``a`` against the columns of ``peq``, from ``v``.
 
     Allison & Dix (1986) / Hyyrö (2004): bit j of ``v`` is 0 exactly where
     the current LCS table row steps up at column j, and one mask step per
-    symbol of ``a`` updates every column under ``mask`` at once through
-    Python int arithmetic.  ``peq`` holds the match masks of the columns
-    (:func:`_match_masks`); ``v`` is the row before the first symbol, all
-    ones for the empty prefix of ``a``.
+    symbol (byte 0 or 1) of ``a`` updates every column under ``mask`` at
+    once through Python int arithmetic.  ``peq`` holds the match masks of
+    the columns (:func:`_match_masks`); ``v`` is the row before the first
+    symbol, all ones for the empty prefix of ``a``.
     """
-    for c in a.tolist():
+    for c in a:
         u = v & peq[c]
         v = ((v + u) | (v - u)) & mask
     return v
 
 
-def _lcs_length(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> int:
-    """Length of a longest common subsequence, looping over the shorter string.
+def _lcs_length(a: bytes, b: bytes, cap: int | None = None) -> int:
+    """Length of a longest common subsequence of two bit byte strings,
+    looping over the shorter one.
 
     Without ``cap``, or when ``cap >= |a| + |b|``, one pass runs over every
     column.  Otherwise only the diagonals ``e = j - i`` that an alignment of
@@ -184,25 +196,27 @@ def _lcs_length(a: np.ndarray, b: np.ndarray, cap: int | None = None) -> int:
     edge a vertical one), so the result never exceeds the true LCS, and it
     equals it whenever the distance is at most ``cap``.
     """
-    if a.size > b.size:
+    if len(a) > len(b):
         a, b = b, a
+    if not a:
+        return 0
     peq = _match_masks(b)
-    if cap is None or cap >= a.size + b.size:
-        mask = (1 << b.size) - 1
-        return b.size - _lcs_steps(a, peq, mask, mask).bit_count()
-    pad = (cap - (b.size - a.size)) // 2
-    w = b.size - a.size + 2 * pad + 1
+    if cap is None or cap >= len(a) + len(b):
+        mask = (1 << len(b)) - 1
+        return len(b) - _lcs_steps(a, peq, mask, mask).bit_count()
+    pad = (cap - (len(b) - len(a))) // 2
+    w = len(b) - len(a) + 2 * pad + 1
     h = max(w, 256)  # rows per chunk, so shifting the masks stays a small share
     mask = (1 << (w + h)) - 1
     peq = (peq[0] << pad, peq[1] << pad)
     base, v = 0, mask
-    for i0 in range(0, a.size, h):
+    for i0 in range(0, len(a), h):
         if i0:
             base += h - (v & ((1 << h) - 1)).bit_count()
             v = (v >> h) | (mask ^ (mask >> h))
         window = ((peq[0] >> i0) & mask, (peq[1] >> i0) & mask)
         v = _lcs_steps(a[i0 : i0 + h], window, v, mask)
-    cols = b.size + pad - i0  # window columns up to the end of b
+    cols = len(b) + pad - i0  # window columns up to the end of b
     return base + cols - (v & ((1 << cols) - 1)).bit_count()
 
 
@@ -219,9 +233,9 @@ def edit_distance(a: BitString, b: BitString) -> int:
     """
     total = len(a) + len(b)
     cap = max(256, abs(len(a) - len(b)))
-    d = total - 2 * _lcs_length(a.array, b.array, cap)
+    d = total - 2 * _lcs_length(a.tobytes(), b.tobytes(), cap)
     if d > cap:
-        d = total - 2 * _lcs_length(a.array, b.array, d)
+        d = total - 2 * _lcs_length(a.tobytes(), b.tobytes(), d)
     return d
 
 
@@ -236,41 +250,55 @@ def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
         raise ValueError("cap must be >= 0")
     if abs(len(a) - len(b)) > cap:
         return None
-    d = len(a) + len(b) - 2 * _lcs_length(a.array, b.array, cap)
+    d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes(), cap)
     return d if d <= cap else None
 
 
-def _window_prefix_distances(
-    template: np.ndarray, windows: np.ndarray, min_len: int
-) -> np.ndarray:
-    """Distance from ``template`` to every prefix of at least ``min_len``
-    bits of every candidate window.
+def _first_hits(
+    template: bytes,
+    windows: Sequence[bytes],
+    owners: Sequence[int],
+    min_len: int,
+    max_dist: int,
+) -> dict[int, tuple[int, int]]:
+    """Each owner's first row with a prefix of at least ``min_len`` bits
+    within distance ``max_dist`` of ``template``, as ``{owner: (row, length)}``
+    for the shortest such prefix of that row.
 
-    ``windows`` has one row per candidate, padded on the right with a value
-    outside {0, 1}; column j - min_len of the result is the distance to the
-    length-j prefix of that row.
+    ``windows`` are the rows, bit bytes padded on the right to one width
+    with byte 2, which matches nothing; ``owners[r]`` owns row r, and an
+    owner's rows are read in order up to its first hit.
 
-    One ``_lcs_steps`` pass scores all rows: row r holds bits
-    r * (L + 1) .. r * (L + 1) + L - 1 of ``v``, with a guard bit above.
-    ``v - u`` never borrows because ``u`` is a subset of ``v``, and a carry
-    out of a row stops at its guard bit, which the mask clears.  The LCS
-    with a length-j prefix is then the number of zero bits among the row's
-    first j: the zeros before column ``min_len`` are counted once per row,
-    and only the columns from there on are summed up one by one.
+    One ``_lcs_steps`` pass scores all rows: joined with a guard byte 3
+    after each, row r holds bits r * (L + 1) .. r * (L + 1) + L - 1 of
+    ``v``, with its guard bit above.  ``v - u`` never borrows because ``u``
+    is a subset of ``v``, and a carry out of a row stops at its guard bit,
+    which the mask clears.  The LCS with a length-j prefix of a row is the
+    number of zero bits among its first j, counted in the binary digits of
+    ``v`` with ``str.count``.  The distance t + j - 2 * lcs falls by at most
+    one per column, so a prefix e over budget is followed by none within it
+    until e columns on; there the excess is twice the one bits in between.
+    So each row is read in a few counts, from its first ``min_len`` columns
+    on.
     """
-    k, width = windows.shape
-    rows = np.full((k, width + 1), 2, dtype=np.uint8)  # last column: guard bits
-    rows[:, :width] = windows
-    mask = _pack(np.broadcast_to(np.arange(width + 1) < width, rows.shape))
-    v = _lcs_steps(template, _match_masks(rows), mask, mask)
-    packed = np.frombuffer(v.to_bytes((rows.size + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(packed, count=rows.size, bitorder="little").reshape(rows.shape)
-    skip = min_len - 1
-    dist = np.cumsum(bits[:, skip:width] == 0, axis=1, dtype=np.int32)  # lcs
-    dist += (skip - bits[:, :skip].sum(axis=1, dtype=np.int32))[:, None]
-    dist *= -2
-    dist += np.arange(template.size + min_len, template.size + width + 1, dtype=np.int32)
-    return dist
+    t, width = len(template), len(windows[0])
+    block = b"\x03".join(windows) + b"\x03"
+    total = len(block)
+    mask = int(block[::-1].translate(_COLUMNS), 2)
+    digits = format(_lcs_steps(template, _match_masks(block), mask, mask), f"0{total}b")
+    found: dict[int, tuple[int, int]] = {}
+    for r, owner in enumerate(owners):
+        if owner in found:
+            continue
+        end = total - r * (width + 1)  # column j of row r is digits[end - 1 - j]
+        j = min_len
+        excess = t + j - 2 * digits.count("0", end - j, end) - max_dist
+        while 0 < excess <= width - j:
+            j += excess
+            excess = 2 * digits.count("1", end - j, end - j + excess)
+        if excess <= 0:
+            found[owner] = (r, j)
+    return found
 
 
 _KMER = 12  # word length of the haystack index: 2**12 = 4096 codes
@@ -285,12 +313,13 @@ def kmer_index(bits: BitString) -> tuple[np.ndarray, np.ndarray]:
     ``starts[offsets[c] : offsets[c + 1]]``, with ``offsets`` (int32) of
     length 4097.
     """
+    # codes of the 2-, 4- and 8-bit words, each from two of the half length;
+    # a slice past the end is empty, so a short string has no words
     a = bits.array
-    n_words = max(a.size - _KMER + 1, 0)
-    codes = np.zeros(n_words, dtype=np.uint16)
-    for i in range(_KMER):
-        codes <<= 1
-        codes |= a[i : i + n_words]
+    c2 = a[:-1] << 1 | a[1:]
+    c4 = c2[:-2] << 2 | c2[2:]
+    c8 = c4[:-4] << 4 | c4[4:]
+    codes = np.left_shift(c8[:-4], 4, dtype=np.uint16) | c4[8:]
     starts = np.argsort(codes, kind="stable").astype(np.int32)  # radix sort on uint16
     offsets = np.zeros((1 << _KMER) + 1, dtype=np.int32)
     np.cumsum(np.bincount(codes, minlength=1 << _KMER), out=offsets[1:])
@@ -358,9 +387,14 @@ def find_closest_subwords(
     that search one haystack many times; a missing index is built when the
     prefilter needs one.
 
-    The candidate windows of every haystack are scored together, in one
-    packed pass per block of up to 2048 rows; a haystack drops out of later
-    blocks once it has a hit.
+    The candidate windows are scored in scan order, in two passes.  The
+    first scores every haystack's first candidate start, where a copy of
+    the template displaced by up to ``max_dist`` usually already hits; the
+    second scores the remaining starts of the haystacks the first pass
+    missed.  Each pass packs the windows of all its haystacks together, in
+    one bit-parallel pass per block of up to 2048 rows (:func:`_first_hits`,
+    on bytes and Python ints alone); a haystack drops out of later blocks
+    once it has a hit.
     """
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
@@ -389,7 +423,8 @@ def find_closest_subwords(
     # The prefilter's template cut, when its pieces are long enough to look up
     pieces: list[tuple[int, bytes, int]] = []
     if t // (max_dist + 1) >= _KMER:
-        bounds = np.linspace(0, t, max_dist + 2).astype(int).tolist()
+        step = t / (max_dist + 1)  # the float steps of np.linspace(0, t, max_dist + 2)
+        bounds = [int(i * step) for i in range(max_dist + 1)] + [t]
         pieces = [(a, tb[a:b], int(tb[a : a + _KMER].translate(_DIGITS), 2))
                   for a, b in zip(bounds, bounds[1:])]
     todo: list[tuple[int, Sequence[int]]] = []  # (haystack, 0-based starts to score)
@@ -409,27 +444,27 @@ def find_closest_subwords(
     # nothing.  Every start leaves at least min_len bits before the end, and
     # a window running into the pad is farther than its prefix inside the
     # search by one per pad bit, so the shorter window is found first.
-    while todo:
-        rows_h: list[int] = []
-        rows_q: list[int] = []
-        windows: list[bytes] = []
-        rest = []
-        for h, starts in todo:
-            take = starts[: _BLOCK - len(rows_q)]
-            hay_b, end = haystacks[h].tobytes(), searches[h].hi
-            rows_h += [h] * len(take)
-            rows_q += take
-            windows += [hay_b[q : min(q + max_len, end)].ljust(max_len, b"\x02") for q in take]
-            if len(take) < len(starts):
-                rest.append((h, starts[len(take) :]))
-        rows = np.frombuffer(b"".join(windows), dtype=np.uint8).reshape(len(rows_q), max_len)
-        hit = _window_prefix_distances(template.array, rows, min_len) <= max_dist
-        first = hit.argmax(axis=1).tolist()  # shortest qualifying length per row
-        for r in np.flatnonzero(hit.any(axis=1)).tolist():
-            h = rows_h[r]
-            if hits[h] is None:
-                hits[h] = Interval(rows_q[r] + 1, rows_q[r] + min_len + first[r])
-        todo = [entry for entry in rest if hits[entry[0]] is None]
+    # Each haystack's first start is scored first, since it usually hits;
+    # only the haystacks it misses go on to their later starts.
+    for pending in ([(h, starts[:1]) for h, starts in todo],
+                    [(h, starts[1:]) for h, starts in todo]):
+        pending = [entry for entry in pending if hits[entry[0]] is None and entry[1]]
+        while pending:
+            rows_h: list[int] = []
+            rows_q: list[int] = []
+            windows: list[bytes] = []
+            rest = []
+            for h, starts in pending:
+                take = starts[: _BLOCK - len(rows_q)]
+                hay_b, end = haystacks[h].tobytes(), searches[h].hi
+                rows_h += [h] * len(take)
+                rows_q += take
+                windows += [hay_b[q : min(q + max_len, end)].ljust(max_len, b"\x02") for q in take]
+                if len(take) < len(starts):
+                    rest.append((h, starts[len(take) :]))
+            for h, (r, length) in _first_hits(tb, windows, rows_h, min_len, max_dist).items():
+                hits[h] = Interval(rows_q[r] + 1, rows_q[r] + length)
+            pending = [entry for entry in rest if hits[entry[0]] is None]
     return hits
 
 

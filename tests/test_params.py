@@ -142,6 +142,22 @@ class TestCheckRegime:
         # and derive_params refuses the point; fewer traces fix it
         assert check_regime(4096, 0.3, 4, 0.5).recommended_action == "reduce_M"
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((100, 0.01, 0, 2.0), "m_traces"),
+            ((100, 0.01, -3, 2.0), "m_traces"),
+            ((100, 0.01, 4, 0.0), "k_const"),
+            ((100, 0.01, 4, -1.0), "k_const"),
+            ((0, 0.01, 4, 2.0), "n"),
+        ],
+    )
+    def test_rejects_bad_inputs_by_name(self, args, name):
+        # the error names the bad argument; without the checks these reach
+        # the 1/(K*M) and 1/n^2 cuts and the log of delta*M
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            check_regime(*args)
+
 
 class TestReduceMTraces:
     def test_finds_smaller_m(self):

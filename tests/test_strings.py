@@ -25,9 +25,9 @@ from .oracles import (
 )
 import tracerecon.strings as strings_module
 from tracerecon.strings import (
+    _first_hits,
     _lcs_length,
     _prefilter_starts,
-    _window_prefix_distances,
     kmer_index,
 )
 
@@ -152,6 +152,19 @@ class TestEditDistance:
         assert edit_distance(wa, wb) == edit_distance(wb, wa)
         assert edit_distance(wa, wa) == 0
 
+    @pytest.mark.parametrize(
+        "other", ["", "0", "1", "0110100", "1" * 300], ids=["empty", "0", "1", "7-bit", "300-ones"]
+    )
+    def test_empty_on_either_side(self, other):
+        # an empty string has no match-mask digits for int(digits, 2) to read
+        empty, o = BitString(""), BitString(other)
+        for a, b in ((empty, o), (o, empty)):
+            assert edit_distance(a, b) == len(other)
+            assert edit_distance_bounded(a, b, len(other)) == len(other)
+            assert edit_distance_bounded(a, b, len(other) + 5) == len(other)
+            if other:
+                assert edit_distance_bounded(a, b, len(other) - 1) is None
+
     def test_bounded_cap(self):
         a, b = BitString("1111"), BitString("0000")
         assert edit_distance_bounded(a, b, 8) == 8
@@ -223,7 +236,7 @@ class TestEditDistance:
         assert edit_distance(a, b) == 2 * k + j
         assert caps == caps_run
         assert all(cap >= 2 * k + j for cap in caps[1:])
-        assert len(a) + len(b) - 2 * _lcs_length(a.array, b.array) == 2 * k + j
+        assert len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes()) == 2 * k + j
 
     def test_length_gap_past_the_first_cap(self, monkeypatch, rng):
         # a trace is at distance n - |trace| from its source; a gap of 300
@@ -272,14 +285,14 @@ class TestBandedDistance:
         # unrelated pairs sit far above small caps; the band may undercount
         # the LCS there, but never overcount it, across several chunks
         rng = np.random.default_rng(seed)
-        a = random_bits(int(rng.integers(500, 900)), rng).array
-        b = random_bits(int(rng.integers(500, 900)), rng).array
+        a = random_bits(int(rng.integers(500, 900)), rng).tobytes()
+        b = random_bits(int(rng.integers(500, 900)), rng).tobytes()
         lcs = _lcs_length(a, b)
-        gap = abs(a.size - b.size)
+        gap = abs(len(a) - len(b))
         for cap in (gap, gap + 1, gap + 7, gap + 40):
             got = _lcs_length(a, b, cap)
             assert got <= lcs
-            assert a.size + b.size - 2 * got > cap  # so the cap rejects it
+            assert len(a) + len(b) - 2 * got > cap  # so the cap rejects it
 
     @pytest.mark.parametrize("n", [2**13, 2**14])
     def test_long_trace_pair_at_its_cap(self, n, rng):
@@ -288,7 +301,7 @@ class TestBandedDistance:
         # shorter trace's length no multiple of the chunk height
         x = random_bits(n, rng)
         a, b = transmit(x, 0.01, rng).trace, transmit(x, 0.01, rng).trace
-        d = len(a) + len(b) - 2 * _lcs_length(a.array, b.array)
+        d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes())
         gap = abs(len(a) - len(b))
         assert gap < d - 1
         for cap in (d - 1, d, d + 1):
@@ -309,7 +322,7 @@ class TestBandedDistance:
 
         monkeypatch.setattr(strings_module, "_lcs_steps", recording_steps)
         a, b = random_bits(300, rng), random_bits(280, rng)
-        d = len(a) + len(b) - 2 * _lcs_length(a.array, b.array)
+        d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes())
         assert widths == [300]
         widths.clear()
         assert edit_distance_bounded(a, b, 580) == d
@@ -399,11 +412,17 @@ class TestFindClosestSubword:
 
     @pytest.mark.parametrize("t,max_dist", [(5, 2), (30, 1), (3, 4)])
     def test_all_ones_carry_to_guard_bit(self, t, max_dist):
-        # every step of every row carries out of its top bit into the guard
+        # every step of every row carries out of its top bit into the guard;
+        # the length-j prefix of a row is at distance |t - j|, so its first
+        # prefix from min_len on within a budget is max(min_len, t - budget)
         template = BitString("1" * t)
-        windows = np.ones((7, t + max_dist), dtype=np.uint8)
-        want = [abs(t - j) for j in range(1, t + max_dist + 1)]
-        assert (_window_prefix_distances(template.array, windows, 1) == want).all()
+        width = t + max_dist
+        windows = [b"\x01" * width] * 7
+        for min_len in range(1, width + 1):
+            for budget in range(width + 1):
+                j = max(min_len, t - budget)
+                want = {r: (r, j) for r in range(7)} if j - t <= budget else {}
+                assert _first_hits(template.tobytes(), windows, range(7), min_len, budget) == want
         trace = BitString("1" * 200)
         window = Interval(1, 200)
         got = find_closest_subword(template, trace, window, max_dist)
@@ -421,38 +440,55 @@ class TestFindClosestSubword:
         assert got is not None and got.hi <= 13
         assert find_closest_subword(template, trace, Interval(1, 11), 1) is None
 
+    @staticmethod
+    def _padded_rows(raw_rows: list[str]) -> tuple[list[str], list[bytes]]:
+        """The rows padded to one width with "2", which matches nothing, as
+        strings for the DP oracle and as the bytes the block scorer reads."""
+        width = max(len(r) for r in raw_rows)
+        padded = [r.ljust(width, "2") for r in raw_rows]
+        return padded, [bytes(map(int, r)) for r in padded]
+
     @given(
         st.text(alphabet="01", min_size=1, max_size=12),
         st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=5),
     )
     def test_prefix_distances_match_dp(self, template, raw_rows):
-        width = max(len(r) for r in raw_rows)
-        windows = np.full((len(raw_rows), width), 2, dtype=np.uint8)
-        for i, r in enumerate(raw_rows):
-            windows[i, : len(r)] = BitString(r).array
-        got = _window_prefix_distances(BitString(template).array, windows, 1)
-        for i, r in enumerate(raw_rows):
-            want = [edit_distance_dp(template, r[:j]) for j in range(1, len(r) + 1)]
-            assert got[i, : len(r)].tolist() == want
+        # with min_len j and a budget of the DP distance of a row's
+        # length-j prefix, that row hits at j exactly; one less and it
+        # does not, so every prefix distance of every row is checked
+        padded, windows = self._padded_rows(raw_rows)
+        tb = BitString(template).tobytes()
+        rows = range(len(padded))
+        for j in range(1, len(padded[0]) + 1):
+            for i, r in enumerate(padded):
+                d = edit_distance_dp(template, r[:j])
+                assert _first_hits(tb, windows, rows, j, d)[i] == (i, j)
+                if d:
+                    later = _first_hits(tb, windows, rows, j, d - 1)
+                    assert i not in later or later[i][1] > j
 
     @given(
         st.text(alphabet="01", min_size=1, max_size=12),
-        st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=5),
+        st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=6),
         st.data(),
     )
     def test_prefix_distances_from_min_len_match_dp(self, template, raw_rows, data):
-        # the search reads only prefixes of at least min_len bits; the zeros
-        # of the columns before them still count towards every LCS
-        width = max(len(r) for r in raw_rows)
+        # rows share owners; each owner's first row with a prefix of at
+        # least min_len bits within budget, and that row's shortest such
+        # prefix; the zeros of the columns before min_len count towards
+        # every LCS
+        padded, windows = self._padded_rows(raw_rows)
+        width = len(padded[0])
         min_len = data.draw(st.integers(min_value=1, max_value=width))
-        windows = np.full((len(raw_rows), width), 2, dtype=np.uint8)
-        for i, r in enumerate(raw_rows):
-            windows[i, : len(r)] = BitString(r).array
-        got = _window_prefix_distances(BitString(template).array, windows, min_len)
-        assert got.shape == (len(raw_rows), width - min_len + 1)
-        for i, r in enumerate(raw_rows):
-            want = [edit_distance_dp(template, r[:j]) for j in range(min_len, len(r) + 1)]
-            assert got[i, : len(want)].tolist() == want
+        max_dist = data.draw(st.integers(min_value=0, max_value=width + len(template)))
+        owners = data.draw(st.lists(st.integers(0, 2), min_size=len(padded), max_size=len(padded)))
+        want: dict[int, tuple[int, int]] = {}
+        for i, (r, owner) in enumerate(zip(padded, owners)):
+            for j in range(min_len, width + 1):
+                if owner not in want and edit_distance_dp(template, r[:j]) <= max_dist:
+                    want[owner] = (i, j)
+        tb = BitString(template).tobytes()
+        assert _first_hits(tb, windows, owners, min_len, max_dist) == want
 
 
 class TestFindClosestSubwords:
@@ -498,9 +534,10 @@ class TestFindClosestSubwords:
         assert got[0] is None and got[1].lo <= 101 and got[2].lo <= 51 and got[3] is None
 
     def test_block_boundary_inside_one_haystack(self, prefilter_calls):
-        # pieces of 3 bits force every start to be scored; the first
-        # haystack's 1495 misses leave room for only part of the second's
-        # candidates in the first 2048-row block, and its hit is in the next
+        # pieces of 3 bits force every start to be scored; after the first
+        # starts, the first haystack's 1494 later misses leave room for only
+        # part of the second's in the first 2048-row block, and its hit is
+        # in the next
         template = BitString("0110100")
         plant = "0" * 1000 + str(template) + "0" * 1000
         hays = [BitString("0" * 1500), BitString(plant), BitString("1" * 700 + plant),
@@ -510,6 +547,42 @@ class TestFindClosestSubwords:
         got = self.check(template, hays, searches, 1)
         assert prefilter_calls == []
         assert got[0] is None and got[1] is not None and got[2] is not None
+
+    def test_first_start_misses_later_start_hits(self, prefilter_calls):
+        # a bit inserted before the template's second piece moves that
+        # piece's anchor one on, so the first candidate start, max_dist
+        # before the first piece's anchor, leaves two edits and misses; a
+        # later start hits.  The other haystacks hold the template verbatim
+        # and hit on their first start, in the same call
+        rng = np.random.default_rng(11)
+        template = str(random_bits(40, rng))
+        flip = "1" if template[20] == "0" else "0"
+        plants = [(150, template[:20] + flip + template[20:]), (150, template), (90, template)]
+        hays = [BitString(str(random_bits(at, rng)) + plant + str(random_bits(150, rng)))
+                for at, plant in plants]
+        searches = [Interval(1, len(h)) for h in hays]
+        got = self.check(BitString(template), hays, searches, 1)
+        assert len(prefilter_calls) == 3
+        first = [prefilter_starts_find(BitString(template).array, h.tobytes(), s, 1, 39)[0]
+                 for h, s in zip(hays, searches)]
+        assert got[0].lo - 1 > first[0]
+        assert [hit.lo - 1 for hit in got[1:]] == first[1:]
+
+    def test_every_start_over_several_blocks(self, prefilter_calls):
+        # pieces of 3 bits force every start to be scored: after the first
+        # starts, 2620 more over four haystacks fill two 2048-row blocks,
+        # and the last haystack's copy, at the end of its starts, is in
+        # the second; each haystack with a copy misses up to it
+        template = BitString("0110100")
+        hays = [BitString("1" * 700), BitString("0" * 600 + "0110100"),
+                BitString("0" * 650), BitString("01" * 340 + "0110100")]
+        searches = [Interval(1, len(h)) for h in hays]
+        # a window is at least 6 bits, so a haystack has len - 6 later starts
+        before = sum(len(h) - 6 for h in hays[:3])
+        assert before < strings_module._BLOCK < before + 670
+        got = self.check(template, hays, searches, 1)
+        assert prefilter_calls == []
+        assert got[0] is None and got[1].lo > 590 and got[2] is None and got[3].lo > 670
 
     def test_exact_search_per_haystack(self):
         template = BitString("0110")
@@ -565,10 +638,9 @@ class TestPrefilter:
         assert got == want
         return got
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_kmer_index_lists_every_word(self, seed):
-        rng = np.random.default_rng(seed)
-        hay = random_bits(int(rng.integers(0, 3000)), rng) if seed else BitString("01" * 6)
+    @staticmethod
+    def check_index(hay: BitString):
+        # the naive index: every 12-bit word start, read off the digits
         offsets, starts = kmer_index(hay)
         assert offsets.dtype == starts.dtype == np.int32
         assert offsets.size == 4097 and offsets[-1] == starts.size == max(len(hay) - 11, 0)
@@ -578,6 +650,19 @@ class TestPrefilter:
             want.setdefault(int(s[p : p + 12], 2), []).append(p)
         for code in range(4096):
             assert starts[offsets[code] : offsets[code + 1]].tolist() == want.get(code, [])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_kmer_index_lists_every_word(self, seed):
+        rng = np.random.default_rng(seed)
+        hay = random_bits(int(rng.integers(0, 3000)), rng) if seed else BitString("01" * 6)
+        self.check_index(hay)
+
+    def test_kmer_index_of_short_strings(self, rng):
+        # the codes are built from the 2-, 4- and 8-bit words; every length
+        # from no word up to a dozen and more
+        for n in range(25):
+            self.check_index(random_bits(n, rng))
+            self.check_index(BitString("1" * n))
 
     def test_short_haystack_has_no_words(self):
         offsets, starts = kmer_index(BitString("0" * 11))
