@@ -17,13 +17,18 @@ any later one.  :func:`find_closest_subword` is its one-haystack call.
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
 kernel computes it, the bit-parallel LCS recurrence on Python ints, over
-the band of diagonals a cap allows in O(|a| * cap / w): once for the
-bounded distance, and at most twice for the exact one, the second pass at
-the first pass's distance.  The same recurrence, run once over up to 2048
-candidate windows packed into one int, serves the window search.  Its
-match masks are built from the bytes with ``bytes.translate`` and
-``int(digits, 2)``, and the window search reads its result back from the
-binary digits of the int with ``str.count``.
+the band of diagonals a cap allows: once for the bounded distance, and at
+most twice for the exact one, the second pass at the first pass's
+distance.  The band runs only between the two strings' shared ends: their
+common prefix, and then the common suffix of what is left, count as
+matched, found by two XORs of the strings read as ints at C speed in
+O(|a|), so the recurrence's Python loop costs O(m * cap / w) for a middle
+of m bits; at a small deletion rate, a trace and its source share long
+ends.  The same recurrence, run once over up to 2048 candidate windows
+packed into one int, serves the window search.  Its match masks are built
+from the bytes with ``bytes.translate`` and ``int(digits, 2)``, and the
+window search reads its result back from the binary digits of the int
+with ``str.count``.
 """
 
 from __future__ import annotations
@@ -96,15 +101,19 @@ class BitString:
         """Subword at the closed 1-based interval ``[i : j]``; empty if j < i."""
         if i < 1 or j > len(self._bytes):
             raise IndexError(f"[{i}:{j}] out of range for length {len(self._bytes)}")
-        return BitString(self._bytes[i - 1 : j])
+        # a negative slice end would count from the end of the bytes
+        return BitString(self._bytes[i - 1 : max(j, i - 1)])
 
     def concat(self, other: "BitString") -> "BitString":
         return BitString(self._bytes + other._bytes)
 
     def find(self, sub: "BitString", start: int = 1, end: int | None = None) -> int | None:
-        """Leftmost 1-based start of ``sub`` inside ``self[start : end]``, or None."""
+        """Leftmost 1-based start of ``sub`` inside ``self[start : end]``, or None;
+        the span is empty if end < start."""
         hi = len(self._bytes) if end is None else end
-        pos = self._bytes.find(sub._bytes, start - 1, hi)
+        if start < 1 or hi > len(self._bytes):
+            raise IndexError(f"[{start}:{hi}] out of range for length {len(self._bytes)}")
+        pos = self._bytes.find(sub._bytes, start - 1, max(hi, start - 1))
         return None if pos < 0 else pos + 1
 
     def __iter__(self) -> Iterator[int]:
@@ -181,35 +190,53 @@ def _lcs_steps(a: bytes, peq: tuple[int, int], v: int, mask: int) -> int:
 
 def _lcs_length(a: bytes, b: bytes, cap: int | None = None) -> int:
     """Length of a longest common subsequence of two bit byte strings,
-    looping over the shorter one.
+    looping over the shorter one, between the two strings' shared ends.
 
-    Without ``cap``, or when ``cap >= |a| + |b|``, one pass runs over every
-    column.  Otherwise only the diagonals ``e = j - i`` that an alignment of
-    cost <= ``cap`` can touch are computed, ``|e| + |delta - e| <= cap`` with
-    ``delta = |b| - |a| <= cap`` after the swap (Ukkonen 1985).  ``b`` is
-    shifted right by ``pad`` columns that match nothing, so that row i's band
-    of ``w`` diagonals starts at column i, and the rows run in chunks of
-    ``h`` over a window of ``w + h`` columns.  Between chunks the ``h``
-    columns that leave the window add their step-ups to ``base`` and the
-    entering columns start flat.  Every value the band computes belongs to a
-    real alignment (entering columns are horizontal moves, the window's left
-    edge a vertical one), so the result never exceeds the true LCS, and it
-    equals it whenever the distance is at most ``cap``.
+    The common prefix of ``a`` and ``b``, then the common suffix of what is
+    left, count as matched without a loop: a shared end symbol is in some
+    longest common subsequence, and both lengths drop by the same amount, so
+    the distance of the middle is the distance of the whole.  The ends cost
+    two XORs of the strings read as ints, O(|a|) at C speed; the recurrence
+    runs over the middle alone, with the same ``cap``.
+
+    Without ``cap``, or when ``cap`` is at least the middle's two lengths
+    together, one pass runs over every column.  Otherwise only the diagonals
+    ``e = j - i`` that an alignment of cost <= ``cap`` can touch are
+    computed, ``|e| + |delta - e| <= cap`` with ``delta = |b| - |a| <= cap``
+    after the swap (Ukkonen 1985).  ``b`` is shifted right by ``pad``
+    columns that match nothing, so that row i's band of ``w`` diagonals
+    starts at column i, and the rows run in chunks of ``h`` over a window of
+    ``w + h`` columns.  Between chunks the ``h`` columns that leave the
+    window add their step-ups to ``base`` and the entering columns start
+    flat.  Every value the band computes belongs to a real alignment
+    (entering columns are horizontal moves, the window's left edge a
+    vertical one), so the result never exceeds the true LCS, and it equals
+    it whenever the distance is at most ``cap``.
     """
     if len(a) > len(b):
         a, b = b, a
-    if not a:
-        return 0
+    # One byte per bit, so each differing byte sets the low bit of its byte
+    # of the XOR: read big-endian, the highest set bit is the first
+    # difference; read little-endian over the end-aligned rest, the last one
+    n = len(a)
+    prefix = n - ((int.from_bytes(a, "big") ^ int.from_bytes(b[:n], "big")).bit_length() + 7) // 8
+    rest = n - prefix
+    suffix = rest - ((int.from_bytes(a[prefix:], "little")
+                      ^ int.from_bytes(b[len(b) - rest :], "little")).bit_length() + 7) // 8
+    if suffix == rest:
+        return n
+    a, b = a[prefix : n - suffix], b[prefix : len(b) - suffix]
+    base = prefix + suffix
     peq = _match_masks(b)
     if cap is None or cap >= len(a) + len(b):
         mask = (1 << len(b)) - 1
-        return len(b) - _lcs_steps(a, peq, mask, mask).bit_count()
+        return base + len(b) - _lcs_steps(a, peq, mask, mask).bit_count()
     pad = (cap - (len(b) - len(a))) // 2
     w = len(b) - len(a) + 2 * pad + 1
     h = max(w, 256)  # rows per chunk, so shifting the masks stays a small share
     mask = (1 << (w + h)) - 1
     peq = (peq[0] << pad, peq[1] << pad)
-    base, v = 0, mask
+    v = mask
     for i0 in range(0, len(a), h):
         if i0:
             base += h - (v & ((1 << h) - 1)).bit_count()
@@ -227,9 +254,11 @@ def edit_distance(a: BitString, b: BitString) -> int:
     A first band pass at cap ``max(256, ||a| - |b||)`` gives a distance
     d1 >= d, since the band never overstates the LCS.  A band pass is exact
     at any cap >= d, so d1 is d when it is within that cap; otherwise one
-    more pass at cap d1 is exact.  That is at most two band passes, in
-    O(|a| * d1 / w) for int digit size w, and the second is never wider
-    than one pass over every column.
+    more pass at cap d1 is exact.  That is at most two band passes, each
+    only between the strings' shared ends (:func:`_lcs_length`), in
+    O(m * d1 / w) for a middle of m bits and int digit size w, plus O(|a|)
+    at C speed to find the ends; the second pass is never wider than one
+    pass over every column.
     """
     total = len(a) + len(b)
     cap = max(256, abs(len(a) - len(b)))
@@ -243,8 +272,10 @@ def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
     """Edit distance if it is <= cap, else None.
 
     Runs the bit-parallel LCS recurrence only over the band of about
-    ``cap + 1`` diagonals that an alignment of cost <= cap can use, in
-    O(|a| * max(cap, 256) / w) for int digit size w.
+    ``cap + 1`` diagonals that an alignment of cost <= cap can use, and only
+    between the strings' shared ends (:func:`_lcs_length`): in
+    O(m * max(cap, 256) / w) for a middle of m bits and int digit size w,
+    plus O(|a|) at C speed to find the ends.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")
@@ -350,14 +381,16 @@ def _prefilter_starts(
     lo0, hi0 = search.lo - 1, search.hi - 1  # 0-based haystack span
     offsets, starts = index
     first_q, last_q = lo0, hi0 - min_len + 1  # where a window may start
-    found: set[int] = set()
+    # the pieces of one copy share a handful of anchors: expand each once
+    anchors: set[int] = set()
     for a_off, piece, code in pieces:
         group = starts[offsets[code] : offsets[code + 1]].tolist()
         for p in group[bisect_left(group, lo0) : bisect_right(group, hi0 + 1 - len(piece))]:
             if hay.startswith(piece, p):
-                anchor = p - a_off
-                found.update(range(max(anchor - max_dist, first_q),
-                                   min(anchor + max_dist, last_q) + 1))
+                anchors.add(p - a_off)
+    found: set[int] = set()
+    for anchor in anchors:
+        found.update(range(max(anchor - max_dist, first_q), min(anchor + max_dist, last_q) + 1))
     return sorted(found)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -133,6 +135,27 @@ class TestBitString:
         empty = BitString("0110").subword(i, i - 1)
         assert len(empty) == 0 and empty == BitString("") == BitString()
         assert empty.tobytes() == b"" and str(empty) == ""
+
+    @pytest.mark.parametrize("i, j", [(1, -1), (3, -2), (4, 0), (6, 2), (2, -7)])
+    def test_subword_past_its_start_is_empty(self, i, j):
+        # a negative end is no position counted from the end of the string
+        assert BitString("0110101").subword(i, j) == BitString("")
+
+    @pytest.mark.parametrize("start, end", [(0, None), (-2, None), (1, 8), (0, 3)])
+    def test_find_out_of_range(self, start, end):
+        w = BitString("0110101")
+        with pytest.raises(IndexError):
+            w.find(BitString("1"), start, end)
+
+    def test_find_within_span(self):
+        w = BitString("0110101")
+        assert w.find(BitString("11")) == 2
+        assert w.find(BitString("11"), 1, 7) == 2
+        assert w.find(BitString("01"), 3, 7) == 4
+        assert w.find(BitString("01"), 3, 4) is None
+        # an end before the start is an empty span, not counted from the end
+        assert w.find(BitString("1"), 1, -1) is None
+        assert w.find(BitString("0"), 5, 2) is None
 
 
 class TestEditDistance:
@@ -298,15 +321,18 @@ class TestBandedDistance:
     def test_long_trace_pair_at_its_cap(self, n, rng):
         # two traces of one source: d exceeds their length gap, so every cap
         # from d - 1 up runs the band, over many chunks of rows and with the
-        # shorter trace's length no multiple of the chunk height
+        # rows between the shared ends no multiple of the chunk height
         x = random_bits(n, rng)
         a, b = transmit(x, 0.01, rng).trace, transmit(x, 0.01, rng).trace
         d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes())
         gap = abs(len(a) - len(b))
         assert gap < d - 1
+        sa, sb = str(a), str(b)
+        prefix = len(os.path.commonprefix([sa, sb]))
+        suffix = len(os.path.commonprefix([sa[prefix:][::-1], sb[prefix:][::-1]]))
+        rows = min(len(a), len(b)) - prefix - suffix
         for cap in (d - 1, d, d + 1):
             h = max(gap + 2 * ((cap - gap) // 2) + 1, 256)
-            rows = min(len(a), len(b))
             assert rows > 4 * h and rows % h != 0
             want = d if d <= cap else None
             assert edit_distance_bounded(a, b, cap) == want
@@ -321,7 +347,9 @@ class TestBandedDistance:
             return real_steps(a, peq, v, mask)
 
         monkeypatch.setattr(strings_module, "_lcs_steps", recording_steps)
-        a, b = random_bits(300, rng), random_bits(280, rng)
+        # differing first and last bits leave no shared end to trim
+        a = BitString("0" + str(random_bits(298, rng)) + "0")
+        b = BitString("1" + str(random_bits(278, rng)) + "1")
         d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes())
         assert widths == [300]
         widths.clear()
@@ -332,6 +360,96 @@ class TestBandedDistance:
         # and one chunk of rows covers all 280
         assert edit_distance_bounded(a, b, 579) == d
         assert widths == [2 * 579]
+
+
+class TestSharedEnds:
+    """The band runs only between the two strings' common prefix and the
+    common suffix of what is left."""
+
+    @staticmethod
+    def check_every_cap(a: str, b: str) -> None:
+        d = edit_distance_dp(a, b)
+        wa, wb = BitString(a), BitString(b)
+        assert edit_distance(wa, wb) == d == edit_distance(wb, wa)
+        for cap in range(d + 3):
+            want = d if d <= cap else None
+            assert edit_distance_bounded(wa, wb, cap) == want
+            assert edit_distance_bounded(wb, wa, cap) == want
+
+    @given(bits, bits, bits, bits)
+    def test_planted_ends(self, prefix, suffix, mid_a, mid_b):
+        self.check_every_cap(prefix + mid_a + suffix, prefix + mid_b + suffix)
+
+    # found from the whole strings, the common prefix and the common suffix
+    # together would be longer than the shorter string
+    @pytest.mark.parametrize(
+        "a, b", [("0", "00"), ("010", "0110"), ("0110", "011110"), ("1", "101"), ("01", "0101")]
+    )
+    def test_ends_that_would_overlap(self, a, b):
+        self.check_every_cap(a, b)
+
+    @given(bits, bits)
+    def test_identical_or_a_prefix_or_suffix_of_the_other(self, a, b):
+        self.check_every_cap(a, a)
+        self.check_every_cap(a, a + b)
+        self.check_every_cap(b + a, a)
+
+    @staticmethod
+    def _record_symbols(monkeypatch) -> list[int]:
+        """Number of symbols of each ``_lcs_steps`` call."""
+        symbols: list[int] = []
+        real = strings_module._lcs_steps
+
+        def recording(a, peq, v, mask):
+            symbols.append(len(a))
+            return real(a, peq, v, mask)
+
+        monkeypatch.setattr(strings_module, "_lcs_steps", recording)
+        return symbols
+
+    @pytest.mark.parametrize("p, s", [(0, 0), (1, 0), (0, 1), (37, 500), (700, 3)])
+    def test_band_steps_only_the_middle(self, p, s, monkeypatch, rng):
+        # the middles differ in their first and in their last bit, so the
+        # shared ends are exactly the planted ones
+        prefix, suffix = str(random_bits(p, rng)), str(random_bits(s, rng))
+        a = prefix + "0" + str(random_bits(600, rng)) + "0" + suffix
+        b = prefix + "1" + str(random_bits(590, rng)) + "1" + suffix
+        middle = min(len(a), len(b)) - p - s
+        d = edit_distance_dp(a, b)
+        symbols = self._record_symbols(monkeypatch)
+        for cap in (None, d - 1, d, 2 * d, len(a) + len(b)):
+            symbols.clear()
+            got = _lcs_length(BitString(a).tobytes(), BitString(b).tobytes(), cap)
+            assert sum(symbols) == middle
+            if cap is None or cap >= d:
+                assert len(a) + len(b) - 2 * got == d
+        symbols.clear()
+        assert edit_distance_bounded(BitString(a), BitString(b), d) == d
+        assert sum(symbols) == middle
+
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_equal_strings_step_no_symbol(self, n, monkeypatch, rng):
+        symbols = self._record_symbols(monkeypatch)
+        a = random_bits(n, rng)
+        assert edit_distance(a, BitString(a.tobytes())) == 0
+        assert edit_distance_bounded(a, BitString(a.tobytes()), 0) == 0
+        assert symbols == []
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_trace_at_its_deletion_count(self, seed):
+        # a trace is a subsequence of its source, so d = n - |trace|; at
+        # this deletion rate most of the pair is shared ends
+        rng = np.random.default_rng(seed)
+        n = 2**14
+        x = random_bits(n, rng)
+        trace = transmit(x, 4e-4, rng).trace
+        d = n - len(trace)
+        for cap in (d, d + 1, max(64, d)):
+            assert edit_distance_bounded(x, trace, cap) == d
+            assert edit_distance_bounded(trace, x, cap) == d
+        if d:
+            assert edit_distance_bounded(x, trace, d - 1) is None
 
 
 class TestFindClosestSubword:
