@@ -3,7 +3,8 @@
 Align takes a cursor ell* in a reference trace and tries to place a cursor in
 every other trace near the SAME source position. It matches nested reference
 windows of widths t_1 < t_2 < ... (each 3x the last) under a small edit
-budget, then votes on a common desert-free word to pin the exact spot.
+budget, then votes on a common desert-free word to pin the exact spot. A
+trace whose innermost window lacks that word gets no cursor (None).
 """
 
 import math
@@ -36,7 +37,9 @@ cursors, diag = align(params, ell, y_star.trace, [r.trace for r in records])
 print(f"\nreference cursor {ell} sits on source position {truth}")
 print(f"cursors: {cursors}")
 if cursors is not None:
-    print(f"their source positions: {[source_of(r, c) for r, c in zip(records, cursors)]}")
+    # a trace whose innermost window lacks the common word has no cursor
+    positions = [None if c is None else source_of(r, c) for r, c in zip(records, cursors)]
+    print(f"their source positions: {positions}")
 
 ok, loc = consensus_check(cursors, records, math.ceil(0.9 * M))
 print(f"consensus at >=90%: {ok}, agreed source position {loc} "

@@ -5,8 +5,9 @@ widest first.  Each trace is searched for the first match within budget to
 the widest window, then re-searched inside that hit for the next window
 down, giving a nested chain of intervals whose innermost member is roughly
 centered on the same source region as the reference cursor.  A final vote
-picks one word that occurs in nearly all innermost windows; each trace's
-cursor is placed at the leftmost occurrence of that word.
+picks one word that occurs in nearly all innermost windows; a trace whose
+window holds it gets its cursor at the word's leftmost occurrence, and the
+other traces get None and sit out the segment's majority vote.
 
 The traces are searched in batches of 2, 4, 8, ... traces, in order.  Each
 stage of a batch is one ``find_closest_subwords`` call over the batch's
@@ -59,9 +60,10 @@ def align(
     y_star: BitString,
     traces: list[BitString],
     indexes: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
-) -> tuple[tuple[int, ...] | None, AlignDiagnostics]:
-    """Place one 1-based cursor per trace near the source position under
-    ell_star.  The cursors are None when the alignment fails.
+) -> tuple[tuple[int | None, ...] | None, AlignDiagnostics]:
+    """Place 1-based cursors near the source position under ell_star:
+    ``cursors[m]`` is None where trace m's innermost window lacks the common
+    word, and the whole tuple is None when the alignment fails.
 
     ``indexes[m]`` is ``kmer_index(traces[m])`` or None; a None entry is
     filled in the first time trace m is searched, so a caller that aligns
@@ -126,26 +128,26 @@ def align(
     found = find_common_word(inner, math.ceil(0.9 * params.t_ladder[0]), math.ceil(0.95 * m_count))
     if found is None:
         return None, diagnostics(0, None)
-    # a trace that lacks the common word keeps cursor 1
     cursors = tuple(
-        w[0].lo + off - 1 if off is not None else 1
-        for w, off in zip(trace_windows, found[1])
+        None if off is None else w[0].lo + off - 1 for w, off in zip(trace_windows, found[1])
     )
     return cursors, diagnostics(None, None)
 
 
 def consensus_check(
-    cursors: tuple[int, ...] | None, records: list[TraceRecord], threshold: int
+    cursors: tuple[int | None, ...] | None, records: list[TraceRecord], threshold: int
 ) -> tuple[bool, int | None]:
     """Ground-truth test: do >= threshold cursors sit on the same source
-    position?  Returns that position when they do; a failed alignment
-    (``cursors`` None) has no consensus.  Needs deletion provenance, so it
-    only exists on the experiment side."""
+    position?  Returns that position when they do; a None cursor sits on
+    none, and a failed alignment (``cursors`` None) has no consensus.  Needs
+    deletion provenance, so it only exists on the experiment side."""
     if cursors is None:
         return False, None
     if len(cursors) != len(records):
         raise ValueError("one cursor per record required")
-    counts = Counter(source_of(rec, c) for rec, c in zip(records, cursors))
+    counts = Counter(source_of(rec, c) for rec, c in zip(records, cursors) if c is not None)
+    if not counts:
+        return False, None
     best = max(counts.values())
     if best >= threshold:
         return True, min(i for i, c in counts.items() if c == best)

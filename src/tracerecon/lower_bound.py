@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,7 +118,6 @@ def _check_params(m_pairs: int, delta: float) -> None:
         raise ValueError("delta must be in [0, 1]")
 
 
-@lru_cache(maxsize=64)
 def atomic_tables(m_pairs: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """(p0, p1): pmf grids of shape (M+2, M+2) over the union support.
 
@@ -131,11 +129,7 @@ def atomic_tables(m_pairs: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     kmax = m_pairs + 1
     row_m = _binom_row(m_pairs, p, kmax)
     row_m1 = _binom_row(m_pairs + 1, p, kmax)
-    p0 = np.outer(row_m, row_m1)
-    p1 = np.outer(row_m1, row_m)
-    p0.setflags(write=False)
-    p1.setflags(write=False)
-    return p0, p1
+    return np.outer(row_m, row_m1), np.outer(row_m1, row_m)
 
 
 def _validate_pairs(pairs: np.ndarray, m_pairs: int) -> None:
@@ -170,7 +164,7 @@ def bayes_decide_atomic(pairs: Sequence | np.ndarray, m_pairs: int, delta: float
     """
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     _validate_pairs(arr, m_pairs)
-    return int(_bayes_ones(m_pairs, delta, arr[:, 0], arr[:, 1], axis=0))
+    return int(_bayes_ones(_log_tables(m_pairs, delta), arr[:, 0], arr[:, 1], axis=0))
 
 
 EXACT_MAX_M = 4  # largest M whose outcomes exact_atomic_failure_prob enumerates
@@ -218,27 +212,25 @@ def _ratio_pmf(m_pairs: int, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _BLOCK = 1 << 16
 
 
-@lru_cache(maxsize=64)
 def _log_tables(m_pairs: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flat log pmfs of D0 and D1: entry a * (M+2) + b of each is
+    """Log pmfs of D0 and D1, each of shape (M+2, M+2): entry [a, b] is
     log p[a, b], -inf outside the distribution's support."""
     p0, p1 = atomic_tables(m_pairs, delta)
     with np.errstate(divide="ignore"):
-        l0, l1 = np.log(p0.ravel()), np.log(p1.ravel())
-    l0.setflags(write=False)
-    l1.setflags(write=False)
-    return l0, l1
+        return np.log(p0), np.log(p1)
 
 
 def _bayes_ones(
-    m_pairs: int, delta: float, first: np.ndarray, second: np.ndarray, axis: int
+    logs: tuple[np.ndarray, np.ndarray], first: np.ndarray, second: np.ndarray, axis: int
 ) -> np.ndarray:
-    """The Bayes decision over the pairs ``(first, second)`` along ``axis``:
-    True (decide 1) where the summed float log-likelihood under D0 is below
-    the one under D1.  An exact tie N = D (P0 = P1, where either decision is
-    Bayes-optimal) falls either way with the rounding of the sums."""
-    l0, l1 = _log_tables(m_pairs, delta)
-    idx = first.astype(np.int64) * (m_pairs + 2) + second
+    """The Bayes decision over the pairs ``(first, second)`` along ``axis``,
+    given ``logs = _log_tables(M, delta)``: True (decide 1) where the summed
+    float log-likelihood under D0 is below the one under D1.  An exact tie
+    N = D (P0 = P1, where either decision is Bayes-optimal) falls either way
+    with the rounding of the sums."""
+    l0, l1 = logs
+    idx = first.astype(np.int64) * l0.shape[1] + second
+    l0, l1 = l0.ravel(), l1.ravel()
     return l0[idx].sum(axis=axis) < l1[idx].sum(axis=axis)
 
 
@@ -256,6 +248,7 @@ def mc_atomic_failure_prob(
         raise ValueError("need at least 2 trials")
     half = trials // 2
     p = 1.0 - delta
+    logs = _log_tables(m_pairs, delta)
     rows = max(1, _BLOCK // m_pairs)
     first = np.empty((half, m_pairs), dtype=np.min_scalar_type(m_pairs + 1))
     errors = 0
@@ -269,7 +262,7 @@ def mc_atomic_failure_prob(
             second = _binomial(rng, n2, p, block.shape)
             # an exact tie may fall either way; there either decision is
             # Bayes-optimal, so the estimate stays unbiased
-            errors += int((_bayes_ones(m_pairs, delta, block, second, axis=1) != b).sum())
+            errors += int((_bayes_ones(logs, block, second, axis=1) != b).sum())
     total = 2 * half
     p_hat = errors / total
     return p_hat, math.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / total)
@@ -297,7 +290,7 @@ def decode_prlp_bayes(samples: np.ndarray, m_pairs: int, delta: float) -> BitStr
     if s.ndim != 3 or s.shape[0] != m_pairs or s.shape[2] != 2:
         raise ValueError("samples must have shape (M, B, 2)")
     _validate_pairs(s, m_pairs)
-    return BitString(_bayes_ones(m_pairs, delta, s[:, :, 0], s[:, :, 1], axis=0))
+    return BitString(_bayes_ones(_log_tables(m_pairs, delta), s[:, :, 0], s[:, :, 1], axis=0))
 
 
 def mc_prlp_exact_match(
@@ -306,6 +299,7 @@ def mc_prlp_exact_match(
     """Empirical Pr[z_hat = z] for the coordinatewise Bayes decoder, with z
     uniform per trial.  Vectorized across blocks of trials, drawn in the
     same order as one (trials, M, B) draw."""
+    logs = _log_tables(m_pairs, delta)
     p = 1.0 - delta
     z = rng.integers(0, 2, size=(trials, b_len), dtype=np.int64)
     rows = max(1, _BLOCK // (m_pairs * b_len))
@@ -318,7 +312,7 @@ def mc_prlp_exact_match(
         zb = z[r : r + rows]
         block = first[r : r + rows]
         second = _binomial(rng, m_pairs + 1 - zb[:, None, :], p, block.shape)
-        matches += int((_bayes_ones(m_pairs, delta, block, second, axis=1) == zb).all(axis=1).sum())
+        matches += int((_bayes_ones(logs, block, second, axis=1) == zb).all(axis=1).sum())
     return matches / trials
 
 

@@ -57,10 +57,6 @@ class ReconParams:
     def t1(self) -> int:
         return self.t_ladder[0]
 
-    @property
-    def tS(self) -> int:
-        return self.t_ladder[-1]
-
 
 @dataclass(frozen=True)
 class RegimeReport:
@@ -131,10 +127,13 @@ def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeR
     the others fewer traces do better.  ``M_above_inv_Kdelta`` is set where
     delta >= 1/(K*M).  For K >= 1, delta < 1/(K*M) implies delta*M < 1; the
     separate cut keeps a K < 1 run out of `derive_params`' H <= 0 error.
-    Raises ValueError for n < 1, M < 1 or K <= 0.
+    Raises ValueError for n < 1, delta outside [0, 1] (or NaN), M < 1 or
+    K <= 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError("delta must be in [0, 1]")
     if m_traces < 1:
         raise ValueError("m_traces must be >= 1")
     if k_const <= 0:

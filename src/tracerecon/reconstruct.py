@@ -7,7 +7,8 @@ of the source are simply not reconstructed (their cost is absorbed by the
 edit-distance budget).  When no segment fits between the two, the
 result is the reference trace, labelled `output_single_trace`.  After
 each voted segment the reference cursor jumps to wherever the majority run
-left it, plus one.  A segment whose alignment returns no cursors is not
+left it, plus one; the vote runs over the reference and the traces that
+`align` gave a cursor.  A segment whose alignment returns no cursors is not
 voted: its R bits are copied from the reference trace at the cursor, which
 then advances by R, as `output_single_trace` does for the whole string.
 
@@ -54,8 +55,8 @@ class ReconResult:
 def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString]) -> ReconResult:
     """Run the align/vote loop over the reference trace.
 
-    ``traces`` are the M traces the voter sees; callers conventionally pass
-    the reference as traces[0] as well, so the vote runs over M+1 sequences.
+    ``traces`` are the M traces aligned to the reference, conventionally
+    with the reference itself as traces[0].
     """
     if len(traces) != params.m_traces:
         raise ValueError("trace count does not match params.m_traces")
@@ -81,7 +82,8 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
             segments.append((ell_star, params.R))
             ell_star += params.R
             continue
-        out, final, _ = bma_run([y_star, *traces], [ell_star, *cursors], params.R)
+        voters = [(t, c) for t, c in zip([y_star, *traces], [ell_star, *cursors]) if c is not None]
+        out, final, _ = bma_run([t for t, _ in voters], [c for _, c in voters], params.R)
         pieces.append(out)
         segments.append((ell_star, len(out)))
         ell_star = final[0] + 1
@@ -95,14 +97,13 @@ def reconstruct_with_fallback(
     delta: float,
     traces: list[BitString],
     *,
-    m_traces: int | None = None,
     k_const: float = DESK_DEFAULTS["k_const"],
     tau: float = DESK_DEFAULTS["tau"],
     gamma: float = DESK_DEFAULTS["gamma"],
     mode: str = "desk",
 ) -> ReconResult:
     """Regime-aware entry point.  ``traces`` includes the reference at
-    index 0; M defaults to the full list.
+    index 0, and M is the length of the list.
 
     ``mode`` selects nothing: only "desk" is accepted, kept because
     ``bench/run.py`` passes it and changes only with a benchmark revision.
@@ -113,9 +114,7 @@ def reconstruct_with_fallback(
         raise ValueError(f"unknown mode {mode!r}; pass constants as k_const/tau/gamma")
     if not traces:
         raise ValueError("need at least one trace")
-    M = len(traces) if m_traces is None else m_traces
-    if not 1 <= M <= len(traces):
-        raise ValueError("m_traces out of range")
+    M = len(traces)
 
     action = check_regime(n, delta, M, k_const).recommended_action
     if action == "reduce_M":

@@ -265,7 +265,7 @@ def align_per_trace(params, ell_star: int, y_star, traces):
     if found is None:
         return None, diagnostics(0, None)
     cursors = tuple(
-        w[0].lo + off - 1 if off is not None else 1 for w, off in zip(windows, found[1])
+        None if off is None else w[0].lo + off - 1 for w, off in zip(windows, found[1])
     )
     return cursors, diagnostics(None, None)
 

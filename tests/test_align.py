@@ -148,6 +148,52 @@ class TestConsensusCheck:
         with pytest.raises(ValueError):
             consensus_check((1, 1), recs, 1)
 
+    def test_none_cursors_sit_on_no_position(self):
+        recs = [apply_deletions(BitString("0101"), set()) for _ in range(4)]
+        assert consensus_check((None, 3, None, 3), recs, 2) == (True, 3)
+        assert consensus_check((None, 3, None, 2), recs, 2) == (False, None)
+
+    def test_all_none_has_no_consensus(self):
+        recs = [apply_deletions(BitString("0101"), set()) for _ in range(3)]
+        assert consensus_check((None, None, None), recs, 1) == (False, None)
+
+
+def plant_missing_word(n, m, ell, lacking, seed=31):
+    """m copies of a random string, except that each trace in ``lacking``
+    has the bit under ``ell`` flipped.  With gamma=0.02 the stage budgets
+    (2 at stage 1) still let every trace through the ladder, but every
+    common-word candidate covers the flipped bit, so those traces' innermost
+    windows lack the word.  Returns (params, x, traces)."""
+    x = random_bits(n, stream(seed, 0))
+    params = derive_params(n, 0.01, m, gamma=0.02)
+    flipped = bytearray(x.tobytes())
+    flipped[ell - 1] ^= 1
+    traces = [BitString(bytes(flipped)) if i in lacking else x for i in range(m)]
+    return params, x, traces
+
+
+class TestWordMembers:
+    """A trace whose innermost window lacks the common word gets a None
+    cursor; the others still get theirs."""
+
+    @pytest.mark.parametrize("ell", [41, 2048])
+    @pytest.mark.parametrize("k", [1, 2, 13, 24])
+    def test_lacking_trace_gets_none(self, ell, k):
+        params, x, traces = plant_missing_word(4096, 25, ell, {k})
+        cursors, diag = got = align(params, ell, x, traces)
+        assert got == align_per_trace(params, ell, x, traces)
+        assert diag.failure_stage is None
+        assert cursors[k] is None
+        placed = [c for m, c in enumerate(cursors) if m != k]
+        assert None not in placed and len(set(placed)) == 1
+
+    def test_too_many_lacking_traces_fail_the_word_stage(self):
+        # 25 traces need the word in ceil(0.95 * 25) = 24 windows
+        params, x, traces = plant_missing_word(4096, 25, 2048, {3, 20})
+        got = align(params, 2048, x, traces)
+        assert got == align_per_trace(params, 2048, x, traces)
+        assert got[0] is None and got[1].failure_stage == 0
+
 
 # gamma per trace count so that stage 1 searches exactly (budget 0) and
 # stage 2 allows one edit: one deleted bit at the reference cursor then

@@ -306,8 +306,8 @@ class TestBlockedMonteCarlo:
             )
 
     def test_peak_memory(self):
-        # the cached tables are shared, not the kernels' own working memory
-        atomic_tables(4, 0.1)
+        # each call builds its own (M+2)^2 likelihood tables, so the peak
+        # counts them too; at M=4 they are 36 floats each
         g = stream(36, 0)
         checks = [
             (lambda: exact_atomic_failure_prob(4, 0.1), 1),

@@ -150,6 +150,9 @@ class TestCheckRegime:
             ((100, 0.01, 4, 0.0), "k_const"),
             ((100, 0.01, 4, -1.0), "k_const"),
             ((0, 0.01, 4, 2.0), "n"),
+            ((1000, 1.5, 16, 2.0), "delta"),
+            ((1000, -1.0, 16, 2.0), "delta"),
+            ((1000, float("nan"), 16, 2.0), "delta"),
         ],
     )
     def test_rejects_bad_inputs_by_name(self, args, name):

@@ -20,6 +20,8 @@ from tracerecon import (
 )
 from tracerecon.rng import stream
 
+from .test_align import plant_missing_word
+
 # the package re-exports the function under the module's name
 reconstruct_module = importlib.import_module("tracerecon.reconstruct")
 align_module = importlib.import_module("tracerecon.align")
@@ -182,6 +184,30 @@ class TestFailedAlignment:
         assert len(built) == 2 and built[0] is y_star
 
 
+class TestVoteMembers:
+    def test_trace_without_the_word_sits_out_the_vote(self, monkeypatch):
+        # trace 5 lacks the common word at the first segment only, so that
+        # vote runs over the reference and the other 24 traces: 25
+        # sequences, where every later segment's vote has all 26
+        n, m, k = 4096, 25, 5
+        first = math.ceil(n / 100)
+        params, x, traces = plant_missing_word(n, m, first, {k})
+        votes = []
+        real_bma_run = reconstruct_module.bma_run
+
+        def recording_bma_run(seqs, starts, rounds):
+            votes.append((list(seqs), list(starts)))
+            return real_bma_run(seqs, starts, rounds)
+
+        monkeypatch.setattr(reconstruct_module, "bma_run", recording_bma_run)
+        res = reconstruct(params, x, traces)
+        assert res.segments[0][0] == first and len(votes) == len(res.segments) >= 2
+        seqs, starts = votes[0]
+        assert len(seqs) == len(starts) == m
+        assert traces[k] not in seqs[1:] and None not in starts
+        assert all(len(seqs) == m + 1 for seqs, _ in votes[1:])
+
+
 class TestTraceIndex:
     def test_one_index_per_trace(self, monkeypatch):
         # the widest ladder stage searches every whole trace at every segment;
@@ -216,6 +242,12 @@ class TestTraceIndex:
 
 
 class TestFallbackRouting:
+    @pytest.mark.parametrize("delta", [-1.0, 1.5, float("nan")])
+    def test_rejects_delta_outside_unit_interval(self, delta):
+        traces = [random_bits(1024, stream(16, 0))] * 4
+        with pytest.raises(ValueError, match="^delta must be"):
+            reconstruct_with_fallback(1024, delta, traces)
+
     def test_tiny_delta_returns_first_trace(self):
         g = stream(16, 0)
         x = random_bits(1024, g)
