@@ -55,6 +55,14 @@ class TraceRecord:
         return hash((self.source_len, self.trace, self.deleted))
 
 
+def _record(x: BitString, keep: np.ndarray) -> TraceRecord:
+    """The record of the trace of ``x`` that keeps the bits where the
+    boolean mask ``keep`` is set."""
+    source_map = np.flatnonzero(keep).astype(np.int64) + 1
+    deleted = tuple((np.flatnonzero(~keep) + 1).tolist())
+    return TraceRecord(len(x), BitString(x.array[keep]), deleted, source_map)
+
+
 def apply_deletions(x: BitString, deletions: "set[int] | frozenset[int]") -> TraceRecord:
     """Delete the given 1-based source positions from ``x``."""
     n = len(x)
@@ -64,9 +72,7 @@ def apply_deletions(x: BitString, deletions: "set[int] | frozenset[int]") -> Tra
     keep = np.ones(n, dtype=bool)
     if deletions:
         keep[np.fromiter(deletions, dtype=np.int64) - 1] = False
-    source_map = np.flatnonzero(keep).astype(np.int64) + 1
-    trace = BitString(x.array[keep])
-    return TraceRecord(n, trace, tuple(sorted(deletions)), source_map)
+    return _record(x, keep)
 
 
 def transmit(x: BitString, delta: float, rng: np.random.Generator) -> TraceRecord:
@@ -75,12 +81,7 @@ def transmit(x: BitString, delta: float, rng: np.random.Generator) -> TraceRecor
     bit, in index order, so a given generator state fixes the trace."""
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must be in [0, 1]")
-    n = len(x)
-    u = rng.random(n)
-    keep = u >= delta
-    source_map = np.flatnonzero(keep).astype(np.int64) + 1
-    deleted = tuple((np.flatnonzero(~keep) + 1).tolist())
-    return TraceRecord(n, BitString(x.array[keep]), deleted, source_map)
+    return _record(x, rng.random(len(x)) >= delta)
 
 
 def source_of(record: TraceRecord, q: int) -> int:

@@ -8,42 +8,42 @@ of length L with k <= G (G = L/2 in the reconstruction parameters).
 
 from __future__ import annotations
 
-import numpy as np
-
-from .strings import BitString
+from .strings import _DIGITS, BitString
 
 __all__ = ["contains_long_desert"]
 
 
-def _desert_starts(a: np.ndarray, L: int, G: int) -> np.ndarray:
-    """Boolean mask over 0-based starts i <= len(a)-L: does a length-L
-    k-desert with k <= G begin at i?
+def _desert_starts(w: BitString, L: int, G: int) -> int:
+    """Bit mask over 0-based starts: bit i is set when a length-L k-desert
+    with k <= G begins at w[i] (0-based).  0 when |w| < L.
 
-    For lag k, the self-match mask m[j] = (a[j] == a[j+k]) turns the desert
-    condition into "m all-true over a width-(L-k) window", which a cumsum
-    answers in O(n) per lag.
+    With the bits read as one int x (bit j is w[j]), lag k's self-match
+    mask ~(x ^ (x >> k)) has bit j set where w[j] == w[j+k], and a k-desert
+    starts at i when the L-k mask bits from i on are all set.  ANDing the
+    mask with itself shifted by 1, 2, 4, ... widens each bit's run to L-k
+    in O(log L) big-int steps per lag.
     """
-    n = a.size
-    n_starts = n - L + 1
-    if n_starts <= 0:
-        return np.zeros(0, dtype=bool)
-    out = np.zeros(n_starts, dtype=bool)
+    n = len(w)
+    if n < L:
+        return 0
+    every = (1 << (n - L + 1)) - 1
+    x = int(w.tobytes()[::-1].translate(_DIGITS), 2)
+    out = 0
     for k in range(1, min(G, L) + 1):
         width = L - k
         if width == 0:
-            # every length-L window is trivially L-periodic
-            out[:] = True
-            break
-        m = a[:-k] == a[k:]
-        c = np.concatenate(([0], np.cumsum(m, dtype=np.int64)))
-        out |= (c[width:] - c[:n_starts]) == width
-        if out.all():
-            break
-    return out
+            return every  # every length-L window is trivially L-periodic
+        run = ~(x ^ (x >> k)) & ((1 << (n - k)) - 1)
+        p = 1
+        while 2 * p <= width:
+            run &= run >> p
+            p *= 2
+        out |= run & (run >> (width - p))
+    return out & every
 
 
 def contains_long_desert(w: BitString, L: int, G: int) -> bool:
     """True iff some length-L subword of w is a k-desert for some k <= G."""
     if not 1 <= G <= L:
         raise ValueError("need 1 <= G <= L")
-    return bool(_desert_starts(w.array, L, G).any())
+    return _desert_starts(w, L, G) != 0

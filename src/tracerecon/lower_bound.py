@@ -25,7 +25,9 @@ inversion walk vectorized on one uniform double per draw, so it makes
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -358,29 +360,12 @@ def find_pattern_occurrences(
 ) -> list[Interval]:
     """Left-to-right scan for occurrences of alpha or beta, up to `limit`.
 
-    Occurrences of the marker words can never overlap, so the greedy scan
-    (jump past each hit) finds them all.  Cached find positions keep the
-    scan linear even on marker-dense strings.
+    Occurrences of the marker words can never overlap, so the leftmost
+    non-overlapping matches of "alpha or beta" are all of them.
     """
-    hay = x.tobytes()
-    pat_a = spec.alpha.tobytes()
-    pat_b = spec.beta.tobytes()
-    occ: list[Interval] = []
-    pos = 0
-    next_a = hay.find(pat_a, pos)
-    next_b = hay.find(pat_b, pos)
-    while limit is None or len(occ) < limit:
-        if next_a != -1 and next_a < pos:
-            next_a = hay.find(pat_a, pos)
-        if next_b != -1 and next_b < pos:
-            next_b = hay.find(pat_b, pos)
-        cands = [i for i in (next_a, next_b) if i != -1]
-        if not cands:
-            break
-        i = min(cands)
-        occ.append(Interval(i + 1, i + spec.N))
-        pos = i + spec.N
-    return occ
+    markers = re.escape(spec.alpha.tobytes()) + b"|" + re.escape(spec.beta.tobytes())
+    hits = itertools.islice(re.finditer(markers, x.tobytes()), limit)
+    return [Interval(m.start() + 1, m.end()) for m in hits]
 
 
 def embed_instance(z: BitString, x_prime: BitString, spec: EmbeddingSpec) -> BitString:

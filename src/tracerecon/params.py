@@ -86,7 +86,7 @@ def derive_params(
         raise ValueError("need at least one trace")
     if delta * m_traces >= 1.0:
         raise ValueError("delta * M must be < 1 for H to be positive")
-    if K <= 0 or tau_v <= 0 or gamma <= 0:
+    if not (0 < K and 0 < tau_v and 0 < gamma):  # `not 0 <` also rejects NaN
         raise ValueError("K, tau, gamma must be positive")
 
     H = (m_traces / K) * math.log2(1.0 / (delta * m_traces))
@@ -128,7 +128,7 @@ def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeR
     delta >= 1/(K*M).  For K >= 1, delta < 1/(K*M) implies delta*M < 1; the
     separate cut keeps a K < 1 run out of `derive_params`' H <= 0 error.
     Raises ValueError for n < 1, delta outside [0, 1] (or NaN), M < 1 or
-    K <= 0.
+    K <= 0 (or NaN).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -136,7 +136,7 @@ def check_regime(n: int, delta: float, m_traces: int, k_const: float) -> RegimeR
         raise ValueError("delta must be in [0, 1]")
     if m_traces < 1:
         raise ValueError("m_traces must be >= 1")
-    if k_const <= 0:
+    if not 0 < k_const:
         raise ValueError("k_const must be > 0")
     K = float(k_const)
     inv_n2 = 1.0 / (n * n)

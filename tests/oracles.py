@@ -148,7 +148,7 @@ def count_windows_with_long_desert(x, L: int, G: int, W: int) -> int:
     """Number of 1-based starts i with contains_long_desert(x[i:i+W-1], L, G).
 
     Sliding formulation: window i qualifies iff a desert starts anywhere in
-    [i, i+W-L], again answered by a cumsum over the library's start mask.
+    [i, i+W-L], i.e. iff the library's start mask has a set bit there.
     """
     if not 1 <= G <= L:
         raise ValueError("need 1 <= G <= L")
@@ -158,10 +158,9 @@ def count_windows_with_long_desert(x, L: int, G: int, W: int) -> int:
     n_win = n - W + 1
     if n_win <= 0:
         return 0
-    starts = _desert_starts(x.array, L, G)
-    width = W - L + 1
-    c = np.concatenate(([0], np.cumsum(starts, dtype=np.int64)))
-    return int(((c[width : width + n_win] - c[:n_win]) > 0).sum())
+    starts = _desert_starts(x, L, G)
+    span = (1 << (W - L + 1)) - 1
+    return sum(1 for i in range(n_win) if starts >> i & span)
 
 
 def desert_scan_naive(x, window_len: int, max_period: int) -> set[int]:
@@ -364,3 +363,19 @@ def mc_prlp_exact_match_whole(m_pairs: int, delta: float, b_len: int, trials: in
     s1 = l1[idx].sum(axis=1)
     z_hat = (s0 < s1).astype(np.int64)
     return float((z_hat == z).all(axis=1).mean())
+
+
+def pattern_occurrences_naive(x, alpha, beta, limit=None) -> list:
+    """Leftmost non-overlapping occurrences of alpha or beta (of one common
+    length), as 1-based closed intervals: try every start in turn, and jump
+    past each hit."""
+    s, a, b = str(x), str(alpha), str(beta)
+    out: list = []
+    i = 0
+    while i + len(a) <= len(s) and (limit is None or len(out) < limit):
+        if s[i : i + len(a)] in (a, b):
+            out.append(Interval(i + 1, i + len(a)))
+            i += len(a)
+        else:
+            i += 1
+    return out

@@ -147,11 +147,8 @@ def test_criterion_03_desert_scanner():
         for L in (4, 8):
             G = L // 2
             want = desert_scan_naive(s, L, G)
-            starts = (
-                set()
-                if len(s) < L
-                else set((np.flatnonzero(_desert_starts(arr.array, L, G)) + 1).tolist())
-            )
+            mask = _desert_starts(arr, L, G)
+            starts = {i + 1 for i in range(len(s)) if mask >> i & 1}
             if starts != want or contains_long_desert(arr, L, G) != bool(want):
                 mismatches += 1
             checked += 1
@@ -161,9 +158,8 @@ def test_criterion_03_desert_scanner():
         for L in (4, 8):
             G = L // 2
             want = desert_scan_naive(s, L, G)
-            starts = set(
-                (np.flatnonzero(_desert_starts(BitString(s).array, L, G)) + 1).tolist()
-            )
+            mask = _desert_starts(BitString(s), L, G)
+            starts = {i + 1 for i in range(len(s)) if mask >> i & 1}
             if starts != want:
                 mismatches += 1
             checked += 1

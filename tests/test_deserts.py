@@ -1,11 +1,13 @@
 from __future__ import annotations
 
-import numpy as np
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tracerecon import BitString, contains_long_desert, random_bits
+from tracerecon.deserts import _desert_starts
 from tracerecon.rng import stream
 
 from .oracles import count_windows_with_long_desert, desert_scan_naive, is_k_desert
@@ -71,6 +73,18 @@ class TestContainsLongDesert:
             for L, G in ((8, 4), (12, 6), (16, 4)):
                 got = contains_long_desert(BitString(s), L, G)
                 assert got == bool(desert_scan_naive(s, L, G))
+
+    def test_start_mask_exhaustive(self):
+        # every word of <= 10 bits and every 1 <= G <= L <= 8, so G == L
+        # (lag L, an empty self-match run) and n == L (one start) both occur
+        for n in range(11):
+            for t in itertools.product("01", repeat=n):
+                s = "".join(t)
+                w = BitString(s)
+                for L in range(1, 9):
+                    for G in range(1, L + 1):
+                        want = sum(1 << (i - 1) for i in desert_scan_naive(s, L, G))
+                        assert _desert_starts(w, L, G) == want, (s, L, G)
 
 
 class TestCountWindows:

@@ -38,6 +38,7 @@ from .oracles import (
     exact_failure_prob_naive,
     mc_atomic_failure_prob_whole,
     mc_prlp_exact_match_whole,
+    pattern_occurrences_naive,
 )
 
 
@@ -369,6 +370,24 @@ class TestOccurrences:
             for o in occs:
                 w = x.subword(o.lo, o.hi)
                 assert w in (spec.alpha, spec.beta)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_matches_naive_on_marker_dense_strings(self, m):
+        # concatenations of markers and short junk put occurrences next to
+        # each other and junk-made ones across the joins
+        g = stream(37, m)
+        spec = EmbeddingSpec.build(m, 4)
+        a, b = str(spec.alpha), str(spec.beta)
+        for _ in range(300):
+            parts = []
+            for _ in range(int(g.integers(0, 12))):
+                r = g.random()
+                junk = str(random_bits(int(g.integers(0, 5)), g))
+                parts.append(a if r < 0.35 else b if r < 0.7 else junk)
+            x = BitString("".join(parts))
+            for limit in (None, 0, 1, 3, 10):
+                want = pattern_occurrences_naive(x, spec.alpha, spec.beta, limit)
+                assert find_pattern_occurrences(x, spec, limit) == want
 
 
 class TestEmbedExtract:

@@ -67,6 +67,12 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(100, 1.0, 4)
 
+    @pytest.mark.parametrize("const", ["k_const", "tau", "gamma"])
+    def test_rejects_nan_constant(self, const):
+        # a NaN fails every comparison, so a `<= 0` check would let it through
+        with pytest.raises(ValueError, match="must be positive"):
+            derive_params(4096, 0.001, 16, **{const: float("nan")})
+
     def test_pure(self):
         a = derive_params(2**15, 0.02, 9)
         b = derive_params(2**15, 0.02, 9)
@@ -149,6 +155,7 @@ class TestCheckRegime:
             ((100, 0.01, -3, 2.0), "m_traces"),
             ((100, 0.01, 4, 0.0), "k_const"),
             ((100, 0.01, 4, -1.0), "k_const"),
+            ((4096, 0.001, 16, float("nan")), "k_const"),
             ((0, 0.01, 4, 2.0), "n"),
             ((1000, 1.5, 16, 2.0), "delta"),
             ((1000, -1.0, 16, 2.0), "delta"),
