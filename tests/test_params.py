@@ -155,11 +155,11 @@ class TestCheckRegime:
             ((100, 0.01, -3, 2.0), "m_traces"),
             ((100, 0.01, 4, 0.0), "k_const"),
             ((100, 0.01, 4, -1.0), "k_const"),
-            ((4096, 0.001, 16, float("nan")), "k_const"),
             ((0, 0.01, 4, 2.0), "n"),
             ((1000, 1.5, 16, 2.0), "delta"),
             ((1000, -1.0, 16, 2.0), "delta"),
             ((1000, float("nan"), 16, 2.0), "delta"),
+            ((4096, 0.001, 16, float("nan")), "k_const"),
         ],
     )
     def test_rejects_bad_inputs_by_name(self, args, name):
