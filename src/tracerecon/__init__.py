@@ -11,7 +11,15 @@ from .strings import (
     find_common_word,
     random_bits,
 )
-from .channel import TraceRecord, apply_deletions, image_ceil, image_of, source_of, transmit
+from .channel import (
+    TraceRecord,
+    apply_deletions,
+    consensus_check,
+    image_ceil,
+    image_of,
+    source_of,
+    transmit,
+)
 from .deserts import contains_long_desert
 from .params import (
     DESK_DEFAULTS,
@@ -22,7 +30,7 @@ from .params import (
     derive_params,
     reduce_m_traces,
 )
-from .align import AlignDiagnostics, align, consensus_check
+from .align import AlignDiagnostics, align
 from .bma import BmaDiagnostics, bma_run
 from .reconstruct import ReconResult, reconstruct, reconstruct_with_fallback
 from .lower_bound import (
@@ -59,6 +67,7 @@ __all__ = [
     "apply_deletions",
     "transmit",
     "source_of",
+    "consensus_check",
     "image_of",
     "image_ceil",
     "contains_long_desert",
@@ -71,7 +80,6 @@ __all__ = [
     "reduce_m_traces",
     "AlignDiagnostics",
     "align",
-    "consensus_check",
     "BmaDiagnostics",
     "bma_run",
     "ReconResult",

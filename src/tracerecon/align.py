@@ -25,16 +25,19 @@ trace instead of voting.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channel import TraceRecord, source_of
 from .params import ReconParams
-from .strings import BitString, Interval, find_closest_subwords, find_common_word, kmer_index
+from .strings import (
+    BitString,
+    Interval,
+    KmerIndex,
+    find_closest_subwords,
+    find_common_word,
+    kmer_index,
+)
 
-__all__ = ["AlignDiagnostics", "align", "consensus_check"]
+__all__ = ["AlignDiagnostics", "align"]
 
 _FIRST_BATCH = 2  # traces in the first batch; each later batch is twice as many
 
@@ -59,7 +62,7 @@ def align(
     ell_star: int,
     y_star: BitString,
     traces: list[BitString],
-    indexes: list[tuple[np.ndarray, np.ndarray] | None] | None = None,
+    indexes: list[KmerIndex | None] | None = None,
 ) -> tuple[tuple[int | None, ...] | None, AlignDiagnostics]:
     """Place 1-based cursors near the source position under ell_star:
     ``cursors[m]`` is None where trace m's innermost window lacks the common
@@ -133,22 +136,3 @@ def align(
     )
     return cursors, diagnostics(None, None)
 
-
-def consensus_check(
-    cursors: tuple[int | None, ...] | None, records: list[TraceRecord], threshold: int
-) -> tuple[bool, int | None]:
-    """Ground-truth test: do >= threshold cursors sit on the same source
-    position?  Returns that position when they do; a None cursor sits on
-    none, and a failed alignment (``cursors`` None) has no consensus.  Needs
-    deletion provenance, so it only exists on the experiment side."""
-    if cursors is None:
-        return False, None
-    if len(cursors) != len(records):
-        raise ValueError("one cursor per record required")
-    counts = Counter(source_of(rec, c) for rec, c in zip(records, cursors) if c is not None)
-    if not counts:
-        return False, None
-    best = max(counts.values())
-    if best >= threshold:
-        return True, min(i for i, c in counts.items() if c == best)
-    return False, None

@@ -3,11 +3,13 @@
 A transmitted string keeps its deletion set and the induced source map, so
 tests and diagnostics can ask "which source position did trace position q
 come from" (:func:`source_of`) and "where does source position i land"
-(:func:`image_ceil`).  Positions are 1-based everywhere.
+(:func:`image_ceil`), and an experiment can check an alignment against the
+truth (:func:`consensus_check`).  Positions are 1-based everywhere.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ __all__ = [
     "transmit",
     "apply_deletions",
     "source_of",
+    "consensus_check",
     "image_of",
     "image_ceil",
 ]
@@ -29,7 +32,8 @@ class TraceRecord:
     """One trace together with its deletion provenance.
 
     ``source_map[q-1]`` is the source index of trace position q; ``deleted``
-    is the sorted tuple of deleted source positions.
+    is the sorted tuple of deleted source positions.  Records compare and
+    hash by identity.
     """
 
     source_len: int
@@ -40,19 +44,6 @@ class TraceRecord:
     def __post_init__(self) -> None:
         if len(self.trace) + len(self.deleted) != self.source_len:
             raise ValueError("trace length plus deletions must equal source length")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TraceRecord):
-            return NotImplemented
-        # source_map is determined by (source_len, deleted)
-        return (
-            self.source_len == other.source_len
-            and self.trace == other.trace
-            and self.deleted == other.deleted
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source_len, self.trace, self.deleted))
 
 
 def _record(x: BitString, keep: np.ndarray) -> TraceRecord:
@@ -97,6 +88,26 @@ def source_of(record: TraceRecord, q: int) -> int:
     if q <= m:
         return int(record.source_map[q - 1])
     return record.source_len + (q - m)
+
+
+def consensus_check(
+    cursors: tuple[int | None, ...] | None, records: list[TraceRecord], threshold: int
+) -> tuple[bool, int | None]:
+    """Ground-truth test of an alignment: do >= threshold cursors sit on the
+    same source position?  Returns that position when they do; a None
+    cursor sits on none, and a failed alignment (``cursors`` None) has no
+    consensus.  Needs deletion provenance, so only an experiment can run it."""
+    if cursors is None:
+        return False, None
+    if len(cursors) != len(records):
+        raise ValueError("one cursor per record required")
+    counts = Counter(source_of(rec, c) for rec, c in zip(records, cursors) if c is not None)
+    if not counts:
+        return False, None
+    best = max(counts.values())
+    if best >= threshold:
+        return True, min(i for i, c in counts.items() if c == best)
+    return False, None
 
 
 def image_of(record: TraceRecord, i: int) -> int | None:

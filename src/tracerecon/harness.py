@@ -18,14 +18,13 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .align import align, consensus_check
+from .align import align
 from .bma import bma_run
-from .channel import source_of, transmit
+from .channel import consensus_check, source_of, transmit
 from .deserts import contains_long_desert
 from .lower_bound import (
     EXACT_MAX_M,
@@ -46,7 +45,6 @@ __all__ = [
     "TrialResult",
     "run_experiment",
     "emit_report",
-    "parse_jsonl",
     "KINDS",
 ]
 
@@ -332,6 +330,9 @@ def run_experiment(config: ExperimentConfig) -> list[TrialResult]:
     ]
     if config.workers == 1:
         return [_run_cell(t) for t in tasks]
+    # imported here, so that importing the package does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=config.workers) as pool:
         return list(pool.map(_run_cell, tasks, chunksize=max(1, len(tasks) // (4 * config.workers))))
 
@@ -369,14 +370,3 @@ def emit_report(results: list[TrialResult], fmt: str, path: str) -> None:
     else:
         raise ValueError("format must be csv or jsonl")
 
-
-def parse_jsonl(path: str) -> list[TrialResult]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            out.append(TrialResult(
-                kind=obj["kind"], point=obj["point"], seed=obj["seed"],
-                trial=obj["trial"], metrics=obj["metrics"], error=obj["error"],
-            ))
-    return out

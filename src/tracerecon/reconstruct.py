@@ -43,14 +43,6 @@ class ReconResult:
     regime_action: str
     m_used: int
 
-    def to_dict(self) -> dict:
-        return {
-            "hypothesis": str(self.hypothesis),
-            "segments": [list(s) for s in self.segments],
-            "regime_action": self.regime_action,
-            "m_used": self.m_used,
-        }
-
 
 def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString]) -> ReconResult:
     """Run the align/vote loop over the reference trace.
@@ -63,12 +55,8 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
     n_star = len(y_star)
     margin = params.margin
     # start within the first percent of the reference, so small-n runs are
-    # non-vacuous; when no segment fits before the end margin (at paper
-    # constants, below n ~ 38,000) the reference trace is the answer, not an
-    # empty hypothesis
+    # non-vacuous
     ell_star = min(margin, math.ceil(n_star / 100)) if n_star else 1
-    if ell_star > min(n_star - params.R, n_star - margin):
-        return ReconResult(y_star, (), "output_single_trace", 1)
 
     # every segment's widest ladder stage searches each whole trace; align
     # builds a trace's word index on its first search, kept here until return
@@ -78,16 +66,22 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
     while ell_star <= n_star - params.R and ell_star <= n_star - margin:
         cursors, _ = align(params, ell_star, y_star, traces, indexes)
         if cursors is None:
-            pieces.append(y_star.subword(ell_star, ell_star + params.R - 1))
-            segments.append((ell_star, params.R))
-            ell_star += params.R
-            continue
-        voters = [(t, c) for t, c in zip([y_star, *traces], [ell_star, *cursors]) if c is not None]
-        out, final, _ = bma_run([t for t, _ in voters], [c for _, c in voters], params.R)
+            out = y_star.subword(ell_star, ell_star + params.R - 1)
+            next_star = ell_star + params.R
+        else:
+            voters = [(t, c) for t, c in zip([y_star, *traces], [ell_star, *cursors])
+                      if c is not None]
+            out, final, _ = bma_run([t for t, _ in voters], [c for _, c in voters], params.R)
+            next_star = final[0] + 1
         pieces.append(out)
         segments.append((ell_star, len(out)))
-        ell_star = final[0] + 1
+        ell_star = next_star
 
+    if not segments:
+        # no segment fits before the end margin (at paper constants, below
+        # n ~ 38,000): the reference trace is the answer, not an empty
+        # hypothesis
+        return ReconResult(y_star, (), "output_single_trace", 1)
     hypothesis = BitString(b"".join(p.tobytes() for p in pieces))
     return ReconResult(hypothesis, tuple(segments), "run_full", params.m_traces)
 

@@ -49,6 +49,7 @@ __all__ = [
     "find_closest_subwords",
     "find_common_word",
     "kmer_index",
+    "KmerIndex",
 ]
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes to ASCII digits
@@ -188,7 +189,7 @@ def _lcs_steps(a: bytes, peq: tuple[int, int], v: int, mask: int) -> int:
     return v
 
 
-def _lcs_length(a: bytes, b: bytes, cap: int | None = None) -> int:
+def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
     """Length of a longest common subsequence of two bit byte strings,
     looping over the shorter one, between the two strings' shared ends.
 
@@ -199,19 +200,17 @@ def _lcs_length(a: bytes, b: bytes, cap: int | None = None) -> int:
     two XORs of the strings read as ints, O(|a|) at C speed; the recurrence
     runs over the middle alone, with the same ``cap``.
 
-    Without ``cap``, or when ``cap`` is at least the middle's two lengths
-    together, one pass runs over every column.  Otherwise only the diagonals
-    ``e = j - i`` that an alignment of cost <= ``cap`` can touch are
-    computed, ``|e| + |delta - e| <= cap`` with ``delta = |b| - |a| <= cap``
-    after the swap (Ukkonen 1985).  ``b`` is shifted right by ``pad``
-    columns that match nothing, so that row i's band of ``w`` diagonals
-    starts at column i, and the rows run in chunks of ``h`` over a window of
-    ``w + h`` columns.  Between chunks the ``h`` columns that leave the
-    window add their step-ups to ``base`` and the entering columns start
-    flat.  Every value the band computes belongs to a real alignment
-    (entering columns are horizontal moves, the window's left edge a
-    vertical one), so the result never exceeds the true LCS, and it equals
-    it whenever the distance is at most ``cap``.
+    Only the diagonals ``e = j - i`` that an alignment of cost <= ``cap``
+    can touch are computed, ``|e| + |delta - e| <= cap`` with
+    ``delta = |b| - |a| <= cap`` after the swap (Ukkonen 1985).  ``b`` is
+    shifted right by ``pad`` columns that match nothing, so that row i's
+    band of ``w`` diagonals starts at column i, and the rows run in chunks
+    of ``h`` over a window of ``w + h`` columns.  Between chunks the ``h``
+    columns that leave the window add their step-ups to ``base`` and the
+    entering columns start flat.  Every value the band computes belongs to
+    a real alignment (entering columns are horizontal moves, the window's
+    left edge a vertical one), so the result never exceeds the true LCS,
+    and it equals it whenever the distance is at most ``cap``.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -228,9 +227,7 @@ def _lcs_length(a: bytes, b: bytes, cap: int | None = None) -> int:
     a, b = a[prefix : n - suffix], b[prefix : len(b) - suffix]
     base = prefix + suffix
     peq = _match_masks(b)
-    if cap is None or cap >= len(a) + len(b):
-        mask = (1 << len(b)) - 1
-        return base + len(b) - _lcs_steps(a, peq, mask, mask).bit_count()
+    cap = min(cap, len(a) + len(b))  # at this cap the band covers every cell
     pad = (cap - (len(b) - len(a))) // 2
     w = len(b) - len(a) + 2 * pad + 1
     h = max(w, 256)  # rows per chunk, so shifting the masks stays a small share
@@ -257,8 +254,8 @@ def edit_distance(a: BitString, b: BitString) -> int:
     more pass at cap d1 is exact.  That is at most two band passes, each
     only between the strings' shared ends (:func:`_lcs_length`), in
     O(m * d1 / w) for a middle of m bits and int digit size w, plus O(|a|)
-    at C speed to find the ends; the second pass is never wider than one
-    pass over every column.
+    at C speed to find the ends; a cap past the whole table is clamped to
+    it, so neither pass is wider than the band that covers every cell.
     """
     total = len(a) + len(b)
     cap = max(256, abs(len(a) - len(b)))
@@ -334,8 +331,10 @@ def _first_hits(
 
 _KMER = 12  # word length of the haystack index: 2**12 = 4096 codes
 
+KmerIndex = tuple[np.ndarray, np.ndarray]  # (offsets, starts), see kmer_index
 
-def kmer_index(bits: BitString) -> tuple[np.ndarray, np.ndarray]:
+
+def kmer_index(bits: BitString) -> KmerIndex:
     """Positions of every 12-bit word of ``bits``, grouped by the word.
 
     Returns ``(offsets, starts)``: ``starts`` (int32) holds every 0-based
@@ -360,7 +359,7 @@ def kmer_index(bits: BitString) -> tuple[np.ndarray, np.ndarray]:
 def _prefilter_starts(
     pieces: Sequence[tuple[int, bytes, int]],
     hay: bytes,
-    index: tuple[np.ndarray, np.ndarray],
+    index: KmerIndex,
     search: Interval,
     max_dist: int,
     min_len: int,
@@ -402,7 +401,7 @@ def find_closest_subwords(
     haystacks: Sequence[BitString],
     searches: Sequence[Interval],
     max_dist: int,
-    indexes: Sequence[tuple[np.ndarray, np.ndarray] | None] | None = None,
+    indexes: Sequence[KmerIndex | None] | None = None,
 ) -> list[Interval | None]:
     """For each haystack, the first subword interval within its search
     interval whose edit distance to ``template`` is at most ``max_dist``.
@@ -506,7 +505,7 @@ def find_closest_subword(
     haystack: BitString,
     search: Interval,
     max_dist: int,
-    index: tuple[np.ndarray, np.ndarray] | None = None,
+    index: KmerIndex | None = None,
 ) -> Interval | None:
     """First subword interval of ``haystack`` within ``search`` whose edit
     distance to ``template`` is at most ``max_dist``, or None: the

@@ -3,6 +3,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from tracerecon import (
     run_experiment,
 )
 from tracerecon import harness
-from tracerecon.harness import CSV_COLUMNS, KINDS, parse_jsonl
+from tracerecon.harness import CSV_COLUMNS, KINDS
 from tracerecon.lower_bound import EXACT_MAX_M
 
 
@@ -107,6 +110,20 @@ class TestRunExperiment:
             ka = {k: v for k, v in ra.metrics.items() if k != "runtime_ms"}
             kb = {k: v for k, v in rb.metrics.items() if k != "runtime_ms"}
             assert ka == kb
+
+    def test_import_leaves_the_process_pool_unloaded(self):
+        # the pool is imported only when a run asks for workers > 1
+        src = Path(harness.__file__).resolve().parents[1]
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import tracerecon; "
+            "print(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] in ('concurrent', 'multiprocessing')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_trial_streams_independent_of_grid_shape(self):
         # (seed, grid index, trial) keys the stream: reordering the grid
@@ -264,7 +281,7 @@ class TestReports:
         results = run_experiment(small_config(trials=2))
         out = tmp_path / "r.jsonl"
         emit_report(results, "jsonl", str(out))
-        back = parse_jsonl(str(out))
+        back = [TrialResult(**json.loads(line)) for line in out.read_text().splitlines()]
         assert back == results
 
     def test_error_message_only_in_jsonl(self, tmp_path):

@@ -90,16 +90,6 @@ class TestReconstructCleanChannel:
         assert res.hypothesis == traces[0]
         assert res.segments == ()
 
-    def test_result_serializes(self):
-        params = derive_params(4096, 0.01, 2)
-        x = random_bits(4096, stream(14, 0))
-        res = reconstruct(params, x, [x, x])
-        blob = json.dumps(res.to_dict())
-        back = json.loads(blob)
-        assert back["regime_action"] == "run_full"
-        assert back["hypothesis"] == str(res.hypothesis)
-        assert len(back["segments"]) == len(res.segments)
-
 
 class TestReconstructNoisy:
     def test_low_noise_end_to_end(self):

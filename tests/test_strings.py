@@ -228,7 +228,7 @@ class TestEditDistance:
         caps: list[int] = []
         real = strings_module._lcs_length
 
-        def recording(a, b, cap=None):
+        def recording(a, b, cap):
             caps.append(cap)
             return real(a, b, cap)
 
@@ -259,7 +259,8 @@ class TestEditDistance:
         assert edit_distance(a, b) == 2 * k + j
         assert caps == caps_run
         assert all(cap >= 2 * k + j for cap in caps[1:])
-        assert len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes()) == 2 * k + j
+        total = len(a) + len(b)
+        assert total - 2 * _lcs_length(a.tobytes(), b.tobytes(), total) == 2 * k + j
 
     def test_length_gap_past_the_first_cap(self, monkeypatch, rng):
         # a trace is at distance n - |trace| from its source; a gap of 300
@@ -310,7 +311,7 @@ class TestBandedDistance:
         rng = np.random.default_rng(seed)
         a = random_bits(int(rng.integers(500, 900)), rng).tobytes()
         b = random_bits(int(rng.integers(500, 900)), rng).tobytes()
-        lcs = _lcs_length(a, b)
+        lcs = _lcs_length(a, b, len(a) + len(b))
         gap = abs(len(a) - len(b))
         for cap in (gap, gap + 1, gap + 7, gap + 40):
             got = _lcs_length(a, b, cap)
@@ -324,7 +325,7 @@ class TestBandedDistance:
         # rows between the shared ends no multiple of the chunk height
         x = random_bits(n, rng)
         a, b = transmit(x, 0.01, rng).trace, transmit(x, 0.01, rng).trace
-        d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes())
+        d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes(), len(a) + len(b))
         gap = abs(len(a) - len(b))
         assert gap < d - 1
         sa, sb = str(a), str(b)
@@ -350,11 +351,13 @@ class TestBandedDistance:
         # differing first and last bits leave no shared end to trim
         a = BitString("0" + str(random_bits(298, rng)) + "0")
         b = BitString("1" + str(random_bits(278, rng)) + "1")
-        d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes())
-        assert widths == [300]
-        widths.clear()
-        assert edit_distance_bounded(a, b, 580) == d
-        assert widths == [300]
+        d = edit_distance_dp(str(a), str(b))
+        # a cap past the whole table is clamped to it, 580: the band's 581
+        # diagonals cover every cell
+        for cap in (580, 581, 10**6):
+            widths.clear()
+            assert edit_distance_bounded(a, b, cap) == d
+            assert widths == [2 * 581]
         widths.clear()
         # one diagonal short of the whole table: the band is 579 columns wide
         # and one chunk of rows covers all 280
@@ -417,11 +420,11 @@ class TestSharedEnds:
         middle = min(len(a), len(b)) - p - s
         d = edit_distance_dp(a, b)
         symbols = self._record_symbols(monkeypatch)
-        for cap in (None, d - 1, d, 2 * d, len(a) + len(b)):
+        for cap in (d - 1, d, 2 * d, len(a) + len(b)):
             symbols.clear()
             got = _lcs_length(BitString(a).tobytes(), BitString(b).tobytes(), cap)
             assert sum(symbols) == middle
-            if cap is None or cap >= d:
+            if cap >= d:
                 assert len(a) + len(b) - 2 * got == d
         symbols.clear()
         assert edit_distance_bounded(BitString(a), BitString(b), d) == d
