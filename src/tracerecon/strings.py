@@ -16,25 +16,30 @@ any later one.  :func:`find_closest_subword` is its one-haystack call.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
-kernel computes it, the bit-parallel LCS recurrence on Python ints, over
-the band of diagonals a cap allows: once for the bounded distance, and at
-most twice for the exact one, the second pass at the first pass's
-distance.  The band runs only between the two strings' shared ends: their
-common prefix, and then the common suffix of what is left, count as
-matched, found by two XORs of the strings read as ints at C speed in
-O(|a|), so the recurrence's Python loop costs O(m * cap / w) for a middle
-of m bits; at a small deletion rate, a trace and its source share long
-ends.  The same recurrence, run once over up to 2048 candidate windows
-packed into one int, serves the window search.  Its match masks are built
-from the bytes with ``bytes.translate`` and ``int(digits, 2)``, and the
-window search reads its result back from the binary digits of the int
-with ``str.count``.
+kernel computes it, between the two strings' shared ends: their common
+prefix, and then the common suffix of what is left, count as matched,
+found by two XORs of the strings read as ints at C speed in O(|a|); at a
+small deletion rate, a trace and its source share long ends.  The middle
+of m bits is scored first by Myers' greedy walk over the diagonals, in
+O(D^2) Python steps for a distance D plus O(m) at C speed, as long as D
+stays within a budget set by m (about sqrt(m / 32) edits) and the cap.
+Past that, the bit-parallel LCS recurrence on Python ints runs over the
+band of diagonals the cap allows, a Python loop of O(m * cap / w): once
+for the bounded distance, and at most twice for the exact one, the
+second pass at the first pass's distance.  At a small deletion rate a
+trace, and a good hypothesis, sit close to their source, which is where
+the walk ends.  The same recurrence, run once over up to 2048 candidate
+windows packed into one int, serves the window search.  Its match masks
+are built from the bytes with ``bytes.translate`` and ``int(digits, 2)``,
+and the window search reads its result back from the binary digits of
+the int with ``str.count``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -189,6 +194,67 @@ def _lcs_steps(a: bytes, peq: tuple[int, int], v: int, mask: int) -> int:
     return v
 
 
+def _snake(a: bytes, b: bytes, x: int, y: int) -> int:
+    """Length of the common prefix of ``a[x:]`` and ``b[y:]``.
+
+    One byte is checked first, since most snakes off the alignment end
+    there; then slices are compared at C speed in chunks that double, and
+    the chunk that differs is read as two big-endian ints, whose XOR's
+    highest set bit is the first difference (one byte per bit, as in the
+    ends trim of :func:`_lcs_length`).
+    """
+    end = min(len(a) - x, len(b) - y)
+    if end <= 0 or a[x] != b[y]:
+        return 0
+    s, step = 1, 32
+    while s < end:
+        c = min(step, end - s)
+        pa, pb = a[x + s : x + s + c], b[y + s : y + s + c]
+        if pa != pb:
+            diff = int.from_bytes(pa, "big") ^ int.from_bytes(pb, "big")
+            return s + c - (diff.bit_length() + 7) // 8
+        s += c
+        step *= 2
+    return end
+
+
+def _walk_budget(m: int) -> int:
+    """Largest D whose greedy walk, (D + 1)(D + 2) / 2 diagonal steps at
+    about 1 us each, stays within m / 64 steps: a few percent of the band's
+    m rows at about 0.2 us each.  -1 (no walk) for m < 64."""
+    return (isqrt(8 * (m // 64) + 1) - 1) // 2 - 1
+
+
+def _walk(a: bytes, b: bytes, d_max: int) -> int | None:
+    """Insert/delete distance of ``a`` and ``b`` if it is <= ``d_max``,
+    else None: Myers' (1986) greedy walk over Ukkonen's diagonals.
+
+    ``v[k]`` is the furthest ``x`` (position in ``a``) that a path of ``d``
+    edits reaches on diagonal ``x - y = k - off``; each step takes the
+    better of its two neighbours' points and follows the snake of matches
+    from there (:func:`_snake`).  Points past either end match nothing, so
+    a path that leaves the table can only add edits, and the first ``d``
+    at which some path reaches both ends is the distance.  That is
+    (D + 1)(D + 2) / 2 Python steps for a distance D, plus the snakes at C
+    speed, about ``|a| + |b|`` bytes along the alignment.
+    """
+    n, m = len(a), len(b)
+    off = d_max + 1
+    v = [0] * (2 * d_max + 3)
+    for d in range(d_max + 1):
+        for k in range(off - d, off + d + 1, 2):
+            if k == off - d or (k != off + d and v[k - 1] < v[k + 1]):
+                x = v[k + 1]  # one more symbol of b
+            else:
+                x = v[k - 1] + 1  # one more symbol of a
+            y = x - k + off
+            x += _snake(a, b, x, y)
+            v[k] = x
+            if x >= n and x - k + off >= m:
+                return d
+    return None
+
+
 def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
     """Length of a longest common subsequence of two bit byte strings,
     looping over the shorter one, between the two strings' shared ends.
@@ -197,15 +263,24 @@ def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
     left, count as matched without a loop: a shared end symbol is in some
     longest common subsequence, and both lengths drop by the same amount, so
     the distance of the middle is the distance of the whole.  The ends cost
-    two XORs of the strings read as ints, O(|a|) at C speed; the recurrence
-    runs over the middle alone, with the same ``cap``.
+    two XORs of the strings read as ints, O(|a|) at C speed; the walk and
+    the recurrence run over the middle alone, with the same ``cap``.
+
+    A near pair is scored first by the greedy walk (:func:`_walk`), in
+    O(D^2) Python steps for a distance D plus O(|a|) at C speed, up to
+    ``min(cap, budget)`` edits, where the budget (:func:`_walk_budget`)
+    keeps a walk that cannot finish to a few percent of the band behind
+    it.  The length gap bounds the distance from below, so a gap past that
+    limit skips the walk.  A walk that finishes returns the exact LCS;
+    otherwise the band below runs, as if there were no walk.
 
     Only the diagonals ``e = j - i`` that an alignment of cost <= ``cap``
     can touch are computed, ``|e| + |delta - e| <= cap`` with
     ``delta = |b| - |a| <= cap`` after the swap (Ukkonen 1985).  ``b`` is
     shifted right by ``pad`` columns that match nothing, so that row i's
     band of ``w`` diagonals starts at column i, and the rows run in chunks
-    of ``h`` over a window of ``w + h`` columns.  Between chunks the ``h``
+    of ``h`` over a window of ``w + h`` columns, one chunk of all the rows
+    if they are fewer than ``max(w, 256)``.  Between chunks the ``h``
     columns that leave the window add their step-ups to ``base`` and the
     entering columns start flat.  Every value the band computes belongs to
     a real alignment (entering columns are horizontal moves, the window's
@@ -226,11 +301,18 @@ def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
         return n
     a, b = a[prefix : n - suffix], b[prefix : len(b) - suffix]
     base = prefix + suffix
+    d_max = min(cap, _walk_budget(len(a)))
+    if len(b) - len(a) <= d_max:
+        d = _walk(a, b, d_max)
+        if d is not None:
+            return base + (len(a) + len(b) - d) // 2
     peq = _match_masks(b)
     cap = min(cap, len(a) + len(b))  # at this cap the band covers every cell
     pad = (cap - (len(b) - len(a))) // 2
     w = len(b) - len(a) + 2 * pad + 1
-    h = max(w, 256)  # rows per chunk, so shifting the masks stays a small share
+    # rows per chunk, so shifting the masks stays a small share; one chunk
+    # of fewer rows needs no window columns past them
+    h = min(max(w, 256), len(a))
     mask = (1 << (w + h)) - 1
     peq = (peq[0] << pad, peq[1] << pad)
     v = mask
@@ -248,14 +330,16 @@ def edit_distance(a: BitString, b: BitString) -> int:
     """Insert/delete edit distance between two bit strings, exact whatever
     the distance.
 
-    A first band pass at cap ``max(256, ||a| - |b||)`` gives a distance
-    d1 >= d, since the band never overstates the LCS.  A band pass is exact
-    at any cap >= d, so d1 is d when it is within that cap; otherwise one
-    more pass at cap d1 is exact.  That is at most two band passes, each
-    only between the strings' shared ends (:func:`_lcs_length`), in
-    O(m * d1 / w) for a middle of m bits and int digit size w, plus O(|a|)
-    at C speed to find the ends; a cap past the whole table is clamped to
-    it, so neither pass is wider than the band that covers every cell.
+    A first pass at cap ``max(256, ||a| - |b||)`` gives a distance
+    d1 >= d, since the band never overstates the LCS.  A pass is exact at
+    any cap >= d, so d1 is d when it is within that cap; otherwise one
+    more pass at cap d1 is exact.  Each pass runs only between the
+    strings' shared ends (:func:`_lcs_length`), found in O(|a|) at C speed.
+    A near pair, d within the greedy walk's budget for a middle of m bits,
+    takes one pass in O(d^2) Python steps plus O(m) at C speed; any other
+    takes at most two band passes, in O(m * d1 / w) for int digit size w.
+    A cap past the whole table is clamped to it, so neither pass is wider
+    than the band that covers every cell.
     """
     total = len(a) + len(b)
     cap = max(256, abs(len(a) - len(b)))
@@ -268,11 +352,12 @@ def edit_distance(a: BitString, b: BitString) -> int:
 def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
     """Edit distance if it is <= cap, else None.
 
-    Runs the bit-parallel LCS recurrence only over the band of about
-    ``cap + 1`` diagonals that an alignment of cost <= cap can use, and only
-    between the strings' shared ends (:func:`_lcs_length`): in
-    O(m * max(cap, 256) / w) for a middle of m bits and int digit size w,
-    plus O(|a|) at C speed to find the ends.
+    Works only between the strings' shared ends (:func:`_lcs_length`),
+    found in O(|a|) at C speed.  A distance d within both the cap and the
+    greedy walk's budget for a middle of m bits costs O(d^2) Python steps
+    plus O(m) at C speed.  Otherwise the bit-parallel LCS recurrence runs
+    over the band of about ``cap + 1`` diagonals that an alignment of cost
+    <= cap can use, in O(m * max(cap, 256) / w) for int digit size w.
     """
     if cap < 0:
         raise ValueError("cap must be >= 0")

@@ -14,6 +14,7 @@ from tracerecon import (
     derive_params,
     reduce_m_traces,
 )
+import tracerecon.params as params_module
 
 
 class TestDeriveParams:
@@ -198,3 +199,24 @@ class TestReduceMTraces:
         assert m2 is not None
         for cand in range(m2 + 1, 16):
             assert check_regime(2**10, 0.01, cand, 2.0).recommended_action != "run_full"
+
+    # a scan from M down to ceil(K^2) would check no M' at all for K = -2 or
+    # -5 (K^2 = 4 or 25 > M = 3), and NaN or 0 has no such floor to stop at
+    @pytest.mark.parametrize("k", [float("nan"), 0.0, -2.0, -5.0])
+    def test_rejects_bad_k_const_below_k_squared(self, k):
+        with pytest.raises(ValueError, match=r"^k_const must be"):
+            reduce_m_traces(4096, 0.001, 3, k)
+
+    def test_scan_stops_below_k_squared(self, monkeypatch):
+        # n = 2^14, delta = 4e-4, K = 4: M' = 25..16 say reduce_M and
+        # M' = 15 < K^2 ends the scan; M' = 14..1 are never checked
+        seen = []
+        real = params_module.check_regime
+
+        def recording(n, delta, m, k):
+            seen.append(m)
+            return real(n, delta, m, k)
+
+        monkeypatch.setattr(params_module, "check_regime", recording)
+        assert reduce_m_traces(2**14, 4e-4, 25, 4.0) is None
+        assert seen == list(range(25, 14, -1))

@@ -30,6 +30,8 @@ from tracerecon.strings import (
     _first_hits,
     _lcs_length,
     _prefilter_starts,
+    _walk,
+    _walk_budget,
     kmer_index,
 )
 
@@ -353,16 +355,17 @@ class TestBandedDistance:
         b = BitString("1" + str(random_bits(278, rng)) + "1")
         d = edit_distance_dp(str(a), str(b))
         # a cap past the whole table is clamped to it, 580: the band's 581
-        # diagonals cover every cell
+        # diagonals cover every cell, and one chunk of all 280 rows steps a
+        # window of 581 + 280 columns
         for cap in (580, 581, 10**6):
             widths.clear()
             assert edit_distance_bounded(a, b, cap) == d
-            assert widths == [2 * 581]
+            assert widths == [581 + 280]
         widths.clear()
         # one diagonal short of the whole table: the band is 579 columns wide
         # and one chunk of rows covers all 280
         assert edit_distance_bounded(a, b, 579) == d
-        assert widths == [2 * 579]
+        assert widths == [579 + 280]
 
 
 class TestSharedEnds:
@@ -453,6 +456,135 @@ class TestSharedEnds:
             assert edit_distance_bounded(trace, x, cap) == d
         if d:
             assert edit_distance_bounded(x, trace, d - 1) is None
+
+
+def _edited(x: str, deletions=(), insertions=()) -> str:
+    """``x`` without the bits at the 0-based ``deletions``, and with one bit
+    put in before ``x[i]`` for each ``i`` of ``insertions`` (a list, so an
+    ``i`` may repeat; ``i = len(x)`` appends): the complement of ``x[i]``,
+    or of the last bit when appending, so that no insertion is a no-op."""
+    out = []
+    for i, c in enumerate(x + "0"):
+        flip = "1" if x[min(i, len(x) - 1)] == "0" else "0"
+        out.append(flip * insertions.count(i) + ("" if i in deletions or i == len(x) else c))
+    return "".join(out)
+
+
+class TestGreedyWalk:
+    """Near pairs are scored by Myers' greedy walk over the diagonals, up to
+    a budget set by the middle's length; past it the band runs as before."""
+
+    @given(bits, bits)
+    @example("0" * 30 + "1" * 30, "0" * 29 + "1" * 31)
+    @example("01" * 32, "10" * 32)
+    @example("0" * 64, "")
+    def test_walk_at_every_limit(self, a, b):
+        d = edit_distance_dp(a, b)
+        wa, wb = BitString(a).tobytes(), BitString(b).tobytes()
+        for d_max in range(d + 3):
+            want = d if d <= d_max else None
+            assert _walk(wa, wb, d_max) == want
+            assert _walk(wb, wa, d_max) == want
+
+    @staticmethod
+    def _middle(a: str, b: str) -> int:
+        """Rows between the two strings' shared ends, as the kernel trims them."""
+        prefix = len(os.path.commonprefix([a, b]))
+        suffix = len(os.path.commonprefix([a[prefix:][::-1], b[prefix:][::-1]]))
+        return min(len(a), len(b)) - prefix - suffix
+
+    @classmethod
+    def check(cls, a: str, b: str, monkeypatch) -> tuple[int, int]:
+        """The oracle's distance and the pair's walk budget.  The walk alone
+        finds the distance at a limit of d and not at d - 1; through the
+        public calls, every cap around d or the budget gives the oracle's
+        answer in both orders, and the band steps a row exactly when the
+        distance is past the cap or the budget."""
+        d = edit_distance_dp(a, b)
+        middle = cls._middle(a, b)
+        budget = _walk_budget(middle)
+        symbols = TestSharedEnds._record_symbols(monkeypatch)
+        wa, wb = BitString(a), BitString(b)
+        caps = set(range(d - 2, d + 3)) | {budget - 1, budget, budget + 1, d + 300}
+        for x, y in ((wa, wb), (wb, wa)):
+            assert _walk(x.tobytes(), y.tobytes(), d) == d
+            assert _walk(x.tobytes(), y.tobytes(), d - 1) is None
+            for cap in sorted(c for c in caps if c >= 0):
+                symbols.clear()
+                assert edit_distance_bounded(x, y, cap) == (d if d <= cap else None)
+                banded = middle > 0 and abs(len(a) - len(b)) <= cap and d > min(cap, budget)
+                assert bool(symbols) == banded, (cap, d, budget)
+            symbols.clear()
+            assert edit_distance(x, y) == d
+            assert bool(symbols) == (d > budget)
+        return d, budget
+
+    # two edits on each side, far from the other side's, so that they add
+    # up; b's sit near the ends, so the middle is most of the 1200 bits and
+    # its budget is 4 edits
+    @pytest.mark.parametrize(
+        "deletions, insertions",
+        [({0}, [800]), ({1199}, [1200]), ({600, 601}, []), ({0}, [1200]), (set(), [700, 700])],
+        ids=["first-bit", "last-bit", "adjacent", "both-ends", "adjacent-insertions"],
+    )
+    def test_planted_edits_on_both_sides(self, deletions, insertions, monkeypatch, rng):
+        x = str(random_bits(1200, rng))
+        a = _edited(x, deletions, insertions)
+        b = _edited(x, {30}, [1170])
+        d, budget = self.check(a, b, monkeypatch)
+        assert d == budget == 4  # the walk finishes at a cap of d
+
+    @pytest.mark.parametrize("kind", ["blocks", "alternating"])
+    def test_run_heavy_strings(self, kind, monkeypatch):
+        # snakes are long and many diagonals tie, on 0^k 1^k blocks and on
+        # (01)^k, where a shift by two bits costs two edits and no more
+        x = ("0" * 40 + "1" * 40) * 15 if kind == "blocks" else "01" * 600
+        a = _edited(x, {0, 45, 46, 600}, [1000])
+        b = _edited(x, {333, 1199}, [2, 700])
+        self.check(a, b, monkeypatch)
+        d, budget = self.check(_edited(x, {0, 600}), _edited(x, {1199}), monkeypatch)
+        assert d <= budget
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_distance_at_and_past_the_budget(self, extra, monkeypatch, rng):
+        # deletions on both sides, far apart, with the first and the last bit
+        # among them so that the middle is nearly the whole string: its
+        # budget is 4, and d is 4 (the walk finishes) or 5 (the band runs)
+        x = str(random_bits(1024, rng))
+        a = _edited(x, {0, 500} | ({900} if extra else set()))
+        b = _edited(x, {250, 1023})
+        d, budget = self.check(a, b, monkeypatch)
+        assert budget == 4 and d == budget + extra
+
+    def test_long_source_and_trace_step_no_band_row(self, monkeypatch, rng):
+        # a trace is a subsequence of its source, so d = n - |trace|
+        symbols = TestSharedEnds._record_symbols(monkeypatch)
+        n = 2**17
+        x = random_bits(n, rng)
+        deleted = {int(p) for p in rng.choice(np.arange(1, n + 1), size=10, replace=False)}
+        trace = apply_deletions(x, deleted).trace
+        for a, b in ((x, trace), (trace, x)):
+            assert edit_distance_bounded(a, b, 10) == 10
+            assert edit_distance_bounded(a, b, 64) == 10
+            assert edit_distance(a, b) == 10
+        assert symbols == []
+
+    def test_gap_past_the_budget_runs_the_band(self, monkeypatch, rng):
+        # 40 deletions: the length gap alone puts d past the budget of a
+        # 2^14-bit middle, so the walk is skipped and the band steps it all
+        n = 2**14
+        x = random_bits(n, rng)
+        deleted = {int(p) for p in rng.choice(np.arange(1, n + 1), size=40, replace=False)}
+        trace = apply_deletions(x, deleted).trace
+        middle = self._middle(str(x), str(trace))
+        assert _walk_budget(middle) < 40
+        symbols = TestSharedEnds._record_symbols(monkeypatch)
+        walks = []
+        monkeypatch.setattr(strings_module, "_walk", lambda *args: walks.append(args))
+        assert edit_distance_bounded(x, trace, 64) == 40
+        assert edit_distance(trace, x) == 40
+        assert sum(symbols) == 2 * middle
+        assert walks == []
 
 
 class TestFindClosestSubword:
