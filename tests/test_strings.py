@@ -464,9 +464,11 @@ def _edited(x: str, deletions=(), insertions=()) -> str:
     ``i`` may repeat; ``i = len(x)`` appends): the complement of ``x[i]``,
     or of the last bit when appending, so that no insertion is a no-op."""
     out = []
-    for i, c in enumerate(x + "0"):
+    for i in range(len(x) + 1):
         flip = "1" if x[min(i, len(x) - 1)] == "0" else "0"
-        out.append(flip * insertions.count(i) + ("" if i in deletions or i == len(x) else c))
+        out.append(flip * insertions.count(i))
+        if i < len(x) and i not in deletions:
+            out.append(x[i])
     return "".join(out)
 
 
