@@ -16,7 +16,6 @@ from .channel import (
     apply_deletions,
     consensus_check,
     image_ceil,
-    image_of,
     source_of,
     transmit,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "transmit",
     "source_of",
     "consensus_check",
-    "image_of",
     "image_ceil",
     "contains_long_desert",
     "DESK_DEFAULTS",

@@ -22,7 +22,6 @@ __all__ = [
     "apply_deletions",
     "source_of",
     "consensus_check",
-    "image_of",
     "image_ceil",
 ]
 
@@ -108,16 +107,6 @@ def consensus_check(
     if best >= threshold:
         return True, min(i for i, c in counts.items() if c == best)
     return False, None
-
-
-def image_of(record: TraceRecord, i: int) -> int | None:
-    """Trace position holding source bit i, or None if it was deleted."""
-    if not 1 <= i <= record.source_len:
-        raise ValueError(f"source position {i} outside 1..{record.source_len}")
-    q = int(np.searchsorted(record.source_map, i, side="left"))
-    if q < len(record.source_map) and record.source_map[q] == i:
-        return q + 1
-    return None
 
 
 def image_ceil(record: TraceRecord, i: int) -> int:

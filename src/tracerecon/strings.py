@@ -16,13 +16,11 @@ any later one.  :func:`find_closest_subword` is its one-haystack call.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
-kernel computes it, between the two strings' shared ends: their common
-prefix, and then the common suffix of what is left, count as matched,
-found by two XORs of the strings read as ints at C speed in O(|a|); at a
-small deletion rate, a trace and its source share long ends.  The middle
-of m bits is scored first by Myers' greedy walk over the diagonals, in
-O(D^2) Python steps for a distance D plus O(m) at C speed, as long as D
-stays within a budget set by m (about sqrt(m / 32) edits) and the cap.
+kernel computes it, in two steps.  A pair whose shorter string has m bits
+is scored first by Myers' greedy walk over the diagonals, in O(D^2)
+Python steps for a distance D plus O(m) at C speed, as long as D stays
+within a budget set by m (about sqrt(m / 32) edits) and the cap; the
+walk's snakes run along the two strings' shared ends by byte compares.
 Past that, the bit-parallel LCS recurrence on Python ints runs over the
 band of diagonals the cap allows, a Python loop of O(m * cap / w): once
 for the bounded distance, and at most twice for the exact one, the
@@ -37,6 +35,7 @@ the int with ``str.count``.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
@@ -109,18 +108,6 @@ class BitString:
             raise IndexError(f"[{i}:{j}] out of range for length {len(self._bytes)}")
         # a negative slice end would count from the end of the bytes
         return BitString(self._bytes[i - 1 : max(j, i - 1)])
-
-    def concat(self, other: "BitString") -> "BitString":
-        return BitString(self._bytes + other._bytes)
-
-    def find(self, sub: "BitString", start: int = 1, end: int | None = None) -> int | None:
-        """Leftmost 1-based start of ``sub`` inside ``self[start : end]``, or None;
-        the span is empty if end < start."""
-        hi = len(self._bytes) if end is None else end
-        if start < 1 or hi > len(self._bytes):
-            raise IndexError(f"[{start}:{hi}] out of range for length {len(self._bytes)}")
-        pos = self._bytes.find(sub._bytes, start - 1, max(hi, start - 1))
-        return None if pos < 0 else pos + 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._bytes)
@@ -200,8 +187,8 @@ def _snake(a: bytes, b: bytes, x: int, y: int) -> int:
     One byte is checked first, since most snakes off the alignment end
     there; then slices are compared at C speed in chunks that double, and
     the chunk that differs is read as two big-endian ints, whose XOR's
-    highest set bit is the first difference (one byte per bit, as in the
-    ends trim of :func:`_lcs_length`).
+    highest set bit is the first difference (one byte per bit, so each
+    differing byte sets the low bit of its byte of the XOR).
     """
     end = min(len(a) - x, len(b) - y)
     if end <= 0 or a[x] != b[y]:
@@ -219,9 +206,10 @@ def _snake(a: bytes, b: bytes, x: int, y: int) -> int:
 
 
 def _walk_budget(m: int) -> int:
-    """Largest D whose greedy walk, (D + 1)(D + 2) / 2 diagonal steps at
-    about 1 us each, stays within m / 64 steps: a few percent of the band's
-    m rows at about 0.2 us each.  -1 (no walk) for m < 64."""
+    """Largest D whose greedy walk over a pair whose shorter string has m
+    bits, (D + 1)(D + 2) / 2 diagonal steps at about 1 us each, stays
+    within m / 64 steps: a few percent of the band's m rows at about
+    0.2 us each.  -1 (no walk) for m < 64."""
     return (isqrt(8 * (m // 64) + 1) - 1) // 2 - 1
 
 
@@ -257,22 +245,18 @@ def _walk(a: bytes, b: bytes, d_max: int) -> int | None:
 
 def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
     """Length of a longest common subsequence of two bit byte strings,
-    looping over the shorter one, between the two strings' shared ends.
-
-    The common prefix of ``a`` and ``b``, then the common suffix of what is
-    left, count as matched without a loop: a shared end symbol is in some
-    longest common subsequence, and both lengths drop by the same amount, so
-    the distance of the middle is the distance of the whole.  The ends cost
-    two XORs of the strings read as ints, O(|a|) at C speed; the walk and
-    the recurrence run over the middle alone, with the same ``cap``.
+    looping over the shorter one.
 
     A near pair is scored first by the greedy walk (:func:`_walk`), in
     O(D^2) Python steps for a distance D plus O(|a|) at C speed, up to
     ``min(cap, budget)`` edits, where the budget (:func:`_walk_budget`)
     keeps a walk that cannot finish to a few percent of the band behind
-    it.  The length gap bounds the distance from below, so a gap past that
-    limit skips the walk.  A walk that finishes returns the exact LCS;
-    otherwise the band below runs, as if there were no walk.
+    it.  Its first snake runs along the strings' common prefix and its
+    last along their common suffix, so shared ends cost byte compares
+    alone.  The length gap bounds the distance from below, so a gap past
+    that limit skips the walk.  A walk that finishes returns the exact LCS;
+    otherwise the band below runs over every row of ``a``, as if there
+    were no walk.
 
     Only the diagonals ``e = j - i`` that an alignment of cost <= ``cap``
     can touch are computed, ``|e| + |delta - e| <= cap`` with
@@ -289,23 +273,13 @@ def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
     """
     if len(a) > len(b):
         a, b = b, a
-    # One byte per bit, so each differing byte sets the low bit of its byte
-    # of the XOR: read big-endian, the highest set bit is the first
-    # difference; read little-endian over the end-aligned rest, the last one
-    n = len(a)
-    prefix = n - ((int.from_bytes(a, "big") ^ int.from_bytes(b[:n], "big")).bit_length() + 7) // 8
-    rest = n - prefix
-    suffix = rest - ((int.from_bytes(a[prefix:], "little")
-                      ^ int.from_bytes(b[len(b) - rest :], "little")).bit_length() + 7) // 8
-    if suffix == rest:
-        return n
-    a, b = a[prefix : n - suffix], b[prefix : len(b) - suffix]
-    base = prefix + suffix
+    if not a:
+        return 0
     d_max = min(cap, _walk_budget(len(a)))
     if len(b) - len(a) <= d_max:
         d = _walk(a, b, d_max)
         if d is not None:
-            return base + (len(a) + len(b) - d) // 2
+            return (len(a) + len(b) - d) // 2
     peq = _match_masks(b)
     cap = min(cap, len(a) + len(b))  # at this cap the band covers every cell
     pad = (cap - (len(b) - len(a))) // 2
@@ -315,7 +289,7 @@ def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
     h = min(max(w, 256), len(a))
     mask = (1 << (w + h)) - 1
     peq = (peq[0] << pad, peq[1] << pad)
-    v = mask
+    v, base = mask, 0
     for i0 in range(0, len(a), h):
         if i0:
             base += h - (v & ((1 << h) - 1)).bit_count()
@@ -333,11 +307,11 @@ def edit_distance(a: BitString, b: BitString) -> int:
     A first pass at cap ``max(256, ||a| - |b||)`` gives a distance
     d1 >= d, since the band never overstates the LCS.  A pass is exact at
     any cap >= d, so d1 is d when it is within that cap; otherwise one
-    more pass at cap d1 is exact.  Each pass runs only between the
-    strings' shared ends (:func:`_lcs_length`), found in O(|a|) at C speed.
-    A near pair, d within the greedy walk's budget for a middle of m bits,
-    takes one pass in O(d^2) Python steps plus O(m) at C speed; any other
-    takes at most two band passes, in O(m * d1 / w) for int digit size w.
+    more pass at cap d1 is exact.  Each pass is one :func:`_lcs_length`:
+    a near pair, d within the greedy walk's budget for a shorter string of
+    m bits, takes one pass in O(d^2) Python steps plus O(m) at C speed;
+    any other takes at most two band passes, in O(m * d1 / w) for int
+    digit size w.
     A cap past the whole table is clamped to it, so neither pass is wider
     than the band that covers every cell.
     """
@@ -352,13 +326,17 @@ def edit_distance(a: BitString, b: BitString) -> int:
 def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
     """Edit distance if it is <= cap, else None.
 
-    Works only between the strings' shared ends (:func:`_lcs_length`),
-    found in O(|a|) at C speed.  A distance d within both the cap and the
-    greedy walk's budget for a middle of m bits costs O(d^2) Python steps
-    plus O(m) at C speed.  Otherwise the bit-parallel LCS recurrence runs
-    over the band of about ``cap + 1`` diagonals that an alignment of cost
-    <= cap can use, in O(m * max(cap, 256) / w) for int digit size w.
+    ``cap`` is any integer, a numpy one too: it is taken as a Python int
+    (:func:`operator.index`), since the band's shifts would wrap or
+    overflow in a fixed-width one; a float raises ``TypeError``.  A
+    distance d within both the cap and the greedy walk's budget for a
+    shorter string of m bits costs O(d^2) Python steps plus O(m) at C
+    speed (:func:`_lcs_length`).  Otherwise the bit-parallel LCS
+    recurrence runs over the band of about ``cap + 1`` diagonals that an
+    alignment of cost <= cap can use, in O(m * max(cap, 256) / w) for int
+    digit size w.
     """
+    cap = operator.index(cap)
     if cap < 0:
         raise ValueError("cap must be >= 0")
     if abs(len(a) - len(b)) > cap:

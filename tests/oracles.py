@@ -49,6 +49,17 @@ def edit_distance_dp(a, b) -> int:
     return len(a) + len(b) - 2 * lcs_dp(a, b)
 
 
+def image_of(record, i: int) -> int | None:
+    """Trace position holding source bit i, or None if it was deleted; the
+    reference ``channel.image_ceil`` is checked against."""
+    if not 1 <= i <= record.source_len:
+        raise ValueError(f"source position {i} outside 1..{record.source_len}")
+    q = int(np.searchsorted(record.source_map, i, side="left"))
+    if q < len(record.source_map) and record.source_map[q] == i:
+        return q + 1
+    return None
+
+
 def bma_literal_walk(sequences, cursors, rounds):
     """Line-by-line majority alignment; a cursor past a sequence's end
     reads '*'.

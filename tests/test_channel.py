@@ -10,12 +10,13 @@ from tracerecon import (
     TraceRecord,
     apply_deletions,
     image_ceil,
-    image_of,
     random_bits,
     source_of,
     transmit,
 )
 from tracerecon.rng import stream
+
+from .oracles import image_of
 
 
 class TestApplyDeletions:

@@ -12,6 +12,7 @@ import pytest
 
 from tracerecon import (
     PAPER_DEFAULTS,
+    BitString,
     ExperimentConfig,
     TrialResult,
     edit_distance,
@@ -202,7 +203,7 @@ class TestRunExperiment:
 
         def doubled(n, delta, traces, **kwargs):
             res = real_recon(n, delta, traces, **kwargs)
-            seen["hyp"] = res.hypothesis.concat(res.hypothesis)
+            seen["hyp"] = BitString(res.hypothesis.tobytes() * 2)
             seen["trace0"] = traces[0]
             return dataclasses.replace(res, hypothesis=seen["hyp"])
 

@@ -335,7 +335,7 @@ class TestAlphaBeta:
         a, b = build_alpha_beta(m)
         assert len(a) == len(b) == 2 * m + 4
         assert a != b
-        assert a.find(b) is None and b.find(a) is None
+        assert b.tobytes() not in a.tobytes() and a.tobytes() not in b.tobytes()
 
     def test_spec_build(self):
         spec = EmbeddingSpec.build(1, 32)
@@ -346,7 +346,7 @@ class TestAlphaBeta:
 class TestOccurrences:
     def test_adjacent_markers(self):
         spec = EmbeddingSpec.build(1, 2)
-        x = spec.alpha.concat(spec.beta)
+        x = BitString(spec.alpha.tobytes() + spec.beta.tobytes())
         occs = find_pattern_occurrences(x, spec, limit=2)
         assert occs == [Interval(1, 6), Interval(7, 12)]
 
@@ -404,12 +404,12 @@ class TestEmbedExtract:
 
     def test_idempotent_when_matching(self):
         spec = EmbeddingSpec.build(1, 2)
-        x_prime = spec.alpha.concat(spec.beta)
+        x_prime = BitString(spec.alpha.tobytes() + spec.beta.tobytes())
         assert embed_instance(BitString("01"), x_prime, spec) == x_prime
 
     def test_extract_frozen(self):
         spec = EmbeddingSpec.build(1, 2)
-        assert str(extract_z(spec.beta.concat(spec.alpha), spec, 2)) == "10"
+        assert str(extract_z(BitString(spec.beta.tobytes() + spec.alpha.tobytes()), spec, 2)) == "10"
         assert str(extract_z(BitString("111111111"), spec, 2)) == ""
 
     def test_extract_inverts_embed_random(self):
