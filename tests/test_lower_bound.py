@@ -409,7 +409,8 @@ class TestEmbedExtract:
 
     def test_extract_frozen(self):
         spec = EmbeddingSpec.build(1, 2)
-        assert str(extract_z(BitString(spec.beta.tobytes() + spec.alpha.tobytes()), spec, 2)) == "10"
+        x = BitString(spec.beta.tobytes() + spec.alpha.tobytes())
+        assert str(extract_z(x, spec, 2)) == "10"
         assert str(extract_z(BitString("111111111"), spec, 2)) == ""
 
     def test_extract_inverts_embed_random(self):

@@ -173,9 +173,8 @@ class TestEditDistance:
     def test_numpy_integer_cap(self, rng):
         # a numpy cap is taken as a Python int: in fixed-width ints the
         # band's shifts would wrap on short pairs and overflow on long ones
-        short = [(random_bits(int(rng.integers(1, 60)), rng), random_bits(int(rng.integers(1, 60)), rng))
-                 for _ in range(100)]
-        for a, b in short:
+        for _ in range(100):
+            a, b = (random_bits(int(rng.integers(1, 60)), rng) for _ in range(2))
             for cap in range(len(a) + len(b) + 1):
                 want = edit_distance_bounded(a, b, cap)
                 assert edit_distance_bounded(a, b, np.int64(cap)) == want
