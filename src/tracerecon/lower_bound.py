@@ -18,9 +18,13 @@ Three layers, each executable:
    like deletion-channel traces of the embedded string, so any trace
    reconstructor induces a PRLP decoder.
 
-Every binomial draw comes from one sampler, `_binomial`, which runs numpy's
-inversion walk vectorized on one uniform double per draw, so it makes
+Every binomial draw comes from one sampler, `_binomial`, which inverts one
+uniform double per draw.  numpy's inversion walk counts a non-decreasing step
+function of the uniform, so the sampler finds the walk's cut points once per
+call and counts the cuts at or below each uniform; it thus makes
 `Generator.binomial`'s draws wherever numpy inverts (n * min(p, 1-p) <= 30).
+Every Bayes decider sums its pairs' log-likelihoods left to right, in
+`_bayes_ones`.
 """
 
 from __future__ import annotations
@@ -62,22 +66,66 @@ def _binom_row(n: int, p: float, kmax: int) -> np.ndarray:
     return out
 
 
+def _walk_passes(u: float, pxs: list[float]) -> bool:
+    """Whether numpy's inversion walk from the uniform `u` steps past every
+    px in `pxs`: at each step the walk goes on while u > px, then u -= px."""
+    for px in pxs:
+        if not u > px:
+            return False
+        u -= px
+    return True
+
+
+def _walk_cuts(n: int, pp: float, q: float) -> list[float]:
+    """The inversion walk's cut points for Bin(n, pp), q = 1 - pp, as a list
+    whose entry k-1 is the least double from which the walk counts at least
+    k, for every such cut below 1.0 (no uniform reaches the rest).
+
+    Each step u -= px is monotone in u, so the walk's count is a
+    non-decreasing step function of the uniform and these cuts determine
+    it.  A cut is found from the exactly rounded sum of the first k px,
+    stepped one double at a time until the scalar walk agrees."""
+    pxs = []
+    px = math.exp(n * math.log(q))
+    for k in range(n):
+        pxs.append(px)
+        px = ((n - k) * pp * px) / ((k + 1) * q)
+    cuts = []
+    for k in range(1, n + 1):
+        head = pxs[:k]
+        cut = math.fsum(head)
+        if _walk_passes(cut, head):
+            while _walk_passes(below := math.nextafter(cut, -math.inf), head):
+                cut = below
+        else:
+            cut = math.nextafter(cut, math.inf)
+            while not _walk_passes(cut, head):
+                cut = math.nextafter(cut, math.inf)
+        if cut >= 1.0:
+            break
+        cuts.append(cut)
+    return cuts
+
+
 def _binomial(
     rng: np.random.Generator, n: int | np.ndarray, p: float, shape: tuple[int, ...]
 ) -> np.ndarray:
     """Bin(n, p) draws of the given shape, by inversion from one uniform
     double per draw; `n` is an int or an int array that broadcasts to `shape`.
 
-    This is numpy's own inversion walk with the same float operations in the
-    same order: with p' = min(p, 1-p) and q = 1 - p', px starts at q^n and
-    steps to (n-x+1) p' px / (x q) while the uniform exceeds it, and a draw
-    for p > 1/2 is n minus the walk's count.  Wherever `Generator.binomial`
-    inverts (n p' <= 30) the draws therefore equal its draws, and the
-    generator is left in the same state.  The one exception is numpy's
-    redraw of a walk that rounding carries past every outcome (probability
-    below 1e-17 at these n); this walk stops at n instead.  Beyond n p' = 30
-    numpy switches to BTPE, so the stream differs there, but this is still an
-    exact inverse-CDF sampler.  At p = 0 no double is drawn, as in numpy.
+    The draws are numpy's own inversion walk's: with p' = min(p, 1-p) and
+    q = 1 - p', px starts at q^n and steps to (n-x+1) p' px / (x q) while the
+    uniform exceeds it, the uniform losing px at each step, and a draw for
+    p > 1/2 is n minus the walk's count.  That count is a non-decreasing
+    step function of the uniform, so it is read off the walk's cut points
+    (`_walk_cuts`, found once per distinct n per call): a draw is the number
+    of cuts at or below its uniform.  Wherever `Generator.binomial` inverts
+    (n p' <= 30) the draws therefore equal its draws, and the generator is
+    left in the same state.  The one exception is numpy's redraw of a walk
+    that rounding carries past every outcome (probability below 1e-17 at
+    these n); this walk stops at n instead.  Beyond n p' = 30 numpy switches
+    to BTPE, so the stream differs there, but this is still an exact
+    inverse-CDF sampler.  At p = 0 no double is drawn, as in numpy.
     """
     n_arr = np.asarray(n)
     hi = int(n_arr.max(initial=0))
@@ -88,26 +136,23 @@ def _binomial(
     flip = p > 0.5
     pp = 1.0 - p if flip else p
     q = 1.0 - pp
-    # steps[k, j]: the walk's px at step k for n = lo + j; inf past n ends it
-    steps = np.full((hi, hi - lo + 1), np.inf)
-    for j in range(hi - lo + 1):
-        nj = lo + j
-        px = math.exp(nj * math.log(q))
-        for k in range(nj):
-            steps[k, j] = px
-            px = ((nj - k) * pp * px) / ((k + 1) * q)
+    # cuts[k, j]: the walk's (k+1)-th cut for n = lo + j; inf where none
+    # lies below 1.0
+    per_n = [_walk_cuts(nj, pp, q) for nj in range(lo, hi + 1)]
+    cuts = np.full((max(map(len, per_n)), hi - lo + 1), np.inf)
+    for j, cut_j in enumerate(per_n):
+        cuts[: len(cut_j), j] = cut_j
     row = None if n_arr.ndim == 0 else n_arr - lo
     u = rng.random(shape)
     x = np.zeros(shape, dtype=dtype)
     act = np.empty(shape, dtype=bool)
-    for k in range(hi):
+    for cut_k in cuts:
         # a Python float keeps numpy's scalar fast path for the common case
-        px = float(steps[k, 0]) if row is None else steps[k][row]
-        np.greater(u, px, out=act)
+        cut = float(cut_k[0]) if row is None else cut_k[row]
+        np.greater_equal(u, cut, out=act)
         if not act.any():
             break
         x += act
-        u -= px
     if flip:
         np.subtract(n, x, out=x)
     return x
@@ -166,6 +211,8 @@ def bayes_decide_atomic(pairs: Sequence | np.ndarray, m_pairs: int, delta: float
     """
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     _validate_pairs(arr, m_pairs)
+    if arr.size == 0:  # no pairs: equal likelihoods
+        return 0
     return int(_bayes_ones(_log_tables(m_pairs, delta), arr[:, 0], arr[:, 1], axis=0))
 
 
@@ -229,11 +276,23 @@ def _bayes_ones(
     given ``logs = _log_tables(M, delta)``: True (decide 1) where the summed
     float log-likelihood under D0 is below the one under D1.  An exact tie
     N = D (P0 = P1, where either decision is Bayes-optimal) falls either way
-    with the rounding of the sums."""
+    with the rounding of the sums.
+
+    Every decider sums the pairs' log-likelihoods here, left to right along
+    ``axis``, one pair at a time into one accumulator per hypothesis, so a
+    tie falls the same way whichever decider meets it and whatever the
+    number of pairs."""
     l0, l1 = logs
     idx = first.astype(np.int64) * l0.shape[1] + second
     l0, l1 = l0.ravel(), l1.ravel()
-    return l0[idx].sum(axis=axis) < l1[idx].sum(axis=axis)
+    lead = (slice(None),) * axis
+    pair = idx[lead + (0,)]
+    s0, s1 = l0[pair], l1[pair]
+    for j in range(1, idx.shape[axis]):
+        pair = idx[lead + (j,)]
+        s0 += l0[pair]
+        s1 += l1[pair]
+    return s0 < s1
 
 
 def mc_atomic_failure_prob(

@@ -331,9 +331,30 @@ def exact_failure_prob_grid(m_pairs: int, delta: float) -> float:
     return float(0.5 * np.minimum(a0, a1).sum())
 
 
+def inversion_walk(u: float, n: int, p: float) -> int:
+    """numpy's binomial inversion walk on the one uniform ``u``, step by
+    step: with p' = min(p, 1-p) and q = 1 - p', px starts at q^n, and while
+    u > px the count goes up, u loses px and px steps to
+    (n-x+1) p' px / (x q); the draw is the count, or n minus it for p > 1/2.
+    numpy redraws a walk that passes its bound; this one stops at n."""
+    pp = 1.0 - p if p > 0.5 else p
+    q = 1.0 - pp
+    x, px = 0, math.exp(n * math.log(q))
+    while x < n and u > px:
+        x += 1
+        u -= px
+        px = ((n - x + 1) * pp * px) / (x * q)
+    return n - x if p > 0.5 else x
+
+
 def mc_atomic_failure_prob_whole(m_pairs: int, delta: float, trials: int, rng):
     """The atomic Monte Carlo with every draw in one array per stratum:
-    (half, M) int64 draws, one gather and one sum each."""
+    (half, M) int64 draws, one gather and one sum each.
+
+    Its ``.sum(axis=1)`` adds the pairs left to right, as the kernel does,
+    only for M < 8: from 8 terms numpy sums a contiguous axis pairwise, so an
+    N = D tie may round the other way.  ``TestBlockedMonteCarlo`` uses
+    M <= 6."""
     half = trials // 2
     p0, p1 = atomic_tables(m_pairs, delta)
     with np.errstate(divide="ignore"):
@@ -357,7 +378,8 @@ def mc_atomic_failure_prob_whole(m_pairs: int, delta: float, trials: int, rng):
 
 
 def mc_prlp_exact_match_whole(m_pairs: int, delta: float, b_len: int, trials: int, rng):
-    """The PRLP exact-match rate with all (trials, M, B) draws in one array."""
+    """The PRLP exact-match rate with all (trials, M, B) draws in one array.
+    Its sum over the middle axis adds the pairs left to right at any M."""
     p0, p1 = atomic_tables(m_pairs, delta)
     with np.errstate(divide="ignore"):
         l0 = np.log(p0.ravel())

@@ -30,12 +30,20 @@ from tracerecon import (
     sample_prlp,
     simulate_aprlp,
 )
-from tracerecon.lower_bound import _BLOCK, _binomial, atomic_tables
+from tracerecon.lower_bound import (
+    _BLOCK,
+    _bayes_ones,
+    _binomial,
+    _log_tables,
+    _walk_cuts,
+    atomic_tables,
+)
 from tracerecon.rng import stream
 
 from .oracles import (
     exact_failure_prob_grid,
     exact_failure_prob_naive,
+    inversion_walk,
     mc_atomic_failure_prob_whole,
     mc_prlp_exact_match_whole,
     pattern_occurrences_naive,
@@ -110,6 +118,36 @@ class TestBayesDecide:
     def test_rejects_outside_support(self):
         with pytest.raises(ValueError):
             bayes_decide_atomic([(3, 3)], 1, 0.5)
+
+    def test_no_pairs_decides_zero(self):
+        assert bayes_decide_atomic(np.zeros((0, 2)), 2, 0.3) == 0
+
+    def test_one_rule_for_every_m(self):
+        # the Monte Carlo block (rows, M), the PRLP decoder (axis 0) and the
+        # one-instance decider sum the pairs in one order, so they agree row
+        # for row, N = D ties included; numpy's own sum of 8 or more terms
+        # along a contiguous axis takes a pairwise order instead
+        rows = 3000
+        ties_past_7 = 0
+        for m in (1, 4, 7, 8, 9, 12, 16):
+            for delta in (0.1, 0.5):
+                logs = _log_tables(m, delta)
+                for b in (0, 1):
+                    g = stream(67, m, b)
+                    pairs = sample_atomic(b, m, delta, rows * m, g).reshape(rows, m, 2)
+                    ones = _bayes_ones(logs, pairs[..., 0], pairs[..., 1], axis=1)
+                    # C order, as sample_prlp draws it
+                    prlp = np.ascontiguousarray(pairs.transpose(1, 0, 2))
+                    decoded = decode_prlp_bayes(prlp, m, delta)
+                    assert np.array_equal(decoded.array, ones)
+                    assert decode_prlp_bayes(pairs.transpose(1, 0, 2), m, delta) == decoded
+                    n_d = (m + 1 - pairs).astype(object).prod(axis=1)
+                    tie = n_d[:, 0] == n_d[:, 1]
+                    ties_past_7 += int(tie.sum()) if m >= 8 else 0
+                    sample = np.flatnonzero(tie | (np.arange(rows) % 97 == 0))
+                    single = [bayes_decide_atomic(pairs[i], m, delta) for i in sample]
+                    assert single == ones[sample].astype(int).tolist()
+        assert ties_past_7 > 0
 
     @pytest.mark.parametrize("delta", [0.1, 0.25, 0.5])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -242,6 +280,42 @@ class TestBinomialSampler:
             got = _binomial(g1, n, p, (7, 31))
             assert np.array_equal(got, g2.binomial(n, p, size=(7, 31)))
             assert g1.random() == g2.random()
+
+    @pytest.mark.parametrize("n", [50, 100, 300])
+    def test_scalar_n_past_26(self, n):
+        # only where numpy still inverts; at n = 300, p = 0.1 the cut search
+        # stops early, at the first cut at or above 1.0
+        for p in (0.01, 0.05, 0.1, 0.9, 0.95, 0.99):
+            if n * min(p, 1 - p) > 30:
+                continue
+            g1, g2 = stream(64, n), stream(64, n)
+            got = _binomial(g1, n, p, (40, 50))
+            assert np.array_equal(got, g2.binomial(n, p, size=(40, 50)))
+            assert g1.random() == g2.random()
+        if n == 300:
+            assert len(_walk_cuts(n, 0.1, 1.0 - 0.1)) < n
+
+    @pytest.mark.parametrize(
+        "n, p", [(n, p) for n in (1, 5, 26) for p in (1e-3, 0.1, 0.5, 0.9)] + [(300, 0.1)]
+    )
+    def test_counts_at_every_cut(self, n, p):
+        # a uniform lands on a cut with probability ~2^-53, so random draws
+        # never tell a cut from its neighbour; feed the sampler each cut of
+        # n and n + 1, the double below it, 0 and the largest double below 1
+        # (at n = 300, p = 0.1 the cuts stop early, at the first >= 1.0)
+        pp = min(p, 1.0 - p)
+        cuts = _walk_cuts(n, pp, 1.0 - pp) + _walk_cuts(n + 1, pp, 1.0 - pp)
+        us = [0.0, math.nextafter(1.0, 0.0)]
+        us += cuts + [math.nextafter(c, 0.0) for c in cuts]
+        n_col = np.array([n, n + 1])
+
+        class Uniforms:
+            def random(self, shape):
+                return np.repeat(us, shape[1]).reshape(shape)
+
+        got = _binomial(Uniforms(), n_col, p, (len(us), 2))
+        want = [[inversion_walk(u, nj, p) for nj in n_col] for u in us]
+        assert got.tolist() == want
 
     def test_no_double_drawn_at_p_zero(self):
         g, fresh = stream(61, 0), stream(61, 0)
