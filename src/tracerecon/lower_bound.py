@@ -280,8 +280,8 @@ def _bayes_ones(
 
     Every decider sums the pairs' log-likelihoods here, left to right along
     ``axis``, one pair at a time into one accumulator per hypothesis, so a
-    tie falls the same way whichever decider meets it and whatever the
-    number of pairs."""
+    tie falls the same way whichever decider meets it, whatever the number
+    of pairs and the memory layout of the draws."""
     l0, l1 = logs
     idx = first.astype(np.int64) * l0.shape[1] + second
     l0, l1 = l0.ravel(), l1.ravel()
