@@ -108,6 +108,8 @@ def align(
             if indexes[m] is None:
                 indexes[m] = kmer_index(traces[m])
         for s in range(params.S, 0, -1):
+            if not live:  # the batch's first trace missed: no stage can change the result
+                break
             budget = int(2 * params.gamma * params.t_ladder[s - 1])
             hits = find_closest_subwords(
                 templates[s - 1],

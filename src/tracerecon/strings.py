@@ -17,16 +17,18 @@ any later one.  :func:`find_closest_subword` is its one-haystack call.
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
 kernel computes it, in two steps.  A pair whose shorter string has m bits
-is scored first by Myers' greedy walk over the diagonals, in O(D^2)
-Python steps for a distance D plus O(m) at C speed, as long as D stays
-within a budget set by m (about sqrt(m / 32) edits) and the cap; the
-walk's snakes run along the two strings' shared ends by byte compares.
-Past that, the bit-parallel LCS recurrence on Python ints runs over the
-band of diagonals the cap allows, a Python loop of O(m * cap / w): once
-for the bounded distance, and at most twice for the exact one, the
-second pass at the first pass's distance.  At a small deletion rate a
-trace, and a good hypothesis, sit close to their source, which is where
-the walk ends.  The same recurrence, run once over up to 2048 candidate
+and whose lengths differ by delta is scored first by the O(NP) walk over
+the diagonals (Wu, Manber, Myers & Miller 1990): a distance
+D = delta + 2P costs (P + 1)(delta + P + 1) Python steps plus O(m) at C
+speed, as long as D is within the cap and that step count within a
+budget of m / 64 steps; the walk's snakes run along the two strings'
+shared ends by byte compares.  Past that, the bit-parallel LCS
+recurrence on Python ints runs over the band of diagonals the cap
+allows, a Python loop of O(m * cap / w): once for the bounded distance,
+and at most twice for the exact one, the second pass at the first pass's
+distance.  A trace is a subsequence of its source (P = 0), so scoring
+it against the source takes delta + 1 steps of the walk, when they fit
+the budget.  The same recurrence, run once over up to 2048 candidate
 windows packed into one int, serves the window search.  Its match masks
 are built from the bytes with ``bytes.translate`` and ``int(digits, 2)``,
 and the window search reads its result back from the binary digits of
@@ -38,6 +40,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator, Sequence
 
@@ -205,41 +208,49 @@ def _snake(a: bytes, b: bytes, x: int, y: int) -> int:
     return end
 
 
-def _walk_budget(m: int) -> int:
-    """Largest D whose greedy walk over a pair whose shorter string has m
-    bits, (D + 1)(D + 2) / 2 diagonal steps at about 1 us each, stays
-    within m / 64 steps: a few percent of the band's m rows at about
-    0.2 us each.  -1 (no walk) for m < 64."""
-    return (isqrt(8 * (m // 64) + 1) - 1) // 2 - 1
+def _walk(a: bytes, b: bytes, cap: int) -> int | None:
+    """Insert/delete distance of ``a`` and ``b`` if it is <= ``cap`` and
+    the walk finishes within its step budget, else None: the O(NP) walk of
+    Wu, Manber, Myers & Miller (1990) over Ukkonen's diagonals.
 
-
-def _walk(a: bytes, b: bytes, d_max: int) -> int | None:
-    """Insert/delete distance of ``a`` and ``b`` if it is <= ``d_max``,
-    else None: Myers' (1986) greedy walk over Ukkonen's diagonals.
-
-    ``v[k]`` is the furthest ``x`` (position in ``a``) that a path of ``d``
-    edits reaches on diagonal ``x - y = k - off``; each step takes the
-    better of its two neighbours' points and follows the snake of matches
-    from there (:func:`_snake`).  Points past either end match nothing, so
-    a path that leaves the table can only add edits, and the first ``d``
-    at which some path reaches both ends is the distance.  That is
-    (D + 1)(D + 2) / 2 Python steps for a distance D, plus the snakes at C
-    speed, about ``|a| + |b|`` bytes along the alignment.
+    With ``a`` the shorter string and ``delta = |b| - |a|``, the distance
+    is ``delta + 2 * P`` for the excess ``P``, the number of symbols of
+    ``a`` that a shortest path leaves out.  After round ``p``, ``fp[k]`` is
+    the furthest ``y`` (position in ``b``) on diagonal ``y - x = k`` of a
+    path that leaves out at most ``p`` symbols of ``a``, counting the
+    ``k - delta`` it must still leave out to come back from a diagonal past
+    ``delta``.  Round ``p`` steps the diagonals ``-p .. delta + p``, each
+    from the better of its two neighbours' points along the snake of
+    matches (:func:`_snake`), towards ``delta`` from both sides, and the
+    walk ends when diagonal ``delta`` reaches the end of ``b``.  Points
+    past either end match nothing, so a path that leaves the table can
+    only add edits.  A distance D = delta + 2P costs (P + 1)(delta + P + 1)
+    diagonal steps at about 1 us each, ``delta + 1`` for a subsequence,
+    plus the snakes at C speed, about ``|a| + |b|`` bytes along the
+    alignment.  The walk gives up once that count would pass ``|a| // 64``
+    steps, a few percent of the band's ``|a|`` rows at about 0.2 us each,
+    so a string of fewer than 64 bits is never walked.
     """
-    n, m = len(a), len(b)
-    off = d_max + 1
-    v = [0] * (2 * d_max + 3)
-    for d in range(d_max + 1):
-        for k in range(off - d, off + d + 1, 2):
-            if k == off - d or (k != off + d and v[k - 1] < v[k + 1]):
-                x = v[k + 1]  # one more symbol of b
-            else:
-                x = v[k - 1] + 1  # one more symbol of a
-            y = x - k + off
-            x += _snake(a, b, x, y)
-            v[k] = x
-            if x >= n and x - k + off >= m:
-                return d
+    if len(a) > len(b):
+        a, b = b, a
+    n, delta = len(b), len(b) - len(a)
+    budget = len(a) // 64
+    if delta > cap or delta + 1 > budget:
+        return None
+    p_max = min((cap - delta) // 2, isqrt(budget))
+    off = p_max + 1  # fp[k + off] is the furthest y on diagonal k
+    fp = [-1] * (delta + 2 * p_max + 3)
+    steps = 0
+    for p in range(p_max + 1):
+        steps += delta + 2 * p + 1
+        if steps > budget:
+            return None
+        for k in chain(range(-p, delta), range(delta + p, delta, -1), (delta,)):
+            i = k + off
+            y = max(fp[i - 1] + 1, fp[i + 1])
+            fp[i] = y + _snake(a, b, y - k, y)
+        if fp[delta + off] >= n:
+            return delta + 2 * p
     return None
 
 
@@ -247,16 +258,16 @@ def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
     """Length of a longest common subsequence of two bit byte strings,
     looping over the shorter one.
 
-    A near pair is scored first by the greedy walk (:func:`_walk`), in
-    O(D^2) Python steps for a distance D plus O(|a|) at C speed, up to
-    ``min(cap, budget)`` edits, where the budget (:func:`_walk_budget`)
-    keeps a walk that cannot finish to a few percent of the band behind
-    it.  Its first snake runs along the strings' common prefix and its
-    last along their common suffix, so shared ends cost byte compares
-    alone.  The length gap bounds the distance from below, so a gap past
-    that limit skips the walk.  A walk that finishes returns the exact LCS;
-    otherwise the band below runs over every row of ``a``, as if there
-    were no walk.
+    A near pair is scored first by the O(NP) walk (:func:`_walk`): a
+    distance D = delta + 2P within ``cap`` costs (P + 1)(delta + P + 1)
+    Python steps plus O(|a|) at C speed, for the length gap delta, as long
+    as that count stays within ``|a| // 64`` steps, which keeps a walk
+    that cannot finish to a few percent of the band behind it.  Its first
+    snake runs along the strings' common prefix and its last along their
+    common suffix, so shared ends cost byte compares alone.  A gap past
+    the cap, or with delta + 1 past the step budget, skips the walk.  A
+    walk that finishes returns the exact LCS; otherwise the band below
+    runs over every row of ``a``, as if there were no walk.
 
     Only the diagonals ``e = j - i`` that an alignment of cost <= ``cap``
     can touch are computed, ``|e| + |delta - e| <= cap`` with
@@ -275,11 +286,9 @@ def _lcs_length(a: bytes, b: bytes, cap: int) -> int:
         a, b = b, a
     if not a:
         return 0
-    d_max = min(cap, _walk_budget(len(a)))
-    if len(b) - len(a) <= d_max:
-        d = _walk(a, b, d_max)
-        if d is not None:
-            return (len(a) + len(b) - d) // 2
+    d = _walk(a, b, cap)
+    if d is not None:
+        return (len(a) + len(b) - d) // 2
     peq = _match_masks(b)
     cap = min(cap, len(a) + len(b))  # at this cap the band covers every cell
     pad = (cap - (len(b) - len(a))) // 2
@@ -308,10 +317,11 @@ def edit_distance(a: BitString, b: BitString) -> int:
     d1 >= d, since the band never overstates the LCS.  A pass is exact at
     any cap >= d, so d1 is d when it is within that cap; otherwise one
     more pass at cap d1 is exact.  Each pass is one :func:`_lcs_length`:
-    a near pair, d within the greedy walk's budget for a shorter string of
-    m bits, takes one pass in O(d^2) Python steps plus O(m) at C speed;
-    any other takes at most two band passes, in O(m * d1 / w) for int
-    digit size w.
+    a near pair, d = delta + 2P for a length gap delta whose
+    (P + 1)(delta + P + 1) walk steps fit the budget of m / 64 for a
+    shorter string of m bits, takes one pass in that many Python steps
+    plus O(m) at C speed; any other takes at most two band passes, in
+    O(m * d1 / w) for int digit size w.
     A cap past the whole table is clamped to it, so neither pass is wider
     than the band that covers every cell.
     """
@@ -329,12 +339,13 @@ def edit_distance_bounded(a: BitString, b: BitString, cap: int) -> int | None:
     ``cap`` is any integer, a numpy one too: it is taken as a Python int
     (:func:`operator.index`), since the band's shifts would wrap or
     overflow in a fixed-width one; a float raises ``TypeError``.  A
-    distance d within both the cap and the greedy walk's budget for a
-    shorter string of m bits costs O(d^2) Python steps plus O(m) at C
-    speed (:func:`_lcs_length`).  Otherwise the bit-parallel LCS
-    recurrence runs over the band of about ``cap + 1`` diagonals that an
-    alignment of cost <= cap can use, in O(m * max(cap, 256) / w) for int
-    digit size w.
+    distance d = delta + 2P within the cap, for a length gap delta, costs
+    (P + 1)(delta + P + 1) Python steps plus O(m) at C speed, if that
+    count is within the walk's budget of m / 64 steps for a shorter
+    string of m bits (:func:`_lcs_length`).  Otherwise the bit-parallel
+    LCS recurrence runs over the band of about ``cap + 1`` diagonals that
+    an alignment of cost <= cap can use, in O(m * max(cap, 256) / w) for
+    int digit size w.
     """
     cap = operator.index(cap)
     if cap < 0:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 
 import pytest
@@ -17,6 +18,8 @@ from tracerecon import (
 from tracerecon.rng import stream
 
 from .oracles import align_per_trace
+
+align_module = importlib.import_module("tracerecon.align")
 
 
 def make_instance(n, delta, m, seed, **kw):
@@ -263,6 +266,28 @@ class TestBatchedLadder:
                 bad[first - 1] = cut
                 diag = self.check(params, self.N // 2, x, bad)
                 assert (diag.failure_stage, diag.failure_trace) == (1, first - 1)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 25])
+    def test_no_search_after_the_batch_is_dead(self, m, monkeypatch):
+        # a miss or an empty trace first in a batch leaves no live trace:
+        # the later stages of that batch search nothing
+        haystack_counts = []
+        real = align_module.find_closest_subwords
+
+        def recording(template, haystacks, *args):
+            haystack_counts.append(len(haystacks))
+            return real(template, haystacks, *args)
+
+        monkeypatch.setattr(align_module, "find_closest_subwords", recording)
+        x, params, traces = self.clean(m)
+        for first in _first_misses(m):
+            for bad_trace in (BitString(1 - x.array), BitString("")):
+                bad = list(traces)
+                bad[first] = bad_trace
+                haystack_counts.clear()
+                diag = self.check(params, self.N // 2, x, bad)
+                assert (diag.failure_stage, diag.failure_trace) == (params.S, first)
+                assert 0 not in haystack_counts
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 25])
     def test_cursor_at_either_edge_fails_the_word_stage(self, m):

@@ -29,7 +29,6 @@ from tracerecon.strings import (
     _lcs_length,
     _prefilter_starts,
     _walk,
-    _walk_budget,
     kmer_index,
 )
 
@@ -315,17 +314,17 @@ class TestBandedDistance:
 
     @pytest.mark.parametrize("n", [2**13, 2**14])
     def test_long_trace_pair_at_its_cap(self, n, rng):
-        # two traces of one source: d exceeds their length gap and the walk
-        # budget, so every cap from d - 1 up runs the band, over many chunks
-        # of rows and with the shorter trace's length no multiple of the
-        # chunk height
+        # two traces of one source: d exceeds their length gap and its walk
+        # steps exceed the budget, so every cap from d - 1 up runs the band,
+        # over many chunks of rows and with the shorter trace's length no
+        # multiple of the chunk height
         x = random_bits(n, rng)
         a, b = transmit(x, 0.01, rng).trace, transmit(x, 0.01, rng).trace
         d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes(), len(a) + len(b))
         gap = abs(len(a) - len(b))
         assert gap < d - 1
         rows = min(len(a), len(b))
-        assert d > _walk_budget(rows)
+        assert _walk_steps(d, gap) > rows // 64
         for cap in (d - 1, d, d + 1):
             h = max(gap + 2 * ((cap - gap) // 2) + 1, 256)
             assert rows > 4 * h and rows % h != 0
@@ -361,7 +360,7 @@ class TestBandedDistance:
 
 
 class TestSharedEnds:
-    """Pairs with shared ends: the greedy walk's first snake runs along the
+    """Pairs with shared ends: the walk's first snake runs along the
     two strings' common prefix and its last along their common suffix, so
     a near pair steps no band row whatever its ends, and a far pair bands
     every row of the shorter string."""
@@ -410,8 +409,9 @@ class TestSharedEnds:
     @pytest.mark.parametrize("p, s", [(0, 0), (1, 0), (0, 1), (37, 500), (700, 3)])
     def test_band_steps_only_the_middle(self, p, s, monkeypatch, rng):
         # planted ends around a middle that is near (a deletion and an
-        # insertion, within the walk budget of a 600-bit string) or far (random middles that
-        # differ in their first and in their last bit): the near pair steps
+        # insertion, whose 4 walk steps fit the budget of a 600-bit string)
+        # or far (random middles that differ in their first and in their
+        # last bit): the near pair steps
         # no band row at a cap of d or more, the far one every row of the
         # shorter string at every cap
         prefix, suffix = str(random_bits(p, rng)), str(random_bits(s, rng))
@@ -425,7 +425,7 @@ class TestSharedEnds:
         for kind, (a, b) in pairs.items():
             rows = min(len(a), len(b))
             d = edit_distance_dp(a, b)
-            assert (d <= _walk_budget(rows)) == (kind == "near")
+            assert _walks(d, abs(len(a) - len(b)), rows, d) == (kind == "near")
             for cap in (d - 1, d, 2 * d, len(a) + len(b)):
                 symbols.clear()
                 got = _lcs_length(BitString(a).tobytes(), BitString(b).tobytes(), cap)
@@ -476,50 +476,81 @@ def _edited(x: str, deletions=(), insertions=()) -> str:
     return "".join(out)
 
 
-class TestGreedyWalk:
-    """Near pairs are scored by Myers' greedy walk over the diagonals, up to
-    a budget set by the shorter string's length; past it the band runs."""
+def _walk_steps(d: int, gap: int) -> int:
+    """Diagonal steps the O(NP) walk takes to find a distance d = gap + 2P
+    between two strings whose lengths differ by gap: rounds 0..P, round p
+    stepping gap + 2p + 1 diagonals."""
+    p = (d - gap) // 2
+    return (p + 1) * (gap + p + 1)
 
-    @given(bits, bits)
-    @example("0" * 30 + "1" * 30, "0" * 29 + "1" * 31)
-    @example("01" * 32, "10" * 32)
-    @example("0" * 64, "")
-    def test_walk_at_every_limit(self, a, b):
+
+def _walks(d: int, gap: int, rows: int, cap: int) -> bool:
+    """Whether the walk finds the distance d of a pair whose lengths differ
+    by gap and whose shorter string has ``rows`` bits, at ``cap``: d is
+    within the cap and its steps within the budget of rows // 64."""
+    return d <= cap and _walk_steps(d, gap) <= rows // 64
+
+
+# shared bits that pad a pair to a length whose walk budget is set: a
+# common prefix or suffix leaves the distance, and the walk's steps, as they are
+_PAD = str(random_bits(64 * 65 * 65, np.random.default_rng(2**20)))
+
+
+class TestGreedyWalk:
+    """Near pairs are scored by the O(NP) walk over the diagonals, which
+    greedily follows the furthest point of each diagonal: a distance
+    d = gap + 2P takes (P + 1)(gap + P + 1) steps, up to a budget of the
+    shorter string's length // 64; past it, or past the cap, the band runs."""
+
+    @given(bits, bits, st.booleans())
+    @example("0" * 30 + "1" * 30, "0" * 29 + "1" * 31, False)
+    @example("01" * 32, "10" * 32, True)
+    @example("0" * 64, "", False)
+    @example("0" * 64, "1" * 64, True)
+    @settings(deadline=None)
+    def test_walk_at_every_limit(self, a, b, pad_in_front):
+        # shared pad bits set the shorter string's length so that the budget
+        # is the walk's steps for d, or one short of them
         d = edit_distance_dp(a, b)
-        wa, wb = BitString(a).tobytes(), BitString(b).tobytes()
-        for d_max in range(d + 3):
-            want = d if d <= d_max else None
-            assert _walk(wa, wb, d_max) == want
-            assert _walk(wb, wa, d_max) == want
+        steps = _walk_steps(d, abs(len(a) - len(b)))
+        rows = min(len(a), len(b))
+        for budget in (steps, steps - 1):
+            pad = _PAD[: max(0, 64 * budget - rows)]
+            if (len(pad) + rows) // 64 != budget:
+                continue  # 64-bit strings at d = 0 cannot have a budget of 0
+            pa, pb = (pad + a, pad + b) if pad_in_front else (a + pad, b + pad)
+            wa, wb = BitString(pa).tobytes(), BitString(pb).tobytes()
+            for cap in [*range(d + 3), 10**6]:
+                want = d if d <= cap and budget == steps else None
+                assert _walk(wa, wb, cap) == want
+                assert _walk(wb, wa, cap) == want
 
     @staticmethod
-    def check(a: str, b: str, monkeypatch) -> tuple[int, int]:
-        """The oracle's distance and the pair's walk budget.  The walk alone
-        finds the distance at a limit of d and not at d - 1; through the
-        public calls, every cap around d or the budget gives the oracle's
-        answer in both orders, and the band steps a row exactly when the
-        distance is past the cap or the budget."""
+    def check(a: str, b: str, monkeypatch) -> tuple[int, int, int]:
+        """The oracle's distance, the walk's steps for it and the pair's step
+        budget.  At every cap around d the walk alone gives d exactly when
+        d is within the cap and its steps within the budget; through the
+        public calls every cap gives the oracle's answer in both orders,
+        and the band steps a row exactly when the walk does not finish."""
         d = edit_distance_dp(a, b)
-        rows = min(len(a), len(b))
-        budget = _walk_budget(rows)
+        rows, gap = min(len(a), len(b)), abs(len(a) - len(b))
         symbols = TestSharedEnds._record_symbols(monkeypatch)
         wa, wb = BitString(a), BitString(b)
-        caps = set(range(d - 2, d + 3)) | {budget - 1, budget, budget + 1, d + 300}
+        caps = [c for c in range(d - 2, d + 3) if c >= 0] + [d + 300, 10**6]
         for x, y in ((wa, wb), (wb, wa)):
-            assert _walk(x.tobytes(), y.tobytes(), d) == d
-            assert _walk(x.tobytes(), y.tobytes(), d - 1) is None
-            for cap in sorted(c for c in caps if c >= 0):
+            for cap in caps:
+                walked = _walks(d, gap, rows, cap)
+                assert _walk(x.tobytes(), y.tobytes(), cap) == (d if walked else None)
                 symbols.clear()
                 assert edit_distance_bounded(x, y, cap) == (d if d <= cap else None)
-                banded = rows > 0 and abs(len(a) - len(b)) <= cap and d > min(cap, budget)
-                assert bool(symbols) == banded, (cap, d, budget)
+                assert bool(symbols) == (rows > 0 and gap <= cap and not walked), (cap, d)
             symbols.clear()
             assert edit_distance(x, y) == d
-            assert bool(symbols) == (d > budget)
-        return d, budget
+            assert bool(symbols) == (rows > 0 and not _walks(d, gap, rows, max(256, gap)))
+        return d, _walk_steps(d, gap), rows // 64
 
     # two edits on each side, far from the other side's, so that they add
-    # up; the shorter string has about 1200 bits and its budget is 4 edits
+    # up; the shorter string has about 1200 bits and its budget is 18 steps
     @pytest.mark.parametrize(
         "deletions, insertions",
         [({0}, [800]), ({1199}, [1200]), ({600, 601}, []), ({0}, [1200]), (set(), [700, 700])],
@@ -529,8 +560,8 @@ class TestGreedyWalk:
         x = str(random_bits(1200, rng))
         a = _edited(x, deletions, insertions)
         b = _edited(x, {30}, [1170])
-        d, budget = self.check(a, b, monkeypatch)
-        assert d == budget == 4  # the walk finishes at a cap of d
+        d, steps, budget = self.check(a, b, monkeypatch)
+        assert d == 4 and steps <= budget == 18  # the walk finishes at a cap of d
 
     @pytest.mark.parametrize("kind", ["blocks", "alternating"])
     def test_run_heavy_strings(self, kind, monkeypatch):
@@ -540,19 +571,20 @@ class TestGreedyWalk:
         a = _edited(x, {0, 45, 46, 600}, [1000])
         b = _edited(x, {333, 1199}, [2, 700])
         self.check(a, b, monkeypatch)
-        d, budget = self.check(_edited(x, {0, 600}), _edited(x, {1199}), monkeypatch)
-        assert d <= budget
+        d, steps, budget = self.check(_edited(x, {0, 600}), _edited(x, {1199}), monkeypatch)
+        assert steps <= budget
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_distance_at_and_past_the_budget(self, extra, monkeypatch, rng):
-        # deletions on both sides, far apart, with the first and the last bit
-        # among them: the shorter string's budget is 4, and d is 4 (the walk
-        # finishes) or 5 (the band runs)
-        x = str(random_bits(1024, rng))
-        a = _edited(x, {0, 500} | ({900} if extra else set()))
-        b = _edited(x, {250, 1023})
-        d, budget = self.check(a, b, monkeypatch)
-        assert budget == 4 and d == budget + extra
+        # three deletions on each side, far apart, with the first and the
+        # last bit among them: d is 6 in 16 steps, and the shorter string's
+        # 1024 - extra bits give a budget of 16 (the walk finishes) or 15
+        # (the band runs)
+        x = str(random_bits(1027 - extra, rng))
+        a = _edited(x, {0, 400, 800})
+        b = _edited(x, {200, 600, len(x) - 1})
+        d, steps, budget = self.check(a, b, monkeypatch)
+        assert (d, steps, budget) == (6, 16, 16 - extra)
 
     def test_long_source_and_trace_step_no_band_row(self, monkeypatch, rng):
         # a trace is a subsequence of its source, so d = n - |trace|
@@ -564,25 +596,65 @@ class TestGreedyWalk:
         for a, b in ((x, trace), (trace, x)):
             assert edit_distance_bounded(a, b, 10) == 10
             assert edit_distance_bounded(a, b, 64) == 10
+            assert edit_distance_bounded(a, b, 10**6) == 10
             assert edit_distance(a, b) == 10
         assert symbols == []
 
+    @pytest.mark.parametrize("n, gap", [(2**13, 84), (2**17, 1300)])
+    def test_deletions_alone_step_no_band_row(self, n, gap, monkeypatch, rng):
+        # a trace with gap deletions is at distance gap from its source,
+        # found in gap + 1 steps: within the budget, where an O(ND) walk's
+        # (d + 1)(d + 2) / 2 steps are far past it
+        symbols = TestSharedEnds._record_symbols(monkeypatch)
+        x = random_bits(n, rng)
+        deleted = {int(p) for p in rng.choice(np.arange(1, n + 1), size=gap, replace=False)}
+        trace = apply_deletions(x, deleted).trace
+        assert gap + 1 <= len(trace) // 64 < (gap + 1) * (gap + 2) // 2
+        for a, b in ((x, trace), (trace, x)):
+            for cap in (gap, gap + 1, 10**6):
+                assert edit_distance_bounded(a, b, cap) == gap
+            assert edit_distance_bounded(a, b, gap - 1) is None
+            assert edit_distance(a, b) == gap
+        assert symbols == []
+
+    @pytest.mark.parametrize("n, delta", [(2**13, 0.01), (10240, 1e-3), (2**14, 4e-4)])
+    def test_trace_pairs_band_only_past_the_budget(self, n, delta, monkeypatch):
+        # trace against source and trace against trace: the band runs
+        # exactly where the walk cannot finish, and never where an O(ND)
+        # walk within the same budget, (d + 1)(d + 2) / 2 <= rows // 64,
+        # would have, since (P + 1)(gap + P + 1) is at most that
+        symbols = TestSharedEnds._record_symbols(monkeypatch)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            x = random_bits(n, rng)
+            t0, t1 = transmit(x, delta, rng).trace, transmit(x, delta, rng).trace
+            for a, b in ((x, t0), (t0, t1)):
+                rows, gap = min(len(a), len(b)), abs(len(a) - len(b))
+                d = len(a) + len(b) - 2 * _lcs_length(a.tobytes(), b.tobytes(), len(a) + len(b))
+                for cap in (d - 1, d, d + 1, max(256, gap)):
+                    symbols.clear()
+                    assert edit_distance_bounded(a, b, cap) == (d if d <= cap else None)
+                    assert bool(symbols) == (gap <= cap and not _walks(d, gap, rows, cap))
+                    if d <= cap and (d + 1) * (d + 2) // 2 <= rows // 64:
+                        assert not symbols
+
     def test_gap_past_the_budget_runs_the_band(self, monkeypatch, rng):
-        # 40 deletions: the length gap alone puts d past the budget of the
-        # 2^14 - 40 bit trace, so the walk is skipped and the band steps
-        # every row of the trace in each of the two calls
+        # 300 deletions: the length gap alone, 301 steps, puts the walk past
+        # the budget of the 2^14 - 300 bit trace, so the walk is skipped
+        # before its first snake and the band steps every row of the trace
+        # in each of the two calls
         n = 2**14
         x = random_bits(n, rng)
-        deleted = {int(p) for p in rng.choice(np.arange(1, n + 1), size=40, replace=False)}
+        deleted = {int(p) for p in rng.choice(np.arange(1, n + 1), size=300, replace=False)}
         trace = apply_deletions(x, deleted).trace
-        assert _walk_budget(len(trace)) < 40
+        assert len(trace) // 64 < 301
         symbols = TestSharedEnds._record_symbols(monkeypatch)
-        walks = []
-        monkeypatch.setattr(strings_module, "_walk", lambda *args: walks.append(args))
-        assert edit_distance_bounded(x, trace, 64) == 40
-        assert edit_distance(trace, x) == 40
+        snakes = []
+        monkeypatch.setattr(strings_module, "_snake", lambda *args: snakes.append(args))
+        assert edit_distance_bounded(x, trace, 400) == 300
+        assert edit_distance(trace, x) == 300
         assert sum(symbols) == 2 * len(trace)
-        assert walks == []
+        assert snakes == []
 
 
 class TestFindClosestSubword:
