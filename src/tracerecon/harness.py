@@ -257,6 +257,8 @@ def _validate_prlp(point: dict) -> None:
     _require(point, "delta", "m_traces", "b_len")
     if point["m_traces"] < 1 or point["b_len"] < 1 or not 0.0 <= point["delta"] <= 1.0:
         raise ValueError(f"bad prlp point {point}")
+    if point.get("mc_samples", 10**5) < 1:
+        raise ValueError("mc_samples must be >= 1")
 
 
 def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:

@@ -21,7 +21,7 @@ Three layers, each executable:
 Every binomial draw comes from one sampler, `_binomial`, which inverts one
 uniform double per draw.  numpy's inversion walk counts a non-decreasing step
 function of the uniform, so the sampler finds the walk's cut points once per
-call and counts the cuts at or below each uniform; it thus makes
+distinct n per call and counts the cuts at or below each uniform; it thus makes
 `Generator.binomial`'s draws wherever numpy inverts (n * min(p, 1-p) <= 30).
 Every Bayes decider sums its pairs' log-likelihoods left to right, in
 `_bayes_ones`.
@@ -119,7 +119,10 @@ def _binomial(
     p > 1/2 is n minus the walk's count.  That count is a non-decreasing
     step function of the uniform, so it is read off the walk's cut points
     (`_walk_cuts`, found once per distinct n per call): a draw is the number
-    of cuts at or below its uniform.  Wherever `Generator.binomial` inverts
+    of its own n's cuts at or below its uniform.  One pass counts every
+    uniform against the cuts of each n from the least to the greatest, and
+    each draw keeps the count of its own n; an int n, or an array of equal
+    entries, takes one pass.  Wherever `Generator.binomial` inverts
     (n p' <= 30) the draws therefore equal its draws, and the generator is
     left in the same state.  The one exception is numpy's redraw of a walk
     that rounding carries past every outcome (probability below 1e-17 at
@@ -136,25 +139,19 @@ def _binomial(
     flip = p > 0.5
     pp = 1.0 - p if flip else p
     q = 1.0 - pp
-    # cuts[k, j]: the walk's (k+1)-th cut for n = lo + j; inf where none
-    # lies below 1.0
-    per_n = [_walk_cuts(nj, pp, q) for nj in range(lo, hi + 1)]
-    cuts = np.full((max(map(len, per_n)), hi - lo + 1), np.inf)
-    for j, cut_j in enumerate(per_n):
-        cuts[: len(cut_j), j] = cut_j
-    row = None if n_arr.ndim == 0 else n_arr - lo
     u = rng.random(shape)
-    x = np.zeros(shape, dtype=dtype)
     act = np.empty(shape, dtype=bool)
-    for cut_k in cuts:
-        # a Python float keeps numpy's scalar fast path for the common case
-        cut = float(cut_k[0]) if row is None else cut_k[row]
-        np.greater_equal(u, cut, out=act)
-        if not act.any():
-            break
-        x += act
-    if flip:
-        np.subtract(n, x, out=x)
+    for nj in range(lo, hi + 1):
+        xj = np.zeros(shape, dtype=dtype)
+        for cut in _walk_cuts(nj, pp, q):
+            np.greater_equal(u, cut, out=act)
+            if not act.any():
+                break
+            xj += act
+        if flip:
+            np.subtract(nj, xj, out=xj)
+        # each element keeps the count of its own n
+        x = xj if nj == lo else np.where(n_arr == nj, xj, x)
     return x
 
 
@@ -360,6 +357,8 @@ def mc_prlp_exact_match(
     """Empirical Pr[z_hat = z] for the coordinatewise Bayes decoder, with z
     uniform per trial.  Vectorized across blocks of trials, drawn in the
     same order as one (trials, M, B) draw."""
+    if b_len < 1 or trials < 1:
+        raise ValueError("need b_len >= 1 and trials >= 1")
     logs = _log_tables(m_pairs, delta)
     p = 1.0 - delta
     z = rng.integers(0, 2, size=(trials, b_len), dtype=np.int64)

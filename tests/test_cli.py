@@ -92,6 +92,14 @@ class TestCliErrors:
         rc = main(["channel_stats", "--config", "/nonexistent/cfg.json"])
         assert rc == 2
 
+    def test_empty_prlp_run_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "prlp.csv"
+        argv = ["prlp", "--delta", "0.1", "--m-traces", "2", "--b-len", "4"]
+        rc = main(argv + ["--mc-samples", "0", "--out", str(out)])
+        assert rc == 2
+        assert "mc_samples must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mode_flag_rejected_by_parser(self):
         # constants are set with --k-const/--tau/--gamma; there is no --mode
         with pytest.raises(SystemExit) as exc:

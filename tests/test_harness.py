@@ -161,6 +161,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="bad atomic point"):
             run_experiment(cfg)
 
+    def test_prlp_rejects_an_empty_monte_carlo_run(self):
+        cfg = ExperimentConfig(
+            kind="prlp", grid=[{"m_traces": 2, "delta": 0.1, "b_len": 4, "mc_samples": 0}], seed=1
+        )
+        with pytest.raises(ValueError, match="mc_samples must be >= 1"):
+            run_experiment(cfg)
+
     def test_exact_kinds_share_the_enumeration_limit(self):
         top = EXACT_MAX_M
         ok = ExperimentConfig(kind="atomic_exact", grid=[{"m_traces": top, "delta": 0.1}], seed=1)

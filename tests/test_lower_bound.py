@@ -262,6 +262,11 @@ class TestPrlp:
         se = math.sqrt(ceiling * (1 - ceiling) / 100_000)
         assert rate <= ceiling + 4 * se
 
+    @pytest.mark.parametrize("b_len, trials", [(0, 10), (8, 0)])
+    def test_exact_match_rejects_an_empty_run(self, b_len, trials):
+        with pytest.raises(ValueError, match="b_len >= 1 and trials >= 1"):
+            mc_prlp_exact_match(4, 0.1, b_len, trials, stream(37, 0))
+
     def test_decode_shape_validation(self):
         with pytest.raises(ValueError):
             decode_prlp_bayes(np.zeros((2, 3)), 2, 0.1)
@@ -334,6 +339,27 @@ class TestBinomialSampler:
         for n in (m + z, m + 1 - z):
             got = _binomial(g1, n, p, shape)
             assert np.array_equal(got, g2.binomial(np.broadcast_to(n, shape), p))
+        assert g1.random() == g2.random()
+
+    @pytest.mark.parametrize("p", PS)
+    def test_equal_entries_make_the_int_draws(self, p):
+        g1, g2, g3 = stream(65, 0), stream(65, 0), stream(65, 0)
+        got = _binomial(g1, np.full((3, 1, 17), 9), p, (3, 5, 17))
+        assert np.array_equal(got, _binomial(g2, 9, p, (3, 5, 17)))
+        assert np.array_equal(got, g3.binomial(9, p, size=(3, 5, 17)))
+        assert g1.random() == g2.random() == g3.random()
+
+    @pytest.mark.parametrize("lo, hi, p", [(3, 5, 0.1), (3, 5, 0.5), (3, 5, 0.9), (200, 201, 0.05)])
+    def test_two_n_values(self, lo, hi, p):
+        # n drawn from two values, which need not be adjacent; n >= 128
+        # takes the int64 counts
+        g1, g2 = stream(66, lo), stream(66, lo)
+        n = np.array([lo, hi])[stream(67, 0).integers(0, 2, size=(11, 1, 13))]
+        shape = (11, 6, 13)
+        got = _binomial(g1, n, p, shape)
+        want = g2.binomial(np.broadcast_to(n, shape), p)
+        assert np.array_equal(got, want)
+        assert got.dtype == (np.int64 if hi >= 128 else np.int8)
         assert g1.random() == g2.random()
 
 
