@@ -21,7 +21,7 @@ Three layers, each executable:
 Every binomial draw comes from one sampler, `_binomial`, which inverts one
 uniform double per draw.  numpy's inversion walk counts a non-decreasing step
 function of the uniform, so the sampler finds the walk's cut points once per
-distinct n per call and counts the cuts at or below each uniform; it thus makes
+distinct n per call and counts the cuts at or below each uniform; it makes
 `Generator.binomial`'s draws wherever numpy inverts (n * min(p, 1-p) <= 30).
 Every Bayes decider sums its pairs' log-likelihoods left to right, in
 `_bayes_ones`.
@@ -119,10 +119,8 @@ def _binomial(
     p > 1/2 is n minus the walk's count.  That count is a non-decreasing
     step function of the uniform, so it is read off the walk's cut points
     (`_walk_cuts`, found once per distinct n per call): a draw is the number
-    of its own n's cuts at or below its uniform.  One pass counts every
-    uniform against the cuts of each n from the least to the greatest, and
-    each draw keeps the count of its own n; an int n, or an array of equal
-    entries, takes one pass.  Wherever `Generator.binomial` inverts
+    of its own n's cuts at or below its uniform, counted in one pass per n
+    (one pass in all for an int n).  Wherever `Generator.binomial` inverts
     (n p' <= 30) the draws therefore equal its draws, and the generator is
     left in the same state.  The one exception is numpy's redraw of a walk
     that rounding carries past every outcome (probability below 1e-17 at
@@ -150,7 +148,6 @@ def _binomial(
             xj += act
         if flip:
             np.subtract(nj, xj, out=xj)
-        # each element keeps the count of its own n
         x = xj if nj == lo else np.where(n_arr == nj, xj, x)
     return x
 
