@@ -134,8 +134,7 @@ def _binomial(
     dtype = np.int8 if hi < 128 else np.int64
     if p == 0.0:
         return np.zeros(shape, dtype=dtype)
-    flip = p > 0.5
-    pp = 1.0 - p if flip else p
+    pp = min(p, 1.0 - p)
     q = 1.0 - pp
     u = rng.random(shape)
     act = np.empty(shape, dtype=bool)
@@ -146,9 +145,10 @@ def _binomial(
             if not act.any():
                 break
             xj += act
-        if flip:
+        if p > 0.5:
             np.subtract(nj, xj, out=xj)
-        x = xj if nj == lo else np.where(n_arr == nj, xj, x)
+        # a masked blend: np.where on int8 with a broadcast mask is ~20x slower
+        x = xj if nj == lo else x + (n_arr == nj) * (xj - x)
     return x
 
 
