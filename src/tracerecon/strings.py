@@ -21,18 +21,20 @@ and whose lengths differ by delta is scored first by the O(NP) walk over
 the diagonals (Wu, Manber, Myers & Miller 1990): a distance
 D = delta + 2P costs (P + 1)(delta + P + 1) Python steps plus O(m) at C
 speed, as long as D is within the cap and that step count within a
-budget of m / 64 steps; the walk's snakes run along the two strings'
-shared ends by byte compares.  Past that, the bit-parallel LCS
+budget of m / 64 steps.  Past that, the bit-parallel LCS
 recurrence on Python ints runs over the band of diagonals the cap
 allows, a Python loop of O(m * cap / w): once for the bounded distance,
 and at most twice for the exact one, the second pass at the first pass's
 distance.  A trace is a subsequence of its source (P = 0), so scoring
 it against the source takes delta + 1 steps of the walk, when they fit
-the budget.  The same recurrence, run once over up to 2048 candidate
-windows packed into one int, serves the window search.  Its match masks
-are built from the bytes with ``bytes.translate`` and ``int(digits, 2)``,
-and the window search reads its result back from the binary digits of
-the int with ``str.count``.
+the budget.  Each step runs one snake along the matches, comparing byte
+chunks that grow eightfold from 32 bytes; a chunk that differs is
+searched by an int XOR, or with numpy past 256 bytes, so a 1.2 KB snake
+takes three compares, about 4 us.  The bit-parallel recurrence, run once
+over up to 2048 candidate windows packed into one int, serves the window
+search.  Its match masks are built from the bytes with
+``bytes.translate`` and ``int(digits, 2)``, and the window search reads
+its result back from the binary digits of the int with ``str.count``.
 """
 
 from __future__ import annotations
@@ -188,23 +190,37 @@ def _snake(a: bytes, b: bytes, x: int, y: int) -> int:
     """Length of the common prefix of ``a[x:]`` and ``b[y:]``.
 
     One byte is checked first, since most snakes off the alignment end
-    there; then slices are compared at C speed in chunks that double, and
-    the chunk that differs is read as two big-endian ints, whose XOR's
-    highest set bit is the first difference (one byte per bit, so each
-    differing byte sets the low bit of its byte of the XOR).
+    there; then slices are compared at C speed in chunks of 32 bytes that
+    grow eightfold (32, 256, 2048, ...), so a 1.2 KB snake takes three
+    compares.  A differing chunk of up to 256 bytes is read as two
+    big-endian ints, whose XOR's highest set bit is the first difference
+    (one byte per bit, so each differing byte sets the low bit of its byte
+    of the XOR); a longer one is compared as two uint8 views, and
+    ``argmax`` of the mismatch mask is the first difference, about 2 us at
+    any size, where the ints cost about 1.5 ns a byte.  Ends are clipped by
+    comparisons, not ``min``, whose call costs as much as a slice compare.
+    On a 2-core Xeon a snake costs about 1 us up to 32 bytes, 2 us up to
+    288 and 4 us from there to 2.3 KB.
     """
-    end = min(len(a) - x, len(b) - y)
+    end = len(a) - x
+    if len(b) - y < end:
+        end = len(b) - y
     if end <= 0 or a[x] != b[y]:
         return 0
     s, step = 1, 32
     while s < end:
-        c = min(step, end - s)
+        c = end - s
+        if c > step:
+            c = step
         pa, pb = a[x + s : x + s + c], b[y + s : y + s + c]
         if pa != pb:
+            if c > 256:
+                differs = np.frombuffer(pa, np.uint8) != np.frombuffer(pb, np.uint8)
+                return s + int(differs.argmax())
             diff = int.from_bytes(pa, "big") ^ int.from_bytes(pb, "big")
             return s + c - (diff.bit_length() + 7) // 8
         s += c
-        step *= 2
+        step *= 8
     return end
 
 
@@ -225,11 +241,12 @@ def _walk(a: bytes, b: bytes, cap: int) -> int | None:
     walk ends when diagonal ``delta`` reaches the end of ``b``.  Points
     past either end match nothing, so a path that leaves the table can
     only add edits.  A distance D = delta + 2P costs (P + 1)(delta + P + 1)
-    diagonal steps at about 1 us each, ``delta + 1`` for a subsequence,
-    plus the snakes at C speed, about ``|a| + |b|`` bytes along the
-    alignment.  The walk gives up once that count would pass ``|a| // 64``
-    steps, a few percent of the band's ``|a|`` rows at about 0.2 us each,
-    so a string of fewer than 64 bits is never walked.
+    diagonal steps, ``delta + 1`` for a subsequence, each one snake: about
+    1 us for a short one off the alignment and 4 us for a 1.2 KB one along
+    it, a few compares at C speed.  The walk gives up once that count
+    would pass ``|a| // 64`` steps, a few percent of the band's ``|a|``
+    rows at about 0.2 us each, so a string of fewer than 64 bits is never
+    walked.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -247,7 +264,9 @@ def _walk(a: bytes, b: bytes, cap: int) -> int | None:
             return None
         for k in chain(range(-p, delta), range(delta + p, delta, -1), (delta,)):
             i = k + off
-            y = max(fp[i - 1] + 1, fp[i + 1])
+            y = fp[i - 1] + 1  # compared, not max(), as in _snake
+            if y < fp[i + 1]:
+                y = fp[i + 1]
             fp[i] = y + _snake(a, b, y - k, y)
         if fp[delta + off] >= n:
             return delta + 2 * p

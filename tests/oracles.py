@@ -41,6 +41,29 @@ def lcs_dp(a: str, b: str) -> int:
     return prev[lb]
 
 
+def lcs_dp_rows(a: str, b: str) -> int:
+    """The recurrence of :func:`lcs_dp` a whole row at a time, for inputs
+    too long for its double loop.  A row is the running maximum of
+    ``max(prev[j], prev[j - 1] + match_j)``: where ``a[i - 1] == b[j - 1]``,
+    ``prev[j - 1] + 1`` is at least ``prev[j]`` and ``cur[j - 1]``, so
+    both recurrences give the same table."""
+    cols = np.frombuffer(b.encode("ascii"), np.uint8)
+    prev = np.zeros(len(b) + 1, np.int64)
+    for ai in a.encode("ascii"):
+        cur = np.zeros_like(prev)
+        np.maximum(prev[1:], prev[:-1] + (cols == ai), out=cur[1:])
+        prev = np.maximum.accumulate(cur)
+    return int(prev[-1])
+
+
+def common_prefix_naive(a: bytes, b: bytes) -> int:
+    """Length of the common prefix of two byte strings, one byte at a time."""
+    n = 0
+    while n < len(a) and n < len(b) and a[n] == b[n]:
+        n += 1
+    return n
+
+
 def edit_distance_dp(a, b) -> int:
     """Exact indel edit distance via the LCS identity, no banding."""
     a, b = str(a), str(b)

@@ -144,6 +144,13 @@ class TestCheckRegime:
         rep = check_regime(2**17, 0.01, 25, 2.0)
         assert rep.recommended_action == "run_full"
 
+    @pytest.mark.parametrize("field", ["recommended_action", "M_below_K2"])
+    def test_report_is_immutable(self, field):
+        rep = check_regime(2**17, 0.01, 25, 2.0)
+        with pytest.raises(AttributeError):
+            setattr(rep, field, "output_single_trace")
+        assert rep.recommended_action == "run_full" and not rep.M_below_K2
+
     def test_delta_m_at_least_one_reduces_below_unit_k(self):
         # K < 1 lets delta < 1/(K*M) hold with delta*M >= 1, where H <= 0
         # and derive_params refuses the point; fewer traces fix it

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,8 +21,11 @@ from tracerecon import (
 )
 
 from .oracles import (
+    common_prefix_naive,
     edit_distance_dp,
     find_closest_subword_naive,
+    lcs_dp,
+    lcs_dp_rows,
     prefilter_starts_find,
 )
 import tracerecon.strings as strings_module
@@ -28,6 +33,7 @@ from tracerecon.strings import (
     _first_hits,
     _lcs_length,
     _prefilter_starts,
+    _snake,
     _walk,
     kmer_index,
 )
@@ -197,10 +203,14 @@ class TestEditDistance:
         else:
             assert got is None
 
+    @given(bits, bits)
+    def test_row_oracle_matches_table(self, a, b):
+        assert lcs_dp_rows(a, b) == lcs_dp(a, b)
+
     def test_large_random_pair(self, rng):
         a = random_bits(3000, rng)
         for b in (random_bits(3000, rng), random_bits(2777, rng)):
-            assert edit_distance(a, b) == edit_distance_dp(str(a), str(b))
+            assert edit_distance(a, b) == len(a) + len(b) - 2 * lcs_dp_rows(str(a), str(b))
             assert edit_distance(b, a) == edit_distance(a, b)
 
     def test_long_trace_at_its_cap(self, rng):
@@ -496,6 +506,64 @@ def _walks(d: int, gap: int, rows: int, cap: int) -> bool:
 _PAD = str(random_bits(64 * 65 * 65, np.random.default_rng(2**20)))
 
 
+# where the walk's snake compares its chunks: one byte, then chunks of 32
+# bytes that grow eightfold
+_CHUNK_STARTS = (1, 33, 289, 2337, 18721)
+
+
+class TestSnake:
+    """``_snake`` against a byte-at-a-time common prefix, on each side of
+    every chunk start and of the 256-byte chunk past which the first
+    difference is located with numpy instead of an int XOR."""
+
+    @staticmethod
+    def cases(rng) -> list[tuple[bytes, bytes, int, int]]:
+        """(a, b, x, y) whose snake from (x, y) ends at a chosen length."""
+        bits = rng.integers(0, 2, 2**15, dtype=np.uint8).tobytes()
+
+        def case(length, tail_a, tail_b, x=5, y=3):
+            # a common run of ``length`` bytes, then tails whose first bytes
+            # differ, so the snake stops at the run's end or a string's end
+            run = bits[x : x + length]
+            a = bits[:x] + run + bits[x + length : x + length + tail_a]
+            b = bits[len(bits) - y :] + run + bytes([1 - bits[x + length]]) + bits[1 : tail_b]
+            return a, b[: y + length + tail_b], x, y
+
+        lengths = {0, 1, 2} | {s + e for s in _CHUNK_STARTS for e in (-1, 0, 1)}
+        out = [case(length, 100, 100) for length in sorted(lengths)]
+        # x or y at the last byte of its string
+        out += [case(0, 1, 9, x=0), case(1, 0, 9, y=0), case(0, 9, 1), case(1, 9, 0)]
+        # the shorter string ends inside a chunk, in the snake or right after it
+        out += [case(100, 0, 50), case(3000, 0, 50), case(3000, 1, 50), case(20000, 0, 9)]
+        out += [case(100, 1, 0), case(3000, 1, 0)]  # one byte shorter
+        # the last chunk clipped to 256 or 257 bytes, differing at its last
+        # byte or inside it
+        for end in (289 + 256, 289 + 257):
+            out += [case(end - 1, 1, 100), case(end - 60, 60, 100)]
+        return out
+
+    def test_matches_byte_loop_at_every_chunk_edge(self, monkeypatch, rng):
+        views = []  # lengths of the chunks located with numpy
+
+        def frombuffer(buf, dtype):
+            views.append(len(buf))
+            return np.frombuffer(buf, dtype)
+
+        numpy = SimpleNamespace(frombuffer=frombuffer, uint8=np.uint8)
+        monkeypatch.setattr(strings_module, "np", numpy)
+        paths = set()
+        for a, b, x, y in self.cases(rng):
+            want = common_prefix_naive(a[x:], b[y:])
+            end = min(len(a) - x, len(b) - y)
+            for args in ((a, b, x, y), (b, a, y, x)):
+                views.clear()
+                assert _snake(*args) == want, (len(a), len(b), x, y)
+                if 0 < want < end:
+                    paths.add("numpy" if views else "int")
+                assert all(c > 256 for c in views[::2])
+        assert paths == {"int", "numpy"}
+
+
 class TestGreedyWalk:
     """Near pairs are scored by the O(NP) walk over the diagonals, which
     greedily follows the furthest point of each diagonal: a distance
@@ -587,17 +655,23 @@ class TestGreedyWalk:
         assert (d, steps, budget) == (6, 16, 16 - extra)
 
     def test_long_source_and_trace_step_no_band_row(self, monkeypatch, rng):
-        # a trace is a subsequence of its source, so d = n - |trace|
+        # a trace is a subsequence of its source, so d = n - |trace|; a copy
+        # with 20 deletions and 20 insertions, each thousands of random bits
+        # from the next, is at d = 40, with snakes of thousands of bytes on
+        # the alignment and short ones off it
         symbols = TestSharedEnds._record_symbols(monkeypatch)
         n = 2**17
         x = random_bits(n, rng)
         deleted = {int(p) for p in rng.choice(np.arange(1, n + 1), size=10, replace=False)}
         trace = apply_deletions(x, deleted).trace
-        for a, b in ((x, trace), (trace, x)):
-            assert edit_distance_bounded(a, b, 10) == 10
-            assert edit_distance_bounded(a, b, 64) == 10
-            assert edit_distance_bounded(a, b, 10**6) == 10
-            assert edit_distance(a, b) == 10
+        spots = [1000 + 3200 * i + int(r) for i, r in enumerate(rng.integers(0, 500, 40))]
+        edited = BitString(_edited(str(x), set(spots[0::2]), spots[1::2]))
+        for y, d in ((trace, 10), (edited, 40)):
+            for a, b in ((x, y), (y, x)):
+                assert edit_distance_bounded(a, b, d) == d
+                assert edit_distance_bounded(a, b, 64) == d
+                assert edit_distance_bounded(a, b, 10**6) == d
+                assert edit_distance(a, b) == d
         assert symbols == []
 
     @pytest.mark.parametrize("n, gap", [(2**13, 84), (2**17, 1300)])
