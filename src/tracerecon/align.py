@@ -76,6 +76,8 @@ def align(
     m_count = len(traces)
     if indexes is None:
         indexes = [None] * m_count
+    if len(indexes) != m_count:
+        raise ValueError("one index entry per trace required")
     n_star = len(y_star)
     if not 1 <= ell_star <= n_star:
         raise ValueError("reference cursor outside the reference trace")

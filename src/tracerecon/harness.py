@@ -211,7 +211,7 @@ def _run_reconstruct_e2e(point: dict, rng: np.random.Generator) -> dict:
         "edit_distance": float(d),
         "edit_distance_capped": float(d > cap),
         "normalized_distance": float(d / n),
-        "baseline_distance": float(edit_distance(x, traces[0])),
+        "baseline_distance": float(n - len(traces[0])),  # a trace is a subsequence of x
         "regime_code": float(_REGIME_CODES[result.regime_action]),
         "m_used": float(result.m_used),
         "segments": float(len(result.segments)),

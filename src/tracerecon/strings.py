@@ -523,16 +523,16 @@ def find_closest_subwords(
     """
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
-    if len(searches) != len(haystacks):
-        raise ValueError("one search interval per haystack required")
+    if indexes is None:
+        indexes = [None] * len(haystacks)
+    if len(searches) != len(haystacks) or len(indexes) != len(haystacks):
+        raise ValueError("one search interval and one index entry per haystack required")
     for hay, search in zip(haystacks, searches):
         if not (1 <= search.lo and search.hi <= len(hay)):
             raise ValueError(f"search interval [{search.lo}:{search.hi}] not inside haystack")
     t = len(template)
     if t == 0:
         raise ValueError("template must be non-empty")
-    if indexes is None:
-        indexes = [None] * len(haystacks)
     hits: list[Interval | None] = [None] * len(haystacks)
     tb = template.tobytes()
 
@@ -614,10 +614,13 @@ def find_common_word(
     threshold: int,
 ) -> tuple[BitString, list[int | None]] | None:
     """First word of length ``word_len`` contained in at least ``threshold``
-    of the windows, with the leftmost 1-based start in each containing window.
+    of the windows, with the leftmost 1-based start in each containing window
+    (None where a window lacks the word).
 
     Candidates are enumerated from the subwords of ``windows[0]`` by ascending
     start, then ``windows[1]``, and so on; the first qualifying candidate wins.
+    A word held by ``threshold`` windows first occurs in one of the first
+    ``len(windows) - threshold + 1``, so only those are read for candidates.
     """
     if word_len < 1:
         raise ValueError("word_len must be >= 1")
@@ -625,21 +628,13 @@ def find_common_word(
         raise ValueError("threshold must be in 1..len(windows)")
     wbytes = [w.tobytes() for w in windows]
     seen: set[bytes] = set()
-    for src in wbytes:
-        for s in range(0, len(src) - word_len + 1):
+    for src in wbytes[: len(wbytes) - threshold + 1]:
+        for s in range(len(src) - word_len + 1):
             cand = src[s : s + word_len]
             if cand in seen:
                 continue
             seen.add(cand)
-            starts: list[int | None] = []
-            count = 0
-            for wb in wbytes:
-                pos = wb.find(cand)
-                if pos >= 0:
-                    starts.append(pos + 1)
-                    count += 1
-                else:
-                    starts.append(None)
-            if count >= threshold:
+            starts = [wb.find(cand) + 1 or None for wb in wbytes]
+            if len(starts) - starts.count(None) >= threshold:
                 return BitString(cand), starts
     return None

@@ -208,7 +208,7 @@ def desert_scan_naive(x, window_len: int, max_period: int) -> set[int]:
     for start in range(1, len(s) - window_len + 2):
         w = s[start - 1 : start - 1 + window_len]
         for k in range(1, max_period + 1):
-            if all(w[i] == w[i + k] for i in range(len(w) - k)):
+            if w[: len(w) - k] == w[k:]:  # w[i] == w[i + k] for all i; needs k <= L
                 hits.add(start)
                 break
     return hits
@@ -301,6 +301,41 @@ def align_per_trace(params, ell_star: int, y_star, traces):
         None if off is None else w[0].lo + off - 1 for w, off in zip(windows, found[1])
     )
     return cursors, diagnostics(None, None)
+
+
+def common_word_naive(windows, word_len: int, threshold: int):
+    """The common-word vote with candidates drawn from every window.
+
+    The subwords of ``windows[0]`` by ascending start, then ``windows[1]``,
+    and so on; the first candidate contained in at least ``threshold``
+    windows wins, with its leftmost 1-based start in each window (None where
+    a window lacks it).  ``find_common_word`` reads candidates from fewer
+    windows and must agree with this.
+    """
+    if word_len < 1:
+        raise ValueError("word_len must be >= 1")
+    if not 1 <= threshold <= len(windows):
+        raise ValueError("threshold must be in 1..len(windows)")
+    wbytes = [w.tobytes() for w in windows]
+    seen: set[bytes] = set()
+    for src in wbytes:
+        for s in range(0, len(src) - word_len + 1):
+            cand = src[s : s + word_len]
+            if cand in seen:
+                continue
+            seen.add(cand)
+            starts: list[int | None] = []
+            count = 0
+            for wb in wbytes:
+                pos = wb.find(cand)
+                if pos >= 0:
+                    starts.append(pos + 1)
+                    count += 1
+                else:
+                    starts.append(None)
+            if count >= threshold:
+                return BitString(cand), starts
+    return None
 
 
 def atomic_pmf(m_pairs: int, delta: Fraction):

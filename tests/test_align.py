@@ -119,6 +119,14 @@ class TestAlignModes:
                 assert all(1 <= w.lo and w.hi <= n for w in per_trace)
                 assert getattr(per_trace[0], edge) == (1 if edge == "lo" else n)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_index_list_of_the_wrong_length(self, extra):
+        n = 2**12
+        params = derive_params(n, 0.01, 3)
+        x = random_bits(n, stream(6, 0))
+        with pytest.raises(ValueError, match="index entry"):
+            align(params, n // 2, x, [x] * 3, [None] * (3 + extra))
+
     def test_single_trace(self):
         n = 2**13
         params = derive_params(n, 0.01, 1)

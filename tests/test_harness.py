@@ -216,18 +216,22 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "random_bits", recording_bits)
         monkeypatch.setattr(harness, "reconstruct_with_fallback", doubled)
-        cfg = ExperimentConfig(
-            kind="reconstruct_e2e",
-            grid=[{"n": 1024, "delta": 1e-9, "m_traces": 4}],
-            seed=3,
-        )
-        (res,) = run_experiment(cfg)
-        d = edit_distance(seen["x"], seen["hyp"])
-        assert d > 64
-        assert res.metrics["edit_distance"] == d
-        assert res.metrics["edit_distance_capped"] == 1.0
-        assert res.metrics["normalized_distance"] == d / 1024
-        assert res.metrics["baseline_distance"] == edit_distance(seen["x"], seen["trace0"])
+        # the trace baseline must be exact whether or not the trace lost bits
+        for delta in (1e-9, 0.02):
+            cfg = ExperimentConfig(
+                kind="reconstruct_e2e",
+                grid=[{"n": 1024, "delta": delta, "m_traces": 4}],
+                seed=3,
+            )
+            (res,) = run_experiment(cfg)
+            d = edit_distance(seen["x"], seen["hyp"])
+            assert d > 64
+            assert res.metrics["edit_distance"] == d
+            assert res.metrics["edit_distance_capped"] == 1.0
+            assert res.metrics["normalized_distance"] == d / 1024
+            baseline = edit_distance(seen["x"], seen["trace0"])
+            assert res.metrics["baseline_distance"] == baseline
+            assert (baseline > 0) == (delta > 0.01)
 
     def test_bma_bench_runs(self):
         cfg = ExperimentConfig(

@@ -22,6 +22,7 @@ from tracerecon import (
 
 from .oracles import (
     common_prefix_naive,
+    common_word_naive,
     edit_distance_dp,
     find_closest_subword_naive,
     lcs_dp,
@@ -1005,6 +1006,14 @@ class TestFindClosestSubwords:
             find_closest_subwords(BitString("01"), [hay], [Interval(1, 4)], -1)
         assert find_closest_subwords(BitString("01"), [], [], 1) == []
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_index_list_of_the_wrong_length(self, extra):
+        template = BitString("0" * 13 + "1" * 13)  # long enough for the prefilter
+        hays = [BitString("01" * 40)] * 3
+        indexes = [kmer_index(hays[0])] * (3 + extra)
+        with pytest.raises(ValueError, match="index entry"):
+            find_closest_subwords(template, hays, [Interval(1, 80)] * 3, 1, indexes)
+
 
 
 def _low_entropy(kind: str, n: int, rng: np.random.Generator) -> BitString:
@@ -1193,3 +1202,28 @@ class TestFindCommonWord:
                 assert w[off - 1 : off - 1 + word_len] == str(word)
                 # leftmost occurrence
                 assert w.find(str(word)) == off - 1
+
+    @given(
+        st.lists(st.text(alphabet="01", max_size=40), min_size=1, max_size=8),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_matches_every_window_scan(self, raw_windows, word_len):
+        windows = [BitString(w) for w in raw_windows]
+        for threshold in range(1, len(windows) + 1):
+            assert find_common_word(windows, word_len, threshold) == (
+                common_word_naive(windows, word_len, threshold)
+            )
+
+    def test_winner_first_in_the_last_window_read(self):
+        # threshold 3 of 5: window 2 is the last one candidates come from,
+        # and "000" from windows 0 and 1 is in only two windows
+        windows = [BitString(w) for w in ("0000", "0000", "0111", "111", "1110")]
+        want = (BitString("111"), [None, None, 2, 1, 1])
+        assert find_common_word(windows, 3, 3) == common_word_naive(windows, 3, 3) == want
+
+    def test_threshold_all_reads_window_zero(self):
+        # every window holds "110" and "101", but only window 0's order counts
+        windows = [BitString(w) for w in ("0001101", "1011100", "1101010")]
+        want = (BitString("110"), [4, 4, 1])
+        assert find_common_word(windows, 3, 3) == common_word_naive(windows, 3, 3) == want
+        assert find_common_word(windows[1:], 3, 2) == (BitString("101"), [1, 2])
