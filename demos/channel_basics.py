@@ -10,9 +10,10 @@ rng = stream(42, 0)
 # --- a tiny hand example ------------------------------------------------
 # Deleting positions 2 and 5 of 0110101 keeps bits 1,3,4,6,7.
 x = random_bits(7, rng)
-rec = apply_deletions(x, {2, 5})
+deletions = {2, 5}
+rec = apply_deletions(x, deletions)
 print(f"source  {x}")
-print(f"deleted positions {sorted(rec.deleted)} -> trace {rec.trace}")
+print(f"deleted positions {sorted(deletions)} -> trace {rec.trace}")
 print(f"trace position -> source position: {rec.source_map.tolist()}")
 
 # source_of answers "which source bit produced trace bit q"; past the end it

@@ -74,7 +74,7 @@ print(f"uniform host of length {spec.n}: {len(occs)} disjoint marker sites "
 z = random_bits(16, rng)
 x = embed_instance(z, x_prime, spec)
 print(f"embed then extract, no noise: recovered z exactly: "
-      f"{extract_z(x, spec, 16) == z}")
+      f"{extract_z(x, spec) == z}")
 
 # A reconstructor that beat the trace lower bound would solve the counting
 # game through this embedding; simulate_aprlp wires the composed traces into

@@ -1,10 +1,11 @@
 """Deletion channel with full provenance.
 
-A transmitted string keeps its deletion set and the induced source map, so
-tests and diagnostics can ask "which source position did trace position q
-come from" (:func:`source_of`) and "where does source position i land"
-(:func:`image_ceil`), and an experiment can check an alignment against the
-truth (:func:`consensus_check`).  Positions are 1-based everywhere.
+A transmitted string keeps its source map, whose complement is the
+deletion set, so tests and diagnostics can ask "which source position did
+trace position q come from" (:func:`source_of`) and "where does source
+position i land" (:func:`image_ceil`), and an experiment can check an
+alignment against the truth (:func:`consensus_check`).  Positions are
+1-based everywhere.
 """
 
 from __future__ import annotations
@@ -30,27 +31,25 @@ __all__ = [
 class TraceRecord:
     """One trace together with its deletion provenance.
 
-    ``source_map[q-1]`` is the source index of trace position q; ``deleted``
-    is the sorted tuple of deleted source positions.  Records compare and
-    hash by identity.
+    ``source_map[q-1]`` is the source index of trace position q; the
+    deleted source positions are the ones it leaves out.  Records compare
+    and hash by identity.
     """
 
     source_len: int
     trace: BitString
-    deleted: tuple[int, ...]
     source_map: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.trace) + len(self.deleted) != self.source_len:
-            raise ValueError("trace length plus deletions must equal source length")
+        if not len(self.source_map) == len(self.trace) <= self.source_len:
+            raise ValueError("source map must match the trace, which cannot outrun its source")
 
 
 def _record(x: BitString, keep: np.ndarray) -> TraceRecord:
     """The record of the trace of ``x`` that keeps the bits where the
     boolean mask ``keep`` is set."""
     source_map = np.flatnonzero(keep).astype(np.int64) + 1
-    deleted = tuple((np.flatnonzero(~keep) + 1).tolist())
-    return TraceRecord(len(x), BitString(x.array[keep]), deleted, source_map)
+    return TraceRecord(len(x), BitString(x.array[keep]), source_map)
 
 
 def apply_deletions(x: BitString, deletions: "set[int] | frozenset[int]") -> TraceRecord:

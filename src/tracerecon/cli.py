@@ -24,8 +24,6 @@ _POINT_FLAGS = {
     "gamma": float,
     "b_len": int,
     "mc_samples": int,
-    "l_desert": int,
-    "g_desert": int,
     "reconstructor": ("first_trace", "full"),
 }
 

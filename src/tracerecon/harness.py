@@ -52,6 +52,10 @@ CSV_COLUMNS = ("kind", "n", "delta", "m_traces", "k_const", "tau", "seed", "tria
 
 _REGIME_CODES = {"run_full": 0, "output_single_trace": 1, "reduce_M": 2}
 
+# bma_bench draws words free of a (L, G) desert: no stretch of L bits with a
+# period of at most G, the setting of criterion 08
+_BMA_DESERT = (40, 20)
+
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -116,7 +120,7 @@ def _run_channel_stats(point: dict, rng: np.random.Generator) -> dict:
     roundtrip = np.array_equal(x.array[rec.source_map - 1], rec.trace.array)
     return {
         "trace_len": float(len(rec.trace)),
-        "deleted_count": float(len(rec.deleted)),
+        "deleted_count": float(rec.source_len - len(rec.trace)),
         "roundtrip_ok": float(roundtrip),
     }
 
@@ -129,13 +133,11 @@ def _validate_channel_stats(point: dict) -> None:
 
 def _run_bma_bench(point: dict, rng: np.random.Generator) -> dict:
     r_rounds = point["n"]
-    L = point.get("l_desert", 40)
-    G = point.get("g_desert", L // 2)
     m_count = point["m_traces"]
     resamples = 0
     while True:
         word = random_bits(r_rounds, rng)
-        if not contains_long_desert(word, L, G):
+        if not contains_long_desert(word, *_BMA_DESERT):
             break
         resamples += 1
         if resamples > 1000:
@@ -151,10 +153,8 @@ def _run_bma_bench(point: dict, rng: np.random.Generator) -> dict:
 
 def _validate_bma_bench(point: dict) -> None:
     _require(point, "n", "delta", "m_traces")
-    L = point.get("l_desert", 40)
-    G = point.get("g_desert", L // 2)
-    if not 1 <= G <= L <= point["n"]:
-        raise ValueError(f"bad desert window in {point}")
+    if point["n"] < _BMA_DESERT[0]:
+        raise ValueError(f"n shorter than the desert window in {point}")
     if not 0.0 <= point["delta"] < 1.0 or point["m_traces"] < 1:
         raise ValueError(f"bad bma point {point}")
 

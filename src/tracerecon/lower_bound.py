@@ -387,8 +387,9 @@ def build_alpha_beta(m_pairs: int) -> tuple[BitString, BitString]:
 
 @dataclass(frozen=True)
 class EmbeddingSpec:
-    M: int
-    N: int
+    """B bits embedded one per marker occurrence in an n-bit carrier; the
+    markers ``alpha``/``beta`` have N = 2M + 4 bits, and n = N * 2^N * B."""
+
     B: int
     n: int
     alpha: BitString
@@ -400,14 +401,7 @@ class EmbeddingSpec:
             raise ValueError("B must be >= 1")
         alpha, beta = build_alpha_beta(m_pairs)
         n_word = 2 * m_pairs + 4
-        return cls(
-            M=m_pairs,
-            N=n_word,
-            B=b_len,
-            n=n_word * 2**n_word * b_len,
-            alpha=alpha,
-            beta=beta,
-        )
+        return cls(B=b_len, n=n_word * 2**n_word * b_len, alpha=alpha, beta=beta)
 
 
 def find_pattern_occurrences(
@@ -435,9 +429,10 @@ def embed_instance(z: BitString, x_prime: BitString, spec: EmbeddingSpec) -> Bit
     return BitString(arr)
 
 
-def extract_z(x_hat: BitString, spec: EmbeddingSpec, b_len: int) -> BitString:
-    """Read bits back off the first min(B, #occurrences) marker occurrences."""
-    occ = find_pattern_occurrences(x_hat, spec, limit=b_len)
+def extract_z(x_hat: BitString, spec: EmbeddingSpec) -> BitString:
+    """Read bits back off the first min(B, #occurrences) marker occurrences,
+    B = ``spec.B``: alpha reads 0, beta reads 1."""
+    occ = find_pattern_occurrences(x_hat, spec, limit=spec.B)
     bits = [0 if x_hat.subword(iv.lo, iv.hi) == spec.alpha else 1 for iv in occ]
     return BitString(bits)
 
@@ -509,4 +504,4 @@ def simulate_aprlp(
     occs = find_pattern_occurrences(x_prime, spec, limit=b_len)
     traces = compose_traces(s, x_prime, occs, delta, rng)
     x_hat = reconstructor(traces)
-    return extract_z(x_hat, spec, b_len)
+    return extract_z(x_hat, spec)

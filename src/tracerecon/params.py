@@ -172,12 +172,13 @@ def reduce_m_traces(n: int, delta: float, m_traces: int, k_const: float) -> int 
     """Largest M' <= M for which `check_regime` says run_full, so the
     reduced run does not bounce straight back here.  None when no such M'
     exists.  The scan stops at the first M' below K^2, since run_full needs
-    K^2 <= M'; its first call checks the inputs, so a bad K raises even
-    when M itself is below K^2."""
+    K^2 <= M', and at once when delta < 1/n^2, which no M' changes; its
+    first call checks the inputs, so a bad K raises even when M itself is
+    below K^2."""
     for m in range(m_traces, 0, -1):
         report = check_regime(n, delta, m, k_const)
         if report.recommended_action == "run_full":
             return m
-        if report.M_below_K2:
+        if report.M_below_K2 or report.delta_below_inv_n2:
             return None
     return None

@@ -14,9 +14,8 @@ then advances by R, as `output_single_trace` does for the whole string.
 
 Entry points:
   reconstruct            -- the loop itself, for callers holding ReconParams
-  reconstruct_with_fallback -- classifies the operating regime first and
-    falls back to echoing a single trace / dropping traces when the
-    parameters are out of range
+  reconstruct_with_fallback -- runs the loop on the largest trace count
+    the operating regime admits, or echoes a single trace when none does
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from .bma import bma_run
 from .align import align
-from .params import DESK_DEFAULTS, ReconParams, check_regime, derive_params, reduce_m_traces
+from .params import DESK_DEFAULTS, ReconParams, derive_params, reduce_m_traces
 from .strings import BitString
 
 __all__ = ["ReconResult", "reconstruct", "reconstruct_with_fallback"]
@@ -56,7 +55,7 @@ def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString])
     margin = params.margin
     # start within the first percent of the reference, so small-n runs are
     # non-vacuous
-    ell_star = min(margin, math.ceil(n_star / 100)) if n_star else 1
+    ell_star = min(margin, math.ceil(n_star / 100))
 
     # every segment's widest ladder stage searches each whole trace; align
     # builds a trace's word index on its first search, kept here until return
@@ -99,6 +98,10 @@ def reconstruct_with_fallback(
     """Regime-aware entry point.  ``traces`` includes the reference at
     index 0, and M is the length of the list.
 
+    The trace count is `reduce_m_traces`' M': the loop runs on
+    ``traces[:M']``, labelled run_full when M' = M and reduce_M when
+    M' < M, and None returns ``traces[0]`` as output_single_trace.
+
     ``mode`` selects nothing: only "desk" is accepted, kept because
     ``bench/run.py`` passes it and changes only with a benchmark revision.
     Other constants go in as ``k_const``/``tau``/``gamma``, for example
@@ -108,19 +111,14 @@ def reconstruct_with_fallback(
         raise ValueError(f"unknown mode {mode!r}; pass constants as k_const/tau/gamma")
     if not traces:
         raise ValueError("need at least one trace")
-    M = len(traces)
-
-    action = check_regime(n, delta, M, k_const).recommended_action
-    if action == "reduce_M":
-        # the reduced count is one check_regime runs in full
-        M = reduce_m_traces(n, delta, M, k_const)
-    if action == "output_single_trace" or M is None:
+    M = reduce_m_traces(n, delta, len(traces), k_const)
+    if M is None:
         # below the regime, or no feasible smaller trace count: a single
         # trace is the bound
         return ReconResult(traces[0], (), "output_single_trace", 1)
     params = derive_params(n, delta, M, k_const=k_const, tau=tau, gamma=gamma)
     result = reconstruct(params, traces[0], traces[:M])
-    if action == "reduce_M" and result.regime_action == "run_full":
+    if M < len(traces) and result.regime_action == "run_full":
         # a single-trace answer keeps its own label
         return replace(result, regime_action="reduce_M")
     return result

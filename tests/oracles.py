@@ -56,6 +56,22 @@ def lcs_dp_rows(a: str, b: str) -> int:
     return int(prev[-1])
 
 
+def lcs_suffix(a: str, b: str, memo: dict) -> int:
+    """The textbook longest-common-subsequence recurrence on first symbols,
+    memoized over suffix pairs in ``memo``.  Its recursion is
+    ``len(a) + len(b)`` deep, so it suits short words; a caller scoring
+    many pairs of them passes one memo, and the pairs share suffixes."""
+    if not a or not b:
+        return 0
+    key = (a, b)
+    if key not in memo:
+        if a[0] == b[0]:
+            memo[key] = lcs_suffix(a[1:], b[1:], memo) + 1
+        else:
+            memo[key] = max(lcs_suffix(a[1:], b, memo), lcs_suffix(a, b[1:], memo))
+    return memo[key]
+
+
 def common_prefix_naive(a: bytes, b: bytes) -> int:
     """Length of the common prefix of two byte strings, one byte at a time."""
     n = 0

@@ -199,7 +199,7 @@ class TestBmaWithProvenance:
             noisy = []
             while len(noisy) < 3:
                 rec = transmit(x, 0.08, g)
-                if 1 not in rec.deleted:  # start cursor must map to source 1
+                if source_of(rec, 1) == 1:  # start cursor must map to source 1
                     noisy.append(rec)
             recs = clean + noisy
             out, _, diag = bma_with_provenance(recs, [1] * 10, 40)

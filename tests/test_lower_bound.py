@@ -439,7 +439,7 @@ class TestAlphaBeta:
 
     def test_spec_build(self):
         spec = EmbeddingSpec.build(1, 32)
-        assert spec.N == 6 and spec.n == 6 * 64 * 32
+        assert len(spec.alpha) == 6 and spec.n == 6 * 64 * 32
         assert str(spec.alpha) == "010011"
 
 
@@ -510,8 +510,8 @@ class TestEmbedExtract:
     def test_extract_frozen(self):
         spec = EmbeddingSpec.build(1, 2)
         x = BitString(spec.beta.tobytes() + spec.alpha.tobytes())
-        assert str(extract_z(x, spec, 2)) == "10"
-        assert str(extract_z(BitString("111111111"), spec, 2)) == ""
+        assert str(extract_z(x, spec)) == "10"
+        assert str(extract_z(BitString("111111111"), spec)) == ""
 
     def test_extract_inverts_embed_random(self):
         g = stream(37, 0)
@@ -521,7 +521,7 @@ class TestEmbedExtract:
             occs = find_pattern_occurrences(x_prime, spec, limit=4)
             z = random_bits(4, g)
             x = embed_instance(z, x_prime, spec)
-            got = extract_z(x, spec, 4)
+            got = extract_z(x, spec)
             want = str(z)[: len(occs)]
             assert str(got) == want
 
@@ -534,7 +534,7 @@ class TestEmbedExtract:
         z = random_bits(6, g)
         x = embed_instance(z, x_prime, spec)
         occs = find_pattern_occurrences(x, spec, limit=6)
-        z_true = extract_z(x, spec, 6)
+        z_true = extract_z(x, spec)
         # flip one marker: alpha <-> beta at the first occurrence
         if occs:
             o = occs[0]
@@ -544,7 +544,7 @@ class TestEmbedExtract:
                 + str(x)[o.hi :]
             )
             d_x = edit_distance(x, flipped)
-            z_hat = extract_z(flipped, spec, 6)
+            z_hat = extract_z(flipped, spec)
             lz = min(len(z_true), len(z_hat))
             d_z = edit_distance(z_true, z_hat)
             assert d_z <= 2 * d_x

@@ -201,6 +201,21 @@ class TestReduceMTraces:
         for cand in range((m2 or 0) + 1, m + 1):
             assert check_regime(n, delta, cand, k).recommended_action != "run_full"
 
+    def test_answers_what_check_regime_says(self):
+        # reconstruct_with_fallback routes on reduce_m_traces alone: M' = M
+        # must mean run_full and None every output_single_trace.  The grid
+        # has delta at 0, at 1 and below 1/n^2, and K below and above 1
+        deltas = [0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-4, 4e-4, 1e-3, 3e-3, 0.01, 0.05, 0.2, 0.5, 1.0]
+        for n in (1, 2, 64, 2**13, 2**17):
+            for delta in deltas:
+                for k in (0.5, 1.0, 2.0, 4.0, 5.0):
+                    for m in range(1, 41):
+                        action = check_regime(n, delta, m, k).recommended_action
+                        m2 = reduce_m_traces(n, delta, m, k)
+                        assert (m2 == m) == (action == "run_full"), (n, delta, m, k)
+                        if action == "output_single_trace":
+                            assert m2 is None, (n, delta, m, k)
+
     def test_largest_qualifying(self):
         m2 = reduce_m_traces(2**10, 0.01, 16, 2.0)
         assert m2 is not None
@@ -227,3 +242,16 @@ class TestReduceMTraces:
         monkeypatch.setattr(params_module, "check_regime", recording)
         assert reduce_m_traces(2**14, 4e-4, 25, 4.0) is None
         assert seen == list(range(25, 14, -1))
+
+    def test_scan_stops_at_once_below_inv_n2(self, monkeypatch):
+        # delta < 1/n^2 holds at every M', so the first check is the last
+        seen = []
+        real = params_module.check_regime
+
+        def recording(n, delta, m, k):
+            seen.append(m)
+            return real(n, delta, m, k)
+
+        monkeypatch.setattr(params_module, "check_regime", recording)
+        assert reduce_m_traces(2**10, 1e-9, 16, 0.5) is None
+        assert seen == [16]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,6 +28,7 @@ from .oracles import (
     find_closest_subword_naive,
     lcs_dp,
     lcs_dp_rows,
+    lcs_suffix,
     prefilter_starts_find,
 )
 import tracerecon.strings as strings_module
@@ -207,6 +209,14 @@ class TestEditDistance:
     @given(bits, bits)
     def test_row_oracle_matches_table(self, a, b):
         assert lcs_dp_rows(a, b) == lcs_dp(a, b)
+
+    def test_suffix_oracle_matches_table(self):
+        # every ordered pair of words of up to 6 bits, through one shared memo
+        words = ["".join(w) for k in range(7) for w in itertools.product("01", repeat=k)]
+        memo: dict = {}
+        for a in words:
+            for b in words:
+                assert lcs_suffix(a, b, memo) == lcs_dp(a, b)
 
     def test_large_random_pair(self, rng):
         a = random_bits(3000, rng)
