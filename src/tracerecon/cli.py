@@ -1,6 +1,7 @@
 """Command line front end for the experiment harness.
 
-One subcommand per experiment kind.  A JSON config file supplies the grid;
+One subcommand per experiment kind, with a flag for each grid-point field
+that kind reads.  A JSON config file of the same kind supplies the grid;
 individual flags override config fields (or, without a config, define a
 single grid point).  A completed sweep exits 0 even when some trials ended
 in error rows; config problems exit 2.
@@ -14,7 +15,7 @@ import sys
 
 from .harness import KINDS, ExperimentConfig, emit_report, run_experiment
 
-# grid-point fields a flag may set: name -> argparse type, or choices
+# argparse type, or choices, of each grid-point field a kind may read
 _POINT_FLAGS = {
     "n": int,
     "delta": float,
@@ -42,12 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report path")
         p.add_argument("--format", choices=("csv", "jsonl"), dest="fmt")
         p.add_argument("--workers", type=int)
-        for name, kind in _POINT_FLAGS.items():
-            flag = "--" + name.replace("_", "-")
-            if isinstance(kind, tuple):
-                p.add_argument(flag, choices=kind, dest=name)
+        for name in KINDS[kind].fields:
+            flag, spec = "--" + name.replace("_", "-"), _POINT_FLAGS[name]
+            if isinstance(spec, tuple):
+                p.add_argument(flag, choices=spec, dest=name)
             else:
-                p.add_argument(flag, type=kind, dest=name)
+                p.add_argument(flag, type=spec, dest=name)
     return parser
 
 
@@ -55,7 +56,8 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         with open(args.config) as fh:
             config = ExperimentConfig.from_json(fh.read())
-        config.kind = args.kind
+        if config.kind != args.kind:
+            raise ValueError(f"{args.config} configures {config.kind!r}, not {args.kind!r}")
     else:
         config = ExperimentConfig(kind=args.kind, grid=[{}])
     for attr, value in (

@@ -6,9 +6,14 @@ stream keyed by (master seed, grid index, trial index), so reports are
 reproducible bit for bit regardless of worker count or scheduling.  Trial
 failures become error-tagged rows instead of aborting the sweep.
 
+Each kind declares the grid-point fields it reads, required or with a
+default, besides the DESK_DEFAULTS constants of every kind; validation
+rejects any other field, fills defaults and range-checks the rest.
+
 Reports: CSV with one row per metric (fixed columns
-kind,n,delta,m_traces,k_const,tau,seed,trial,metric,value; gamma and any
-kind-specific knobs travel as metric rows since the column set is fixed),
+kind,n,delta,m_traces,k_const,tau,seed,trial,metric,value; the numeric
+fields without a column, gamma, b_len and mc_samples, travel as metric rows
+since the column set is fixed, and the reconstructor choice only in JSONL),
 or JSONL with one trial per line.
 """
 
@@ -49,6 +54,9 @@ __all__ = [
 ]
 
 CSV_COLUMNS = ("kind", "n", "delta", "m_traces", "k_const", "tau", "seed", "trial", "metric", "value")
+
+# grid-point fields that count something, each at least 1
+_COUNTED = ("n", "m_traces", "b_len", "mc_samples")
 
 _REGIME_CODES = {"run_full": 0, "output_single_trace": 1, "reduce_M": 2}
 
@@ -97,16 +105,22 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if not self.grid:
             raise ValueError("grid must contain at least one point")
+        kind = KINDS[self.kind]
         for point in self.grid:
-            for name, value in DESK_DEFAULTS.items():
+            unread = sorted(set(point) - set(kind.fields))
+            if unread:
+                raise ValueError(f"{self.kind} reads no grid field {unread}; it reads {list(kind.fields)}")
+            missing = [name for name in kind.required if name not in point]
+            if missing:
+                raise ValueError(f"grid point missing {missing}: {point}")
+            for name, value in {**kind.defaults, **DESK_DEFAULTS}.items():
                 point.setdefault(name, value)
-            KINDS[self.kind].validate(point)
-
-
-def _require(point: dict, *names: str) -> None:
-    missing = [k for k in names if k not in point]
-    if missing:
-        raise ValueError(f"grid point missing {missing}: {point}")
+            for name in _COUNTED:
+                if name in point and not point[name] >= 1:
+                    raise ValueError(f"{name} must be >= 1 in {point}")
+            if not 0.0 <= point["delta"] <= 1.0:  # every kind reads delta
+                raise ValueError(f"delta must be in [0, 1]: {point}")
+            kind.check(point)
 
 
 # --- kind runners -------------------------------------------------------
@@ -123,12 +137,6 @@ def _run_channel_stats(point: dict, rng: np.random.Generator) -> dict:
         "deleted_count": float(rec.source_len - len(rec.trace)),
         "roundtrip_ok": float(roundtrip),
     }
-
-
-def _validate_channel_stats(point: dict) -> None:
-    _require(point, "n", "delta")
-    if point["n"] < 1 or not 0.0 <= point["delta"] <= 1.0:
-        raise ValueError(f"bad channel point {point}")
 
 
 def _run_bma_bench(point: dict, rng: np.random.Generator) -> dict:
@@ -151,11 +159,10 @@ def _run_bma_bench(point: dict, rng: np.random.Generator) -> dict:
     }
 
 
-def _validate_bma_bench(point: dict) -> None:
-    _require(point, "n", "delta", "m_traces")
+def _check_bma_bench(point: dict) -> None:
     if point["n"] < _BMA_DESERT[0]:
         raise ValueError(f"n shorter than the desert window in {point}")
-    if not 0.0 <= point["delta"] < 1.0 or point["m_traces"] < 1:
+    if point["delta"] >= 1.0:
         raise ValueError(f"bad bma point {point}")
 
 
@@ -192,11 +199,6 @@ def _run_align_bench(point: dict, rng: np.random.Generator) -> dict:
     }
 
 
-def _validate_params_point(point: dict) -> None:
-    _require(point, "n", "delta", "m_traces")
-    _params_from_point(point)
-
-
 def _run_reconstruct_e2e(point: dict, rng: np.random.Generator) -> dict:
     n, delta = point["n"], point["delta"]
     x = random_bits(n, rng)
@@ -222,43 +224,29 @@ def _run_atomic_exact(point: dict, rng: np.random.Generator) -> dict:
     return {"p_exact": exact_atomic_failure_prob(point["m_traces"], point["delta"])}
 
 
-def _validate_atomic_exact(point: dict) -> None:
-    _require(point, "delta", "m_traces")
-    if not 1 <= point["m_traces"] <= EXACT_MAX_M or not 0.0 <= point["delta"] <= 1.0:
+def _check_atomic_exact(point: dict) -> None:
+    if point["m_traces"] > EXACT_MAX_M:
         raise ValueError(f"bad atomic point {point}")
 
 
 def _run_atomic_mc(point: dict, rng: np.random.Generator) -> dict:
-    samples = point.get("mc_samples", 10**6)
-    p_hat, se = mc_atomic_failure_prob(point["m_traces"], point["delta"], samples, rng)
-    return {"p_mc": p_hat, "p_mc_stderr": se, "mc_samples": float(samples)}
+    p_hat, se = mc_atomic_failure_prob(point["m_traces"], point["delta"], point["mc_samples"], rng)
+    return {"p_mc": p_hat, "p_mc_stderr": se}
 
 
-def _validate_atomic_mc(point: dict) -> None:
-    _require(point, "delta", "m_traces")
-    if point["m_traces"] < 1 or not 0.0 <= point["delta"] <= 1.0:
-        raise ValueError(f"bad atomic point {point}")
-    if point.get("mc_samples", 10**6) < 2:
+def _check_atomic_mc(point: dict) -> None:
+    if point["mc_samples"] < 2:
         raise ValueError("mc_samples must be >= 2")
 
 
 def _run_prlp(point: dict, rng: np.random.Generator) -> dict:
     m, delta, b_len = point["m_traces"], point["delta"], point["b_len"]
-    samples = point.get("mc_samples", 10**5)
-    rate = mc_prlp_exact_match(m, delta, b_len, samples, rng)
-    out = {"exact_match_rate": rate, "mc_samples": float(samples)}
+    rate = mc_prlp_exact_match(m, delta, b_len, point["mc_samples"], rng)
+    out = {"exact_match_rate": rate}
     if m <= EXACT_MAX_M:
         p = exact_atomic_failure_prob(m, delta)
         out["ceiling"] = (1.0 - p) ** b_len
     return out
-
-
-def _validate_prlp(point: dict) -> None:
-    _require(point, "delta", "m_traces", "b_len")
-    if point["m_traces"] < 1 or point["b_len"] < 1 or not 0.0 <= point["delta"] <= 1.0:
-        raise ValueError(f"bad prlp point {point}")
-    if point.get("mc_samples", 10**5) < 1:
-        raise ValueError("mc_samples must be >= 1")
 
 
 def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:
@@ -266,8 +254,7 @@ def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:
     spec = EmbeddingSpec.build(m, b_len)
     z = BitString(rng.integers(0, 2, size=b_len, dtype=np.int64))
     samples = sample_prlp(z, m, delta, rng)
-    which = point.get("reconstructor", "first_trace")
-    if which == "first_trace":
+    if point["reconstructor"] == "first_trace":
         recon = lambda traces: traces[0]  # noqa: E731
     else:
         recon = lambda traces: reconstruct_with_fallback(  # noqa: E731
@@ -282,29 +269,36 @@ def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:
     }
 
 
-def _validate_aprlp(point: dict) -> None:
-    _require(point, "delta", "m_traces", "b_len")
-    if point["m_traces"] < 1 or point["b_len"] < 1 or not 0.0 <= point["delta"] <= 1.0:
-        raise ValueError(f"bad embedding point {point}")
-    if point.get("reconstructor", "first_trace") not in ("first_trace", "full"):
+def _check_aprlp(point: dict) -> None:
+    if point["reconstructor"] not in ("first_trace", "full"):
         raise ValueError("reconstructor must be first_trace or full")
 
 
+# a runner, the grid-point fields it reads besides DESK_DEFAULTS' (required,
+# or with a default), and the checks on a point that are the kind's own
 @dataclass(frozen=True)
 class _Kind:
     run: object
-    validate: object
+    required: tuple
+    defaults: dict = field(default_factory=dict)
+    check: object = lambda point: None
+
+    @property
+    def fields(self) -> tuple:
+        return (*self.required, *self.defaults, *DESK_DEFAULTS)
 
 
 KINDS = {
-    "channel_stats": _Kind(_run_channel_stats, _validate_channel_stats),
-    "bma_bench": _Kind(_run_bma_bench, _validate_bma_bench),
-    "align_bench": _Kind(_run_align_bench, _validate_params_point),
-    "reconstruct_e2e": _Kind(_run_reconstruct_e2e, _validate_params_point),
-    "atomic_exact": _Kind(_run_atomic_exact, _validate_atomic_exact),
-    "atomic_mc": _Kind(_run_atomic_mc, _validate_atomic_mc),
-    "prlp": _Kind(_run_prlp, _validate_prlp),
-    "aprlp_embedding": _Kind(_run_aprlp_embedding, _validate_aprlp),
+    "channel_stats": _Kind(_run_channel_stats, ("n", "delta")),
+    "bma_bench": _Kind(_run_bma_bench, ("n", "delta", "m_traces"), check=_check_bma_bench),
+    "align_bench": _Kind(_run_align_bench, ("n", "delta", "m_traces"), check=_params_from_point),
+    "reconstruct_e2e": _Kind(_run_reconstruct_e2e, ("n", "delta", "m_traces"), check=_params_from_point),
+    "atomic_exact": _Kind(_run_atomic_exact, ("delta", "m_traces"), check=_check_atomic_exact),
+    "atomic_mc": _Kind(_run_atomic_mc, ("delta", "m_traces"), {"mc_samples": 10**6}, _check_atomic_mc),
+    "prlp": _Kind(_run_prlp, ("delta", "m_traces", "b_len"), {"mc_samples": 10**5}),
+    "aprlp_embedding": _Kind(
+        _run_aprlp_embedding, ("delta", "m_traces", "b_len"), {"reconstructor": "first_trace"}, _check_aprlp
+    ),
 }
 
 
@@ -318,7 +312,9 @@ def _run_cell(args: tuple) -> TrialResult:
     except Exception as exc:  # error rows must not kill the sweep
         metrics = {"error": 1.0}
         error = f"{type(exc).__name__}: {exc}"
-    metrics["gamma"] = float(point["gamma"])
+    for name in KINDS[kind].fields:
+        if name not in CSV_COLUMNS and name != "reconstructor":
+            metrics[name] = float(point[name])
     metrics["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
     return TrialResult(kind, dict(point), seed, trial, metrics, error)
 

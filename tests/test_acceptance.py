@@ -45,6 +45,7 @@ from tracerecon import (
 from tracerecon.deserts import _desert_starts
 from tracerecon.lower_bound import EmbeddingSpec, atomic_tables
 from tracerecon.rng import stream
+from tracerecon.strings import _walk
 
 from .oracles import (
     bma_literal,
@@ -110,6 +111,19 @@ def test_criterion_01_edit_distance_oracle():
         a, b = random_bits(la, g), random_bits(lb, g)
         if edit_distance(a, b) != la + lb - 2 * lcs_dp_rows(str(a), str(b)):
             mismatches += 1
+    # near pairs, a source against its trace with one bit inserted, reach the
+    # O(NP) walk; `walked` counts those it scores within its step budget at
+    # edit_distance's first cap, 256
+    near, walked = 20, 0
+    for _ in range(near):
+        x = random_bits(1024, g)
+        y = str(transmit(x, 0.004, g).trace)
+        cut = int(g.integers(0, len(y) + 1))
+        b = BitString(y[:cut] + str(int(g.integers(0, 2))) + y[cut:])
+        want = len(x) + len(b) - 2 * lcs_dp_rows(str(x), str(b))
+        if edit_distance(x, b) != want or edit_distance(b, x) != want:
+            mismatches += 1
+        walked += _walk(x.tobytes(), b.tobytes(), 256) is not None
     words = [BitString(s) for s in all_bitstrings(8)]
     raw = [str(w) for w in words]
     checked = 0
@@ -125,7 +139,8 @@ def test_criterion_01_edit_distance_oracle():
         1,
         "edit distance oracle",
         mismatches == 0,
-        f"1000 random pairs + {checked} exhaustive pairs (len<=8), {mismatches} mismatches",
+        f"1000 random pairs + {near} near pairs of 1024 bits ({walked} walked) + {checked} "
+        f"exhaustive pairs (len<=8), {mismatches} mismatches",
     )
 
 

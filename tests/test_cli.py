@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import argparse
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -9,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from tracerecon.cli import main
+from tracerecon import ExperimentConfig
+from tracerecon.cli import _assemble_config, _build_parser, main
+from tracerecon.harness import KINDS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestCliFlags:
@@ -106,9 +112,61 @@ class TestCliErrors:
             main(["channel_stats", "--n", "100", "--delta", "0.1", "--mode", "paper"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["atomic_exact", "--n", "5"],
+            ["channel_stats", "--b-len", "7", "--reconstructor", "full", "--mc-samples", "3"],
+        ],
+    )
+    def test_flags_of_other_kinds_rejected_by_parser(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_each_subcommand_takes_its_kinds_fields(self):
+        run_flags = {"help", "config", "seed", "trials", "out", "fmt", "workers"}
+        (sub,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for kind, parser in sub.choices.items():
+            assert [a.dest for a in parser._actions if a.dest not in run_flags] == list(KINDS[kind].fields)
+
+    def test_unread_config_field(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"kind": "channel_stats", "grid": [{"n": 100, "delta": 0.1, "detla": 0.5}]}))
+        rc = main(["channel_stats", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert "reads no grid field ['detla']" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_config_of_another_kind(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        rc = main(["channel_stats", "--config", str(ROOT / "reports" / "working_regime_align.json"), "--out", str(out)])
+        assert rc == 2
+        assert "configures 'align_bench', not 'channel_stats'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_kind_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             main(["definitely_not_a_kind"])
+
+
+class TestCommittedExamples:
+    """Committed configs and README commands keep validating, so a removed
+    field or flag cannot leave a stale example behind."""
+
+    def test_report_configs_validate(self):
+        paths = sorted((ROOT / "reports").rglob("*.json"))
+        assert paths
+        for path in paths:
+            ExperimentConfig.from_json(path.read_text()).validate()
+
+    def test_readme_commands_validate(self, monkeypatch):
+        monkeypatch.chdir(ROOT)  # the commands name config files from the repository root
+        text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("tracerecon ")]
+        assert len(commands) >= 4
+        for argv in commands:
+            _assemble_config(_build_parser().parse_args(argv)).validate()
 
 
 class TestEntryPoints:

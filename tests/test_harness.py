@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,19 @@ from tracerecon import (
 from tracerecon import harness
 from tracerecon.harness import CSV_COLUMNS, KINDS
 from tracerecon.lower_bound import EXACT_MAX_M
+
+
+# a point each kind runs, with only the fields it reads
+POINTS = {
+    "channel_stats": {"n": 100, "delta": 0.1},
+    "bma_bench": {"n": 64, "delta": 0.01, "m_traces": 3},
+    "align_bench": {"n": 4096, "delta": 1e-3, "m_traces": 4},
+    "reconstruct_e2e": {"n": 1024, "delta": 1e-3, "m_traces": 4},
+    "atomic_exact": {"delta": 0.1, "m_traces": 2},
+    "atomic_mc": {"delta": 0.1, "m_traces": 2, "mc_samples": 100},
+    "prlp": {"delta": 0.1, "m_traces": 2, "b_len": 4, "mc_samples": 100},
+    "aprlp_embedding": {"delta": 0.05, "m_traces": 2, "b_len": 3, "reconstructor": "full"},
+}
 
 
 def small_config(**overrides):
@@ -59,6 +73,51 @@ class TestExperimentConfig:
         for point in cfg.grid:
             assert point["k_const"] == 2.0 and point["tau"] == 8.0
             assert point["gamma"] == 0.01
+
+    def test_validate_fills_kind_defaults(self):
+        want = {
+            "atomic_mc": {"mc_samples": 10**6},
+            "prlp": {"mc_samples": 10**5},
+            "aprlp_embedding": {"reconstructor": "first_trace"},
+        }
+        for kind, defaults in want.items():
+            point = {k: v for k, v in POINTS[kind].items() if k not in defaults}
+            ExperimentConfig(kind=kind, grid=[point]).validate()
+            assert point == {**POINTS[kind], **defaults, "k_const": 2.0, "tau": 8.0, "gamma": 0.01}
+
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("channel_stats", {"detla": 0.5}),
+            ("aprlp_embedding", {"reconstuctor": "full"}),
+            ("bma_bench", {"l_desert": 40}),
+            ("channel_stats", {"m_traces": 25}),
+            ("atomic_exact", {"n": 5}),
+        ],
+    )
+    def test_validate_rejects_unread_fields(self, kind, extra):
+        cfg = ExperimentConfig(kind=kind, grid=[{**POINTS[kind], **extra}])
+        with pytest.raises(ValueError, match=re.escape(f"{kind} reads no grid field {list(extra)}")):
+            cfg.validate()
+
+    @pytest.mark.parametrize("kind", sorted(POINTS))
+    def test_validate_names_missing_fields(self, kind):
+        for name in KINDS[kind].required:
+            point = {k: v for k, v in POINTS[kind].items() if k != name}
+            with pytest.raises(ValueError, match=re.escape(f"grid point missing {[name]}")):
+                ExperimentConfig(kind=kind, grid=[point]).validate()
+
+    @pytest.mark.parametrize("kind", sorted(POINTS))
+    def test_validate_range_checks_every_kind(self, kind):
+        ExperimentConfig(kind=kind, grid=[dict(POINTS[kind])]).validate()
+        for name in ("n", "m_traces", "b_len", "mc_samples"):
+            if name in KINDS[kind].fields:
+                point = {**POINTS[kind], name: 0}
+                with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                    ExperimentConfig(kind=kind, grid=[point]).validate()
+        for delta in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="delta must be in"):
+                ExperimentConfig(kind=kind, grid=[{**POINTS[kind], "delta": delta}]).validate()
 
     def test_validate_paper_defaults(self):
         # the paper set goes in through the points, and validate keeps it
@@ -264,6 +323,12 @@ class TestRunExperiment:
             assert res.metrics["align_success"] == 0.0
 
 
+    def test_every_kind_runs_its_point(self):
+        for kind, point in POINTS.items():
+            (res,) = run_experiment(ExperimentConfig(kind=kind, grid=[dict(point)], seed=4))
+            assert res.error is None, (kind, res.error)
+
+
 class TestReports:
     def test_csv_columns_and_rows(self, tmp_path):
         res = TrialResult(
@@ -282,6 +347,23 @@ class TestReports:
         assert rows[1][8:] == ["a", "1.0"]
         assert rows[2][8:] == ["b", "2.5"]
         assert rows[1][:8] == ["channel_stats", "10", "0.1", "0", "2.0", "8.0", "1", "0"]
+
+    def test_csv_carries_the_fields_without_a_column(self, tmp_path):
+        # b_len, mc_samples and gamma travel as metric rows, once per trial;
+        # the reconstructor choice travels only in the JSONL point
+        grids = {
+            "prlp": [{"m_traces": 2, "delta": 0.1, "b_len": b, "mc_samples": 10} for b in (2, 8)],
+            "aprlp_embedding": [{"m_traces": 2, "delta": 0.05, "b_len": b} for b in (2, 8)],
+        }
+        for kind, grid in grids.items():
+            results = run_experiment(ExperimentConfig(kind=kind, grid=grid, seed=1))
+            out = tmp_path / f"{kind}.csv"
+            emit_report(results, "csv", str(out))
+            rows = list(csv.reader(out.open()))[1:]
+            assert [r[9] for r in rows if r[8] == "b_len"] == ["2.0", "8.0"]
+            assert [r[8] for r in rows].count("gamma") == 2
+            assert [r[8] for r in rows].count("mc_samples") == (2 if kind == "prlp" else 0)
+            assert "first_trace" not in out.read_text()
 
     def test_empty_results_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
