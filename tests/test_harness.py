@@ -322,7 +322,6 @@ class TestRunExperiment:
             assert res.metrics["consensus"] == 0.0
             assert res.metrics["align_success"] == 0.0
 
-
     def test_every_kind_runs_its_point(self):
         for kind, point in POINTS.items():
             (res,) = run_experiment(ExperimentConfig(kind=kind, grid=[dict(point)], seed=4))
