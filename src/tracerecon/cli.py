@@ -1,10 +1,11 @@
 """Command line front end for the experiment harness.
 
 One subcommand per experiment kind, with a flag for each grid-point field
-that kind reads.  A JSON config file of the same kind supplies the grid;
-individual flags override config fields (or, without a config, define a
-single grid point).  A completed sweep exits 0 even when some trials ended
-in error rows; config problems exit 2.
+that kind reads, typed (or given its choices) by `harness.FIELDS`.  A JSON
+config file of the same kind supplies the grid; individual flags override
+config fields (or, without a config, define a single grid point).  A
+completed sweep exits 0 even when some trials ended in error rows; config
+problems, a bad field value among them, exit 2 before any trial runs.
 """
 
 from __future__ import annotations
@@ -13,20 +14,7 @@ import argparse
 import json
 import sys
 
-from .harness import KINDS, ExperimentConfig, emit_report, run_experiment
-
-# argparse type, or choices, of each grid-point field a kind may read
-_POINT_FLAGS = {
-    "n": int,
-    "delta": float,
-    "m_traces": int,
-    "k_const": float,
-    "tau": float,
-    "gamma": float,
-    "b_len": int,
-    "mc_samples": int,
-    "reconstructor": ("first_trace", "full"),
-}
+from .harness import FIELDS, KINDS, ExperimentConfig, emit_report, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "jsonl"), dest="fmt")
         p.add_argument("--workers", type=int)
         for name in KINDS[kind].fields:
-            flag, spec = "--" + name.replace("_", "-"), _POINT_FLAGS[name]
+            flag, spec = "--" + name.replace("_", "-"), FIELDS[name][0]
             if isinstance(spec, tuple):
                 p.add_argument(flag, choices=spec, dest=name)
             else:
@@ -71,7 +59,7 @@ def _assemble_config(args: argparse.Namespace) -> ExperimentConfig:
             setattr(config, attr, value)
     overrides = {
         key: getattr(args, key)
-        for key in _POINT_FLAGS
+        for key in FIELDS
         if getattr(args, key, None) is not None
     }
     for point in config.grid:

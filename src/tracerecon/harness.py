@@ -6,15 +6,14 @@ stream keyed by (master seed, grid index, trial index), so reports are
 reproducible bit for bit regardless of worker count or scheduling.  Trial
 failures become error-tagged rows instead of aborting the sweep.
 
-Each kind declares the grid-point fields it reads, required or with a
-default, besides the DESK_DEFAULTS constants of every kind; validation
-rejects any other field, fills defaults and range-checks the rest.
+FIELDS declares every grid-point field once: its type, or its choices, and
+its range.  Each kind declares the fields it reads, required or with a
+default (the constants k_const, tau and gamma only where a kind passes them
+on); validation rejects any other field, fills defaults and checks every
+value against FIELDS before anything runs.
 
-Reports: CSV with one row per metric (fixed columns
-kind,n,delta,m_traces,k_const,tau,seed,trial,metric,value; the numeric
-fields without a column, gamma, b_len and mc_samples, travel as metric rows
-since the column set is fixed, and the reconstructor choice only in JSONL),
-or JSONL with one trial per line.
+Reports: CSV with one row per metric (columns kind, the kind's fields, seed,
+trial, metric, value), or JSONL with one trial per line.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -51,12 +50,29 @@ __all__ = [
     "run_experiment",
     "emit_report",
     "KINDS",
+    "FIELDS",
 ]
 
-CSV_COLUMNS = ("kind", "n", "delta", "m_traces", "k_const", "tau", "seed", "trial", "metric", "value")
+# every grid-point field a kind may read: its type (or its choices) and the
+# range its values must lie in; the CLI builds its point flags from this too
+FIELDS = {
+    "n": (int, ">= 1"),
+    "delta": (float, "in [0, 1]"),
+    "m_traces": (int, ">= 1"),
+    "b_len": (int, ">= 1"),
+    "mc_samples": (int, ">= 1"),
+    "k_const": (float, "> 0"),
+    "tau": (float, "> 0"),
+    "gamma": (float, "> 0"),
+    "reconstructor": (("first_trace", "full"), None),
+}
 
-# grid-point fields that count something, each at least 1
-_COUNTED = ("n", "m_traces", "b_len", "mc_samples")
+_IN_RANGE = {
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
+    "> 0": lambda v: v > 0,
+}
 
 _REGIME_CODES = {"run_full": 0, "output_single_trace": 1, "reduce_M": 2}
 
@@ -88,21 +104,23 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, payload: str) -> "ExperimentConfig":
         obj = json.loads(payload)
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ValueError("a config must be a JSON object")
+        extra = set(obj) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown config fields: {sorted(extra)}")
+        grid = obj.get("grid")
+        if not (isinstance(grid, list) and all(isinstance(point, dict) for point in grid)):
+            raise ValueError("grid must be a list of objects")
         return cls(**obj)
 
     def validate(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; have {sorted(KINDS)}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, rule in (("trials", ">= 1"), ("seed", ">= 0"), ("workers", ">= 1")):
+            _check_value(name, getattr(self, name), int, rule)
         if self.format not in ("csv", "jsonl"):
             raise ValueError("format must be csv or jsonl")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if not self.grid:
             raise ValueError("grid must contain at least one point")
         kind = KINDS[self.kind]
@@ -113,14 +131,22 @@ class ExperimentConfig:
             missing = [name for name in kind.required if name not in point]
             if missing:
                 raise ValueError(f"grid point missing {missing}: {point}")
-            for name, value in {**kind.defaults, **DESK_DEFAULTS}.items():
+            for name, value in kind.defaults.items():
                 point.setdefault(name, value)
-            for name in _COUNTED:
-                if name in point and not point[name] >= 1:
-                    raise ValueError(f"{name} must be >= 1 in {point}")
-            if not 0.0 <= point["delta"] <= 1.0:  # every kind reads delta
-                raise ValueError(f"delta must be in [0, 1]: {point}")
+            for name in kind.fields:
+                _check_value(name, point[name], *FIELDS[name])
             kind.check(point)
+
+
+def _check_value(name: str, value, spec, rule) -> None:
+    # an int is a float here, as in derive_params; a bool is neither
+    if isinstance(spec, tuple):
+        if value not in spec:
+            raise ValueError(f"{name} must be one of {list(spec)}, not {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float) if spec is float else int):
+        raise ValueError(f"{name} must be {'an int' if spec is int else 'a number'}, not {value!r}")
+    elif not _IN_RANGE[rule](value):
+        raise ValueError(f"{name} must be {rule}, not {value!r}")
 
 
 # --- kind runners -------------------------------------------------------
@@ -269,13 +295,8 @@ def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:
     }
 
 
-def _check_aprlp(point: dict) -> None:
-    if point["reconstructor"] not in ("first_trace", "full"):
-        raise ValueError("reconstructor must be first_trace or full")
-
-
-# a runner, the grid-point fields it reads besides DESK_DEFAULTS' (required,
-# or with a default), and the checks on a point that are the kind's own
+# a runner, the grid-point fields it reads (required, or with a default), and
+# the checks on a point that are the kind's own beyond each field's range
 @dataclass(frozen=True)
 class _Kind:
     run: object
@@ -285,19 +306,19 @@ class _Kind:
 
     @property
     def fields(self) -> tuple:
-        return (*self.required, *self.defaults, *DESK_DEFAULTS)
+        return (*self.required, *self.defaults)
 
 
 KINDS = {
     "channel_stats": _Kind(_run_channel_stats, ("n", "delta")),
     "bma_bench": _Kind(_run_bma_bench, ("n", "delta", "m_traces"), check=_check_bma_bench),
-    "align_bench": _Kind(_run_align_bench, ("n", "delta", "m_traces"), check=_params_from_point),
-    "reconstruct_e2e": _Kind(_run_reconstruct_e2e, ("n", "delta", "m_traces"), check=_params_from_point),
+    "align_bench": _Kind(_run_align_bench, ("n", "delta", "m_traces"), DESK_DEFAULTS, _params_from_point),
+    "reconstruct_e2e": _Kind(_run_reconstruct_e2e, ("n", "delta", "m_traces"), DESK_DEFAULTS, _params_from_point),
     "atomic_exact": _Kind(_run_atomic_exact, ("delta", "m_traces"), check=_check_atomic_exact),
     "atomic_mc": _Kind(_run_atomic_mc, ("delta", "m_traces"), {"mc_samples": 10**6}, _check_atomic_mc),
     "prlp": _Kind(_run_prlp, ("delta", "m_traces", "b_len"), {"mc_samples": 10**5}),
     "aprlp_embedding": _Kind(
-        _run_aprlp_embedding, ("delta", "m_traces", "b_len"), {"reconstructor": "first_trace"}, _check_aprlp
+        _run_aprlp_embedding, ("delta", "m_traces", "b_len"), {"reconstructor": "first_trace", **DESK_DEFAULTS}
     ),
 }
 
@@ -312,9 +333,6 @@ def _run_cell(args: tuple) -> TrialResult:
     except Exception as exc:  # error rows must not kill the sweep
         metrics = {"error": 1.0}
         error = f"{type(exc).__name__}: {exc}"
-    for name in KINDS[kind].fields:
-        if name not in CSV_COLUMNS and name != "reconstructor":
-            metrics[name] = float(point[name])
     metrics["runtime_ms"] = (time.perf_counter() - t0) * 1000.0
     return TrialResult(kind, dict(point), seed, trial, metrics, error)
 
@@ -339,32 +357,17 @@ def emit_report(results: list[TrialResult], fmt: str, path: str) -> None:
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
+            # a report holds one kind's results, as run_experiment returns them
+            fields = KINDS[results[0].kind].fields if results else ()
+            writer.writerow(("kind", *fields, "seed", "trial", "metric", "value"))
             for res in results:
-                p = res.point
-                base = [
-                    res.kind,
-                    p.get("n", 0),
-                    p.get("delta", 0.0),
-                    p.get("m_traces", 0),
-                    p.get("k_const", 0.0),
-                    p.get("tau", 0.0),
-                    res.seed,
-                    res.trial,
-                ]
+                base = [res.kind, *(res.point[name] for name in fields), res.seed, res.trial]
                 for metric, value in res.metrics.items():
                     writer.writerow(base + [metric, repr(float(value))])
     elif fmt == "jsonl":
         with open(path, "w") as fh:
             for res in results:
-                fh.write(json.dumps({
-                    "kind": res.kind,
-                    "point": res.point,
-                    "seed": res.seed,
-                    "trial": res.trial,
-                    "metrics": res.metrics,
-                    "error": res.error,
-                }) + "\n")
+                fh.write(json.dumps(asdict(res)) + "\n")
     else:
         raise ValueError("format must be csv or jsonl")
 

@@ -107,7 +107,8 @@ class TestCliErrors:
         assert not out.exists()
 
     def test_mode_flag_rejected_by_parser(self):
-        # constants are set with --k-const/--tau/--gamma; there is no --mode
+        # the kinds that read the constants take --k-const/--tau/--gamma;
+        # there is no --mode
         with pytest.raises(SystemExit) as exc:
             main(["channel_stats", "--n", "100", "--delta", "0.1", "--mode", "paper"])
         assert exc.value.code == 2
@@ -117,6 +118,7 @@ class TestCliErrors:
         [
             ["atomic_exact", "--n", "5"],
             ["channel_stats", "--b-len", "7", "--reconstructor", "full", "--mc-samples", "3"],
+            ["channel_stats", "--n", "10", "--delta", "0.1", "--tau", "5"],
         ],
     )
     def test_flags_of_other_kinds_rejected_by_parser(self, argv):
@@ -137,6 +139,53 @@ class TestCliErrors:
         assert rc == 2
         assert "reads no grid field ['detla']" in capsys.readouterr().err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "kind, point, message",
+        [
+            ("channel_stats", {"n": 10, "delta": 0.1, "gamma": "x"}, "reads no grid field ['gamma']"),
+            ("reconstruct_e2e", {"n": 1024, "delta": 1e-3, "m_traces": 4, "gamma": "x"}, "gamma must be a number"),
+            (
+                "aprlp_embedding",
+                {"delta": 0.05, "m_traces": 2, "b_len": 3, "reconstructor": "full", "tau": -1},
+                "tau must be > 0",
+            ),
+            ("channel_stats", {"n": True, "delta": 0.1}, "n must be an int"),
+            ("channel_stats", {"n": 10.5, "delta": 0.1}, "n must be an int"),
+            ("channel_stats", {"n": 10, "delta": "0.1"}, "delta must be a number"),
+            ("aprlp_embedding", {"delta": 0.05, "m_traces": 2, "b_len": 3, "reconstructor": "first"}, "reconstructor must be one of"),
+            ("atomic_mc", {"delta": 0.1, "m_traces": 2, "mc_samples": 1e2}, "mc_samples must be an int"),
+        ],
+    )
+    def test_bad_field_value(self, tmp_path, capsys, kind, point, message):
+        # a bad value is a config error that names its field, before any trial runs
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"kind": kind, "grid": [point]}))
+        out = tmp_path / "r.csv"
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([{"n": 10, "delta": 0.1}], "a config must be a JSON object"),
+            ({"kind": "channel_stats", "grid": {"n": 10, "delta": 0.1}}, "grid must be a list of objects"),
+            ({"kind": "channel_stats", "grid": [[10, 0.1]]}, "grid must be a list of objects"),
+            ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "trials": 1.5}, "trials must be an int"),
+            ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "trials": True}, "trials must be an int"),
+            ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "seed": "1"}, "seed must be an int"),
+            ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "seed": -1}, "seed must be >= 0"),
+            ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "workers": 2.0}, "workers must be an int"),
+        ],
+    )
+    def test_malformed_config_shape(self, tmp_path, capsys, payload, message):
+        cfg = tmp_path / "shape.json"
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "r.csv"
+        assert main(["channel_stats", "--config", str(cfg), "--n", "20", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_of_another_kind(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

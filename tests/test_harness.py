@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tracerecon import (
+    DESK_DEFAULTS,
     PAPER_DEFAULTS,
     BitString,
     ExperimentConfig,
@@ -21,9 +22,12 @@ from tracerecon import (
     run_experiment,
 )
 from tracerecon import harness
-from tracerecon.harness import CSV_COLUMNS, KINDS
+from tracerecon.harness import FIELDS, KINDS
 from tracerecon.lower_bound import EXACT_MAX_M
 
+
+# the kinds that pass the constants k_const, tau and gamma on
+CONSTANT_KINDS = ("align_bench", "reconstruct_e2e", "aprlp_embedding")
 
 # a point each kind runs, with only the fields it reads
 POINTS = {
@@ -68,22 +72,25 @@ class TestExperimentConfig:
         assert cfg.kind == "channel_stats" and cfg.trials == 2
 
     def test_validate_fills_defaults(self):
-        cfg = small_config()
-        cfg.validate()
-        for point in cfg.grid:
-            assert point["k_const"] == 2.0 and point["tau"] == 8.0
-            assert point["gamma"] == 0.01
+        # the constants are defaults only of the kinds that read them
+        for kind, given in POINTS.items():
+            point = dict(given)
+            ExperimentConfig(kind=kind, grid=[point]).validate()
+            if kind in CONSTANT_KINDS:
+                assert {name: point[name] for name in DESK_DEFAULTS} == DESK_DEFAULTS
+            else:
+                assert not set(point) & set(DESK_DEFAULTS)
 
     def test_validate_fills_kind_defaults(self):
         want = {
             "atomic_mc": {"mc_samples": 10**6},
             "prlp": {"mc_samples": 10**5},
-            "aprlp_embedding": {"reconstructor": "first_trace"},
+            "aprlp_embedding": {"reconstructor": "first_trace", **DESK_DEFAULTS},
         }
         for kind, defaults in want.items():
             point = {k: v for k, v in POINTS[kind].items() if k not in defaults}
             ExperimentConfig(kind=kind, grid=[point]).validate()
-            assert point == {**POINTS[kind], **defaults, "k_const": 2.0, "tau": 8.0, "gamma": 0.01}
+            assert point == {**POINTS[kind], **defaults}
 
     @pytest.mark.parametrize(
         "kind, extra",
@@ -93,6 +100,8 @@ class TestExperimentConfig:
             ("bma_bench", {"l_desert": 40}),
             ("channel_stats", {"m_traces": 25}),
             ("atomic_exact", {"n": 5}),
+            ("channel_stats", {"tau": 5.0}),
+            ("prlp", {"gamma": 0.01}),
         ],
     )
     def test_validate_rejects_unread_fields(self, kind, extra):
@@ -118,10 +127,22 @@ class TestExperimentConfig:
         for delta in (-0.1, 1.5, float("nan")):
             with pytest.raises(ValueError, match="delta must be in"):
                 ExperimentConfig(kind=kind, grid=[{**POINTS[kind], "delta": delta}]).validate()
+        for name in DESK_DEFAULTS:
+            if name in KINDS[kind].fields:
+                for value in (0.0, -1, float("nan")):
+                    point = {**POINTS[kind], name: value}
+                    with pytest.raises(ValueError, match=f"{name} must be > 0"):
+                        ExperimentConfig(kind=kind, grid=[point]).validate()
+
+    def test_fields_table_matches_the_kinds(self):
+        # every declared field is read by some kind, and every field a kind
+        # reads is declared
+        read = {name for kind in KINDS.values() for name in kind.fields}
+        assert read == set(FIELDS)
 
     def test_validate_paper_defaults(self):
         # the paper set goes in through the points, and validate keeps it
-        cfg = small_config(grid=[{"n": 500, "delta": 0.1, **PAPER_DEFAULTS}])
+        cfg = small_config(kind="reconstruct_e2e", grid=[{**POINTS["reconstruct_e2e"], **PAPER_DEFAULTS}])
         cfg.validate()
         assert cfg.grid[0]["tau"] == 500.0
 
@@ -332,7 +353,7 @@ class TestReports:
     def test_csv_columns_and_rows(self, tmp_path):
         res = TrialResult(
             kind="channel_stats",
-            point={"n": 10, "delta": 0.1, "k_const": 2.0, "tau": 8.0, "gamma": 0.01},
+            point={"n": 10, "delta": 0.1},
             seed=1,
             trial=0,
             metrics={"a": 1.0, "b": 2.5},
@@ -341,34 +362,31 @@ class TestReports:
         out = tmp_path / "r.csv"
         emit_report([res], "csv", str(out))
         rows = list(csv.reader(out.open()))
-        assert tuple(rows[0]) == CSV_COLUMNS
+        assert rows[0] == ["kind", "n", "delta", "seed", "trial", "metric", "value"]
         assert len(rows) == 3  # header + one row per metric
-        assert rows[1][8:] == ["a", "1.0"]
-        assert rows[2][8:] == ["b", "2.5"]
-        assert rows[1][:8] == ["channel_stats", "10", "0.1", "0", "2.0", "8.0", "1", "0"]
+        assert rows[1] == ["channel_stats", "10", "0.1", "1", "0", "a", "1.0"]
+        assert rows[2] == ["channel_stats", "10", "0.1", "1", "0", "b", "2.5"]
 
-    def test_csv_carries_the_fields_without_a_column(self, tmp_path):
-        # b_len, mc_samples and gamma travel as metric rows, once per trial;
-        # the reconstructor choice travels only in the JSONL point
-        grids = {
-            "prlp": [{"m_traces": 2, "delta": 0.1, "b_len": b, "mc_samples": 10} for b in (2, 8)],
-            "aprlp_embedding": [{"m_traces": 2, "delta": 0.05, "b_len": b} for b in (2, 8)],
-        }
-        for kind, grid in grids.items():
-            results = run_experiment(ExperimentConfig(kind=kind, grid=grid, seed=1))
+    def test_csv_has_a_column_per_field(self, tmp_path):
+        # each field the kind reads is a column, in declared order, and
+        # travels nowhere else; no kind gets a column it does not read
+        for kind, point in POINTS.items():
+            (res,) = run_experiment(ExperimentConfig(kind=kind, grid=[dict(point)], seed=1))
             out = tmp_path / f"{kind}.csv"
-            emit_report(results, "csv", str(out))
-            rows = list(csv.reader(out.open()))[1:]
-            assert [r[9] for r in rows if r[8] == "b_len"] == ["2.0", "8.0"]
-            assert [r[8] for r in rows].count("gamma") == 2
-            assert [r[8] for r in rows].count("mc_samples") == (2 if kind == "prlp" else 0)
-            assert "first_trace" not in out.read_text()
+            emit_report([res], "csv", str(out))
+            header, *rows = list(csv.reader(out.open()))
+            fields = list(KINDS[kind].fields)
+            assert header == ["kind", *fields, "seed", "trial", "metric", "value"]
+            for row in rows:
+                assert row[1 : 1 + len(fields)] == [str(res.point[name]) for name in fields]
+            assert [row[-2] for row in rows] == list(res.metrics)
+            assert not set(res.metrics) & set(fields)
 
     def test_empty_results_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
         emit_report([], "csv", str(out))
         rows = list(csv.reader(out.open()))
-        assert rows == [list(CSV_COLUMNS)]
+        assert rows == [["kind", "seed", "trial", "metric", "value"]]
 
     def test_jsonl_roundtrip(self, tmp_path):
         results = run_experiment(small_config(trials=2))

@@ -561,11 +561,14 @@ class TestEmbeddingUniformity:
         positions = np.array([0, 100, 250, 400, 550, 700])
         weights = 1 << np.arange(6)[::-1]
         counts = np.zeros(64, dtype=np.int64)
-        for _ in range(trials):
-            z = random_bits(2, g)
-            x_prime = random_bits(spec.n, g)
-            x = embed_instance(z, x_prime, spec)
-            counts[int(x.array[positions] @ weights)] += 1
+        # the bits of random_bits(2, g) then random_bits(spec.n, g), drawn
+        # ten thousand trials at a time: each call takes whole 32-bit words,
+        # so z is the first 2 of a row's 4 leading bytes
+        for _ in range(10):
+            draws = g.integers(0, 2, size=(trials // 10, 4 + spec.n), dtype=np.uint8)
+            for row in draws:
+                x = embed_instance(BitString(row[:2].tobytes()), BitString(row[4:].tobytes()), spec)
+                counts[int(x.array[positions] @ weights)] += 1
         stat, pvalue = scipy_stats.chisquare(counts)
         assert pvalue > 1e-3
 
