@@ -121,6 +121,8 @@ class ExperimentConfig:
             _check_value(name, getattr(self, name), int, rule)
         if self.format not in ("csv", "jsonl"):
             raise ValueError("format must be csv or jsonl")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ValueError(f"out must be a path, not {self.out!r}")
         if not self.grid:
             raise ValueError("grid must contain at least one point")
         kind = KINDS[self.kind]

@@ -177,15 +177,16 @@ class TestCliErrors:
             ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "seed": "1"}, "seed must be an int"),
             ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "seed": -1}, "seed must be >= 0"),
             ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "workers": 2.0}, "workers must be an int"),
+            # an int out would name a file descriptor: 1 writes the report to stdout
+            ({"kind": "channel_stats", "grid": [{"n": 10, "delta": 0.1}], "out": 1}, "out must be a path"),
         ],
     )
-    def test_malformed_config_shape(self, tmp_path, capsys, payload, message):
-        cfg = tmp_path / "shape.json"
-        cfg.write_text(json.dumps(payload))
-        out = tmp_path / "r.csv"
-        assert main(["channel_stats", "--config", str(cfg), "--n", "20", "--out", str(out)]) == 2
+    def test_malformed_config_shape(self, tmp_path, monkeypatch, capsys, payload, message):
+        monkeypatch.chdir(tmp_path)  # a report, were one written, would land here
+        (tmp_path / "shape.json").write_text(json.dumps(payload))
+        assert main(["channel_stats", "--config", "shape.json", "--n", "20"]) == 2
         assert message in capsys.readouterr().err
-        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["shape.json"]
 
     def test_config_of_another_kind(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
