@@ -26,9 +26,6 @@ from tracerecon.harness import FIELDS, KINDS
 from tracerecon.lower_bound import EXACT_MAX_M
 
 
-# the kinds that pass the constants k_const, tau and gamma on
-CONSTANT_KINDS = ("align_bench", "reconstruct_e2e", "aprlp_embedding")
-
 # a point each kind runs, with only the fields it reads
 POINTS = {
     "channel_stats": {"n": 100, "delta": 0.1},
@@ -76,7 +73,7 @@ class TestExperimentConfig:
         for kind, given in POINTS.items():
             point = dict(given)
             ExperimentConfig(kind=kind, grid=[point]).validate()
-            if kind in CONSTANT_KINDS:
+            if kind in ("align_bench", "reconstruct_e2e", "aprlp_embedding"):
                 assert {name: point[name] for name in DESK_DEFAULTS} == DESK_DEFAULTS
             else:
                 assert not set(point) & set(DESK_DEFAULTS)
