@@ -29,6 +29,7 @@ Every Bayes decider sums its pairs' log-likelihoods left to right, in
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -404,6 +405,12 @@ class EmbeddingSpec:
         return cls(B=b_len, n=n_word * 2**n_word * b_len, alpha=alpha, beta=beta)
 
 
+@functools.cache
+def _marker_pattern(alpha: bytes, beta: bytes) -> re.Pattern[bytes]:
+    """The compiled "alpha or beta" pattern of one marker pair."""
+    return re.compile(re.escape(alpha) + b"|" + re.escape(beta))
+
+
 def find_pattern_occurrences(
     x: BitString, spec: EmbeddingSpec, limit: int | None = None
 ) -> list[Interval]:
@@ -412,8 +419,8 @@ def find_pattern_occurrences(
     Occurrences of the marker words can never overlap, so the leftmost
     non-overlapping matches of "alpha or beta" are all of them.
     """
-    markers = re.escape(spec.alpha.tobytes()) + b"|" + re.escape(spec.beta.tobytes())
-    hits = itertools.islice(re.finditer(markers, x.tobytes()), limit)
+    markers = _marker_pattern(spec.alpha.tobytes(), spec.beta.tobytes())
+    hits = itertools.islice(markers.finditer(x.tobytes()), limit)
     return [Interval(m.start() + 1, m.end()) for m in hits]
 
 

@@ -8,11 +8,15 @@ the package: ``x[1]`` is the first bit and subwords are closed intervals
 common-word search read it as bytes, and the numpy kernels read ``array``,
 a read-only view of the same bytes made without a copy.  The window search
 :func:`find_closest_subwords` looks for one template in many haystacks at
-once: a prefilter looks the template's pieces up in each haystack's
-12-bit-word index (:func:`kmer_index`, which a caller searching one
-haystack many times builds once and passes in), and the candidate windows
-of all haystacks are scored together, every haystack's first start before
-any later one.  :func:`find_closest_subword` is its one-haystack call.
+once: a prefilter finds the exact occurrences of the template's pieces in
+each haystack's :class:`SearchIndex` (:func:`search_index`, which a caller
+searching one haystack many times builds once and passes in), and the
+candidate windows of all haystacks are scored together, every haystack's
+first start before any later one.  The index holds the haystack's 8-gram
+string, whose byte p holds bits p..p+7, so ``bytes.find`` on it finds a
+piece in about 2 us at 8K bits; an index built for many searches also
+sorts the haystack's 12-bit words into groups, where a piece is looked up
+by its first word.  :func:`find_closest_subword` is the one-haystack call.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
@@ -44,7 +48,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,8 +61,8 @@ __all__ = [
     "find_closest_subword",
     "find_closest_subwords",
     "find_common_word",
-    "kmer_index",
-    "KmerIndex",
+    "search_index",
+    "SearchIndex",
 ]
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes to ASCII digits
@@ -422,64 +426,119 @@ def _first_hits(
     return found
 
 
-_KMER = 12  # word length of the haystack index: 2**12 = 4096 codes
+_KMER = 12  # bits of a sorted group's word, and the least piece length
 
-KmerIndex = tuple[np.ndarray, np.ndarray]  # (offsets, starts), see kmer_index
+_Groups = tuple[np.ndarray, np.ndarray]  # (offsets, starts), see SearchIndex
 
 
-def kmer_index(bits: BitString) -> KmerIndex:
-    """Positions of every 12-bit word of ``bits``, grouped by the word.
+class SearchIndex(NamedTuple):
+    """A haystack's search structure for the window prefilter, built by
+    :func:`search_index`.
 
-    Returns ``(offsets, starts)``: ``starts`` (int32) holds every 0-based
-    word start, grouped by the word's code (its bits read most significant
-    first) and ascending within a group; the group of code c is
-    ``starts[offsets[c] : offsets[c + 1]]``, with ``offsets`` (int32) of
-    length 4097.
+    ``grams`` is the haystack's 8-gram string: byte p holds bits p..p+7
+    (0-based), the first most significant, for every p up to len - 8.
+    ``groups`` is None or ``(offsets, starts)``: ``starts`` (int32) holds
+    every 0-based 12-bit word start, grouped by the word's code (its bits
+    read most significant first) and ascending within a group; the group of
+    code c is ``starts[offsets[c] : offsets[c + 1]]``, with ``offsets``
+    (int32) of length 4097.
     """
-    # codes of the 2-, 4- and 8-bit words, each from two of the half length;
-    # a slice past the end is empty, so a short string has no words
-    a = bits.array
-    c2 = a[:-1] << 1 | a[1:]
-    c4 = c2[:-2] << 2 | c2[2:]
-    c8 = c4[:-4] << 4 | c4[4:]
-    codes = np.left_shift(c8[:-4], 4, dtype=np.uint16) | c4[8:]
-    starts = np.argsort(codes, kind="stable").astype(np.int32)  # radix sort on uint16
+
+    grams: bytes
+    groups: _Groups | None
+
+
+# 2^7 + 2^14 + ... + 2^56: times the bit bytes read as one int, it adds bit
+# p + i, shifted 7 - i bits up, into byte p for i = 0..7
+_GRAM_SPREAD = sum(1 << 7 * (i + 1) for i in range(8))
+
+
+def _grams(bits: BitString) -> bytes:
+    """The 8-gram string of ``bits`` (:class:`SearchIndex`), from one int
+    product: each byte sums distinct bits, so nothing carries out of it.
+    Of the product's bytes, the first 8 (the overflow) and the last 7
+    (grams that would run past the end) are dropped.  About 0.5 us for a
+    49-bit template and 17 us at 8K bits."""
+    b = bits.tobytes()
+    return (int.from_bytes(b, "big") * _GRAM_SPREAD).to_bytes(len(b) + 8, "big")[8 : len(b) + 1]
+
+
+def _word_groups(grams: bytes) -> _Groups:
+    """The sorted 12-bit word groups (:class:`SearchIndex`) of the string
+    whose 8-gram string is ``grams``: a word's code is its first gram
+    followed by the low 4 bits of the gram 4 on."""
+    g = np.frombuffer(grams, np.uint8)
+    codes = np.left_shift(g[:-4], 4, dtype=np.uint16) | g[4:] & 15
+    # each start sits below its code in one key, so sorting the distinct keys
+    # groups the starts by code, ascending within a group; uint32 keys, which
+    # hold starts below 2^20, sort 3x faster than a stable argsort at 2^17 bits
+    width = 20 if codes.size <= 1 << 20 else 32  # bits of a start in its key
+    keys = codes.astype(np.uint32 if width == 20 else np.uint64) << width
+    keys |= np.arange(codes.size, dtype=keys.dtype)
+    keys.sort()
+    starts = (keys & ((1 << width) - 1)).astype(np.int32)
     offsets = np.zeros((1 << _KMER) + 1, dtype=np.int32)
     np.cumsum(np.bincount(codes, minlength=1 << _KMER), out=offsets[1:])
     return offsets, starts
 
 
+def search_index(bits: BitString, sort_words: bool = False) -> SearchIndex:
+    """The prefilter's :class:`SearchIndex` for haystack ``bits``: its 8-gram
+    string (about 17 us at 8K bits), and with ``sort_words`` its sorted
+    12-bit word groups too (one sort of the word keys and a 4,097-entry
+    offsets table, about 50 us at 8K bits and 0.6 ms at 2^17), which find a
+    piece in fewer steps than a scan of the grams and so pay only for a
+    haystack searched many times.
+    """
+    grams = _grams(bits)
+    return SearchIndex(grams, _word_groups(grams) if sort_words else None)
+
+
 def _prefilter_starts(
-    pieces: Sequence[tuple[int, bytes, int]],
-    hay: bytes,
-    index: KmerIndex,
+    pieces: Sequence[tuple[int, bytes]],
+    index: SearchIndex,
     search: Interval,
     max_dist: int,
     min_len: int,
 ) -> list[int]:
     """Ascending 0-based window starts that exact-piece matching keeps.
 
-    ``pieces`` holds ``(offset, piece, code)`` for the ``max_dist + 1``
+    ``pieces`` holds ``(offset, grams)`` for the ``max_dist + 1``
     contiguous pieces the template is cut into: any window within distance
     ``max_dist`` contains at least one piece verbatim (each edit touches at
     most one piece), displaced by at most ``max_dist`` from its template
-    offset.  Each piece is at least ``_KMER`` bits long; ``code``, the index
-    code of its first ``_KMER`` bits, is looked up in the haystack's
-    :func:`kmer_index` ``index``, and a position is kept where the whole
-    piece occurs inside ``search``.  That is every exact occurrence, so this
-    prunes long searches to a handful of candidates without ever discarding
-    a true match.
+    offset.  Each piece is at least ``_KMER`` bits long and ``grams`` is its
+    8-gram string, so the piece occurs at p exactly where the haystack's
+    grams from p on start with it.  Its occurrences that fit inside
+    ``search`` are found by ``bytes.find`` on the haystack's grams or, when
+    ``index`` holds sorted groups, among the group of the piece's first
+    12-bit word, each checked with ``startswith``.  Either way that is every
+    exact occurrence, so this prunes long searches to a handful of
+    candidates without ever discarding a true match.
     """
     lo0, hi0 = search.lo - 1, search.hi - 1  # 0-based haystack span
-    offsets, starts = index
+    # a piece of g grams (g + 7 bits) at p fits inside the span when
+    # p + g <= end.  A negative end counts from the end of the grams, but
+    # then the span is shorter than min_len and no window start is kept
+    end = hi0 - 6
+    grams, groups = index
     first_q, last_q = lo0, hi0 - min_len + 1  # where a window may start
     # the pieces of one copy share a handful of anchors: expand each once
     anchors: set[int] = set()
-    for a_off, piece, code in pieces:
-        group = starts[offsets[code] : offsets[code + 1]].tolist()
-        for p in group[bisect_left(group, lo0) : bisect_right(group, hi0 + 1 - len(piece))]:
-            if hay.startswith(piece, p):
+    if groups is None:
+        for a_off, piece in pieces:
+            p = grams.find(piece, lo0, end)
+            while p != -1:
                 anchors.add(p - a_off)
+                p = grams.find(piece, p + 1, end)
+    else:
+        offsets, starts = groups
+        for a_off, piece in pieces:
+            code = piece[0] << 4 | piece[4] & 15
+            group = starts[offsets[code] : offsets[code + 1]].tolist()
+            for p in group[bisect_left(group, lo0) : bisect_right(group, end - len(piece))]:
+                if grams.startswith(piece, p):
+                    anchors.add(p - a_off)
     found: set[int] = set()
     for anchor in anchors:
         found.update(range(max(anchor - max_dist, first_q), min(anchor + max_dist, last_q) + 1))
@@ -494,7 +553,7 @@ def find_closest_subwords(
     haystacks: Sequence[BitString],
     searches: Sequence[Interval],
     max_dist: int,
-    indexes: Sequence[KmerIndex | None] | None = None,
+    indexes: Sequence[SearchIndex | None] | None = None,
 ) -> list[Interval | None]:
     """For each haystack, the first subword interval within its search
     interval whose edit distance to ``template`` is at most ``max_dist``.
@@ -508,9 +567,10 @@ def find_closest_subwords(
     When the template cuts into ``max_dist + 1`` pieces of at least 12 bits,
     it is cut once per call and only the starts near an exact piece in a
     haystack are scored (:func:`_prefilter_starts`); otherwise every start
-    is.  ``indexes[h]`` is ``kmer_index(haystacks[h])`` or None, for callers
-    that search one haystack many times; a missing index is built when the
-    prefilter needs one.
+    is.  ``indexes[h]`` is ``search_index(haystacks[h])``, with or without
+    sorted groups, or None, for callers that search one haystack many
+    times; a missing index is built, grams only, when the prefilter needs
+    one.
 
     The candidate windows are scored in scan order, in two passes.  The
     first scores every haystack's first candidate start, where a copy of
@@ -546,20 +606,20 @@ def find_closest_subwords(
     min_len = max(1, t - max_dist)
     max_len = t + max_dist
     # The prefilter's template cut, when its pieces are long enough to look up
-    pieces: list[tuple[int, bytes, int]] = []
+    pieces: list[tuple[int, bytes]] = []
     if t // (max_dist + 1) >= _KMER:
         step = t / (max_dist + 1)  # the float steps of np.linspace(0, t, max_dist + 2)
         bounds = [int(i * step) for i in range(max_dist + 1)] + [t]
-        pieces = [(a, tb[a:b], int(tb[a : a + _KMER].translate(_DIGITS), 2))
-                  for a, b in zip(bounds, bounds[1:])]
+        grams = _grams(template)  # the piece of bits a..b-1 has grams a..b-8
+        pieces = [(a, grams[a : b - 7]) for a, b in zip(bounds, bounds[1:])]
     todo: list[tuple[int, Sequence[int]]] = []  # (haystack, 0-based starts to score)
     for h, (hay, search) in enumerate(zip(haystacks, searches)):
         last_start0 = (search.hi - 1) - min_len + 1
         if last_start0 < search.lo - 1:
             continue
         if pieces:
-            index = kmer_index(hay) if indexes[h] is None else indexes[h]
-            starts = _prefilter_starts(pieces, hay.tobytes(), index, search, max_dist, min_len)
+            index = search_index(hay) if indexes[h] is None else indexes[h]
+            starts = _prefilter_starts(pieces, index, search, max_dist, min_len)
         else:
             starts = range(search.lo - 1, last_start0 + 1)
         if starts:
@@ -598,7 +658,7 @@ def find_closest_subword(
     haystack: BitString,
     search: Interval,
     max_dist: int,
-    index: KmerIndex | None = None,
+    index: SearchIndex | None = None,
 ) -> Interval | None:
     """First subword interval of ``haystack`` within ``search`` whose edit
     distance to ``template`` is at most ``max_dist``, or None: the

@@ -550,11 +550,34 @@ class TestEmbedExtract:
             assert d_z <= 2 * d_x
 
 
+def chi2_tail_odd(x: float, dof: int) -> float:
+    """P(X > x) for X chi-squared with an odd number ``dof`` of degrees of
+    freedom, in closed form: with c = sqrt(x),
+    erfc(c / sqrt 2) + sqrt(2 / pi) e^(-x/2) * sum over r = 1 .. (dof - 1) / 2
+    of c^(2r - 1) / (1 * 3 * ... * (2r - 1))."""
+    if dof % 2 != 1:
+        raise ValueError("dof must be odd")
+    c = math.sqrt(x)
+    term, series = c, 0.0
+    for r in range(1, (dof - 1) // 2 + 1):
+        series += term
+        term *= x / (2 * r + 1)
+    return math.erfc(c / math.sqrt(2)) + math.sqrt(2 / math.pi) * math.exp(-x / 2) * series
+
+
 class TestEmbeddingUniformity:
+    @pytest.mark.parametrize("x,want", [(63.0, 0.47630238333813013), (100.0, 0.002077236552784822)])
+    def test_chi2_tail_closed_form(self, x, want):
+        # scipy.stats.chi2.sf(x, 63); dof 1 is erfc alone, dof 3 adds one term
+        assert chi2_tail_odd(x, 63) == pytest.approx(want, rel=1e-12, abs=0)
+        assert chi2_tail_odd(x / 40, 1) == pytest.approx(math.erfc(math.sqrt(x / 80)), rel=1e-15)
+        c = math.sqrt(x / 40)
+        want3 = math.erfc(c / math.sqrt(2)) + math.sqrt(2 / math.pi) * c * math.exp(-x / 80)
+        assert chi2_tail_odd(x / 40, 3) == pytest.approx(want3, rel=1e-15)
+
     def test_embedded_string_is_uniform(self):
         # embedding a uniform z into a uniform carrier leaves the result
         # uniform; check any fixed 6 positions with a chi-squared test
-        scipy_stats = pytest.importorskip("scipy.stats")
         spec = EmbeddingSpec.build(1, 2)
         g = stream(50, 0)
         trials = 100_000
@@ -569,7 +592,9 @@ class TestEmbeddingUniformity:
             for row in draws:
                 x = embed_instance(BitString(row[:2].tobytes()), BitString(row[4:].tobytes()), spec)
                 counts[int(x.array[positions] @ weights)] += 1
-        stat, pvalue = scipy_stats.chisquare(counts)
+        expected = trials / counts.size
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        pvalue = chi2_tail_odd(stat, counts.size - 1)
         assert pvalue > 1e-3
 
 

@@ -28,6 +28,22 @@ align_module = importlib.import_module("tracerecon.align")
 strings_module = importlib.import_module("tracerecon.strings")
 
 
+def record_index_builds(monkeypatch) -> list[tuple[BitString, bool]]:
+    """Every search index that align or the window search builds, as
+    (haystack, whether its 12-bit words were sorted), in build order."""
+    built = []
+    real = strings_module.search_index
+
+    def counting(bits, sort_words=False):
+        index = real(bits, sort_words)
+        built.append((bits, index.groups is not None))
+        return index
+
+    monkeypatch.setattr(align_module, "search_index", counting)
+    monkeypatch.setattr(strings_module, "search_index", counting)
+    return built
+
+
 class TestReconstructCleanChannel:
     def test_zero_noise_structure(self):
         # clean traces, desk parameters: the hypothesis tiles the source with
@@ -123,9 +139,7 @@ class TestFailedAlignment:
         traces = [y_star] + [random_bits(n, g) for _ in range(24)]
         stages = []
         votes = []
-        built = []
         real_align, real_bma_run = reconstruct_module.align, reconstruct_module.bma_run
-        real_index = align_module.kmer_index
 
         def recording_align(*args):
             cursors, diag = real_align(*args)
@@ -136,13 +150,9 @@ class TestFailedAlignment:
             votes.append(args[1])
             return real_bma_run(*args)
 
-        def counting_index(bits):
-            built.append(bits)
-            return real_index(bits)
-
         monkeypatch.setattr(reconstruct_module, "align", recording_align)
         monkeypatch.setattr(reconstruct_module, "bma_run", recording_bma_run)
-        monkeypatch.setattr(align_module, "kmer_index", counting_index)
+        built = record_index_builds(monkeypatch)
         res = reconstruct(params, y_star, traces)
         assert stages and None not in stages
         assert len(stages) == len(res.segments) >= 2
@@ -169,9 +179,11 @@ class TestFailedAlignment:
         assert res.hypothesis == y_star.subword(first, first + len(res.hypothesis) - 1)
 
     def test_only_searched_traces_are_indexed(self, run):
-        # every alignment stops at trace 1, so traces 2.. are never searched
+        # every alignment stops at trace 1, so traces 2.. are never searched;
+        # about 10 segments are too few to sort a trace's words for
         _, y_star, _, _, built = run
-        assert len(built) == 2 and built[0] is y_star
+        assert len(built) == 2 and built[0][0] is y_star
+        assert not any(sort for _, sort in built)
 
 
 class TestVoteMembers:
@@ -201,34 +213,56 @@ class TestVoteMembers:
 class TestTraceIndex:
     def test_one_index_per_trace(self, monkeypatch):
         # the widest ladder stage searches every whole trace at every segment;
-        # each trace's word index is built once per call, on its first search
+        # each trace's search index is built once per call, on its first
+        # search: its 8-gram string alone at a few segments, and its sorted
+        # words too once the selection's constant is below the segments
         n, delta, m = 4096, 0.001, 3
         g = stream(21, 0)
         x = random_bits(n, g)
         traces = [transmit(x, delta, g).trace for _ in range(m)]
         params = derive_params(n, delta, m)
-        built = []
         prefiltered = []
-        real_index, real_prefilter = strings_module.kmer_index, strings_module._prefilter_starts
-
-        def counting_index(bits):
-            built.append(bits)
-            return real_index(bits)
+        real_prefilter = strings_module._prefilter_starts
 
         def counting_prefilter(*args):
             starts = real_prefilter(*args)
             prefiltered.append(starts)
             return starts
 
-        monkeypatch.setattr(align_module, "kmer_index", counting_index)
-        monkeypatch.setattr(strings_module, "kmer_index", counting_index)
         monkeypatch.setattr(strings_module, "_prefilter_starts", counting_prefilter)
+        built = record_index_builds(monkeypatch)
         res = reconstruct(params, traces[0], traces)
         assert len(res.segments) >= 2 and len(prefiltered) > len(traces)
+        assert [b for b, _ in built] == traces and all(b is t for (b, _), t in zip(built, traces))
+        assert not any(sort for _, sort in built)
+
+        built.clear()
+        monkeypatch.setattr(align_module, "_SORT_PAST_SEGMENTS", 0)
+        assert reconstruct(params, traces[0], traces) == res
+        assert all(b is t and sort for (b, sort), t in zip(built, traces))
         assert len(built) == len(traces)
-        assert all(b is t for b, t in zip(built, traces))
         # the index lives only as long as the call; strings carry no cache of it
         assert BitString.__slots__ == ("_bytes",)
+
+    def test_same_result_on_both_sides_of_the_selection(self, monkeypatch):
+        # n = 2^15, delta = 1e-3, M = 16, K = 4 runs about 45 segments; with
+        # the constant at 0 every trace's words are sorted, and with it at
+        # the segments the reference holds none are, and the two
+        # reconstructions must agree in every field
+        n, delta, m = 2**15, 1e-3, 16
+        g = stream(21, 0)
+        x = random_bits(n, g)
+        traces = [transmit(x, delta, g).trace for _ in range(m)]
+        params = derive_params(n, delta, m, k_const=4.0)
+        built = record_index_builds(monkeypatch)
+        runs = []
+        for sort_past in (0, math.ceil(len(traces[0]) / params.R)):
+            monkeypatch.setattr(align_module, "_SORT_PAST_SEGMENTS", sort_past)
+            built.clear()
+            runs.append(reconstruct(params, traces[0], traces))
+            assert len(built) == m and {sort for _, sort in built} == {sort_past == 0}
+        assert len(runs[0].segments) >= 40
+        assert runs[0] == runs[1]
 
 
 class TestFallbackRouting:

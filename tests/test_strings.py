@@ -38,7 +38,7 @@ from tracerecon.strings import (
     _prefilter_starts,
     _snake,
     _walk,
-    kmer_index,
+    search_index,
 )
 
 bits = st.text(alphabet="01", max_size=64)
@@ -46,13 +46,13 @@ bits = st.text(alphabet="01", max_size=64)
 
 @pytest.fixture
 def prefilter_calls(monkeypatch):
-    """The haystack bytes of every prefilter call the window search makes."""
+    """The haystack grams of every prefilter call the window search makes."""
     calls = []
     real = strings_module._prefilter_starts
 
-    def recording(pieces, hay, *args):
-        calls.append(hay)
-        return real(pieces, hay, *args)
+    def recording(pieces, index, *args):
+        calls.append(index.grams)
+        return real(pieces, index, *args)
 
     monkeypatch.setattr(strings_module, "_prefilter_starts", recording)
     return calls
@@ -814,7 +814,7 @@ class TestFindClosestSubword:
         template = apply_deletions(copy, [int(rng.integers(1, 41))]).trace
         window = Interval(1, len(trace))
         got = find_closest_subword(template, trace, window, 1)
-        assert prefilter_calls == [trace.tobytes()]
+        assert prefilter_calls == [search_index(trace).grams]
         assert got is not None and got.lo <= at
         assert got == find_closest_subword_naive(template, trace, window, 1)
 
@@ -938,7 +938,7 @@ class TestFindClosestSubwords:
         hays[2] = BitString(np.concatenate([hays[2].array[:50], template.array[1:], hays[2].array[50:]]))
         searches = [Interval(1, 300), Interval(1, 300), Interval(20, 301), Interval(101, 137)]
         got = self.check(template, hays, searches, 1)
-        assert prefilter_calls == [h.tobytes() for h in hays[:3]]
+        assert prefilter_calls == [search_index(h).grams for h in hays[:3]]
         assert got[0] is None and got[1].lo <= 101 and got[2].lo <= 51 and got[3] is None
 
     def test_block_boundary_inside_one_haystack(self, prefilter_calls):
@@ -1020,7 +1020,7 @@ class TestFindClosestSubwords:
     def test_index_list_of_the_wrong_length(self, extra):
         template = BitString("0" * 13 + "1" * 13)  # long enough for the prefilter
         hays = [BitString("01" * 40)] * 3
-        indexes = [kmer_index(hays[0])] * (3 + extra)
+        indexes = [search_index(hays[0])] * (3 + extra)
         with pytest.raises(ValueError, match="index entry"):
             find_closest_subwords(template, hays, [Interval(1, 80)] * 3, 1, indexes)
 
@@ -1035,32 +1035,44 @@ def _low_entropy(kind: str, n: int, rng: np.random.Generator) -> BitString:
     return BitString((period * n)[:n])
 
 
+def _grams_naive(digits: str) -> bytes:
+    """The 8-gram string read off the digits: byte p is bits p..p+7."""
+    return bytes(int(digits[p : p + 8], 2) for p in range(len(digits) - 7))
+
+
 class TestPrefilter:
-    """The indexed prefilter keeps exactly the starts the ``bytes.find`` walk
-    in ``prefilter_starts_find`` keeps."""
+    """The prefilter keeps exactly the starts the ``bytes.find`` walk in
+    ``prefilter_starts_find`` keeps, whether it scans the haystack's grams
+    or looks pieces up in its sorted word groups."""
 
     @staticmethod
     def check(template: np.ndarray, hay: BitString, search: Interval, max_dist: int):
         # the cut find_closest_subwords makes: max_dist + 1 pieces at
-        # np.linspace bounds, each long enough to look up in the index
-        t, tb = template.size, template.tobytes()
+        # np.linspace bounds, each long enough to look up in the groups and
+        # carrying its grams
+        t = template.size
         assert t // (max_dist + 1) >= strings_module._KMER
         bounds = np.linspace(0, t, max_dist + 2).astype(int).tolist()
-        pieces = [(a, tb[a:b], int("".join(map(str, tb[a : a + 12])), 2))
-                  for a, b in zip(bounds, bounds[1:])]
+        grams = _grams_naive(str(BitString(template)))
+        pieces = [(a, grams[a : b - 7]) for a, b in zip(bounds, bounds[1:])]
         min_len = max(1, t - max_dist)
         want = prefilter_starts_find(template, hay.tobytes(), search, max_dist, min_len)
-        got = _prefilter_starts(pieces, hay.tobytes(), kmer_index(hay), search, max_dist, min_len)
-        assert got == want
+        for sort_words in (False, True):
+            index = search_index(hay, sort_words)
+            got = _prefilter_starts(pieces, index, search, max_dist, min_len)
+            assert got == want, f"sort_words={sort_words}"
         return got
 
     @staticmethod
     def check_index(hay: BitString):
-        # the naive index: every 12-bit word start, read off the digits
-        offsets, starts = kmer_index(hay)
+        # the naive index: every 8-gram, and every 12-bit word start, read
+        # off the digits
+        s = str(hay)
+        grams, groups = search_index(hay, sort_words=True)
+        assert grams == _grams_naive(s) and search_index(hay) == (grams, None)
+        offsets, starts = groups
         assert offsets.dtype == starts.dtype == np.int32
         assert offsets.size == 4097 and offsets[-1] == starts.size == max(len(hay) - 11, 0)
-        s = str(hay)
         want: dict[int, list[int]] = {}
         for p in range(len(s) - 11):
             want.setdefault(int(s[p : p + 12], 2), []).append(p)
@@ -1074,15 +1086,28 @@ class TestPrefilter:
         self.check_index(hay)
 
     def test_kmer_index_of_short_strings(self, rng):
-        # the codes are built from the 2-, 4- and 8-bit words; every length
-        # from no word up to a dozen and more
+        # the grams are built from the 2- and 4-bit words and the codes from
+        # the grams; every length from no gram or word up to a dozen and more
         for n in range(25):
             self.check_index(random_bits(n, rng))
             self.check_index(BitString("1" * n))
 
+    @pytest.mark.parametrize("extra", [11, 12])
+    def test_kmer_index_past_a_million_words(self, extra, rng):
+        # 2^20 word starts fit the 20 bits a uint32 sort key holds for a
+        # start; one more takes 64-bit keys.  Reference: the codes read off
+        # 12-bit sliding windows, in a stable argsort
+        hay = random_bits((1 << 20) + extra, rng)
+        windows = np.lib.stride_tricks.sliding_window_view(hay.array.astype(np.int64), 12)
+        codes = windows @ (1 << np.arange(11, -1, -1))
+        offsets, starts = search_index(hay, sort_words=True).groups
+        assert starts.size == (1 << 20) + extra - 11
+        assert np.array_equal(starts, np.argsort(codes, kind="stable"))
+        assert np.array_equal(np.diff(offsets), np.bincount(codes, minlength=4096))
+
     def test_short_haystack_has_no_words(self):
-        offsets, starts = kmer_index(BitString("0" * 11))
-        assert starts.size == 0 and not offsets.any()
+        grams, (offsets, starts) = search_index(BitString("0" * 11), sort_words=True)
+        assert grams == bytes(4) and starts.size == 0 and not offsets.any()
 
     @pytest.mark.parametrize("max_dist", [1, 2, 3, 4])
     @pytest.mark.parametrize("seed", range(3))
@@ -1135,6 +1160,24 @@ class TestPrefilter:
         got = self.check(template, hay, Interval(211, 2301), max_dist)
         assert got
 
+    @pytest.mark.parametrize("max_dist", [1, 2])
+    @pytest.mark.parametrize("kind", ["random", "zeros"])
+    def test_haystack_shorter_than_a_gram_or_a_word(self, kind, max_dist, rng):
+        # haystacks of 0-20 bits: under 8 bits they have no gram, under 12
+        # no word.  The template starts with the haystack's first 12 bits
+        # and ends with its last 12 where it has them, so over every span
+        # a piece fits, just misses or cannot occur
+        t = 12 * (max_dist + 1)
+        for n in range(21):
+            hay = _low_entropy("zeros", n, rng) if kind == "zeros" else random_bits(n, rng)
+            self.check_index(hay)
+            head, tail = hay.array[:12], hay.array[max(n - 12, 0) :]
+            middle = random_bits(t - head.size - tail.size, rng).array
+            template = np.concatenate([head, middle, tail])
+            for lo in range(1, n + 1):
+                for hi in range(lo, n + 1):
+                    self.check(template, hay, Interval(lo, hi), max_dist)
+
     @pytest.mark.parametrize("span", [170, 4 * 55, 56, 40])
     @pytest.mark.parametrize("seed", range(3))
     def test_span_within_four_templates(self, seed, span):
@@ -1149,9 +1192,9 @@ class TestPrefilter:
         search = Interval(at - int(rng.integers(0, 20)), at - 20 + span)
         got = self.check(template.array, hay, search, 1)
         assert bool(got) == (span >= 170)  # the copy fits in the span
-        assert find_closest_subword(template, hay, search, 1, kmer_index(hay)) == (
-            find_closest_subword_naive(template, hay, search, 1)
-        )
+        want = find_closest_subword_naive(template, hay, search, 1)
+        for sort_words in (False, True):
+            assert find_closest_subword(template, hay, search, 1, search_index(hay, sort_words)) == want
 
     @pytest.mark.parametrize("kind", ["random", "sparse", "p3"])
     @pytest.mark.parametrize("max_dist", [1, 2])
@@ -1165,8 +1208,10 @@ class TestPrefilter:
         want = find_closest_subword_naive(template, hay, search, max_dist)
         assert want is not None
         assert find_closest_subword(template, hay, search, max_dist) == want
-        assert find_closest_subword(template, hay, search, max_dist, kmer_index(hay)) == want
-        assert len(prefilter_calls) == 2
+        for sort_words in (False, True):
+            index = search_index(hay, sort_words)
+            assert find_closest_subword(template, hay, search, max_dist, index) == want
+        assert len(prefilter_calls) == 3
 
 class TestFindCommonWord:
     def test_shared_word(self):
