@@ -11,12 +11,16 @@ a read-only view of the same bytes made without a copy.  The window search
 once: a prefilter finds the exact occurrences of the template's pieces in
 each haystack's :class:`SearchIndex` (:func:`search_index`, which a caller
 searching one haystack many times builds once and passes in), and the
-candidate windows of all haystacks are scored together, every haystack's
-first start before any later one.  The index holds the haystack's 8-gram
-string, whose byte p holds bits p..p+7, so ``bytes.find`` on it finds a
-piece in about 2 us at 8K bits; an index built for many searches also
-sorts the haystack's 12-bit words into groups, where a piece is looked up
-by its first word.  :func:`find_closest_subword` is the one-haystack call.
+candidate windows of all haystacks are scored together in one pass.  A
+haystack whose pieces all first occur at one anchor holds the template
+verbatim there, so its first candidate start is a sure hit and the only
+one scored.  Without the prefilter (pieces shorter than 12 bits), every
+haystack's first start is scored before any later one.  The index holds
+the haystack's 8-gram string, whose byte p holds bits p..p+7, so
+``bytes.find`` on it finds a piece in about 2 us at 8K bits; an index
+built for many searches also sorts the haystack's 12-bit words into
+groups, where a piece is looked up by its first word.
+:func:`find_closest_subword` is the one-haystack call.
 
 The distance here is edit distance with insertions and deletions only
 (no substitutions): ``d(a, b) = |a| + |b| - 2 * lcs(a, b)``.  One exact
@@ -501,7 +505,9 @@ def _prefilter_starts(
     max_dist: int,
     min_len: int,
 ) -> list[int]:
-    """Ascending 0-based window starts that exact-piece matching keeps.
+    """Ascending 0-based window starts that exact-piece matching keeps:
+    the first candidate start alone when the template occurs verbatim
+    there, else every candidate start.
 
     ``pieces`` holds ``(offset, grams)`` for the ``max_dist + 1``
     contiguous pieces the template is cut into: any window within distance
@@ -515,6 +521,14 @@ def _prefilter_starts(
     12-bit word, each checked with ``startswith``.  Either way that is every
     exact occurrence, so this prunes long searches to a handful of
     candidates without ever discarding a true match.
+
+    Each piece's first occurrence is found first.  When all of them give
+    one anchor a, the template occurs verbatim at a, and no occurrence
+    gives an earlier anchor, so the first candidate start is
+    ``q = max(a - max_dist, search start)``.  The window of ``a - q + t``
+    bits from q holds the template as a suffix, at distance
+    ``a - q <= max_dist``, inside the span, so q hits and no later start
+    can be the first hit: the later occurrences are never looked up.
     """
     lo0, hi0 = search.lo - 1, search.hi - 1  # 0-based haystack span
     # a piece of g grams (g + 7 bits) at p fits inside the span when
@@ -523,20 +537,39 @@ def _prefilter_starts(
     end = hi0 - 6
     grams, groups = index
     first_q, last_q = lo0, hi0 - min_len + 1  # where a window may start
-    # the pieces of one copy share a handful of anchors: expand each once
+    # each piece's first occurrence, or -1; for the groups, the rest of the
+    # piece's group inside the span too
+    if groups is None:
+        firsts = [grams.find(piece, lo0, end) for _, piece in pieces]
+    else:
+        offsets, starts = groups
+        firsts, rests = [], []
+        for _, piece in pieces:
+            code = piece[0] << 4 | piece[4] & 15
+            group = starts[offsets[code] : offsets[code + 1]].tolist()
+            i, stop = bisect_left(group, lo0), bisect_right(group, end - len(piece))
+            while i < stop and not grams.startswith(piece, group[i]):
+                i += 1
+            firsts.append(group[i] if i < stop else -1)
+            rests.append(group[i + 1 : stop])
+    # the first piece's offset is 0, so its first occurrence is the anchor
+    # the others must give
+    anchor = firsts[0]
+    if anchor != -1 and firsts == [anchor + a_off for a_off, _ in pieces]:
+        return [max(anchor - max_dist, first_q)]
+    # else every occurrence, on from the first; the pieces of one copy share
+    # a handful of anchors: expand each once
     anchors: set[int] = set()
     if groups is None:
-        for a_off, piece in pieces:
-            p = grams.find(piece, lo0, end)
+        for (a_off, piece), p in zip(pieces, firsts):
             while p != -1:
                 anchors.add(p - a_off)
                 p = grams.find(piece, p + 1, end)
     else:
-        offsets, starts = groups
-        for a_off, piece in pieces:
-            code = piece[0] << 4 | piece[4] & 15
-            group = starts[offsets[code] : offsets[code + 1]].tolist()
-            for p in group[bisect_left(group, lo0) : bisect_right(group, end - len(piece))]:
+        for (a_off, piece), p, rest in zip(pieces, firsts, rests):
+            if p != -1:
+                anchors.add(p - a_off)
+            for p in rest:
                 if grams.startswith(piece, p):
                     anchors.add(p - a_off)
     found: set[int] = set()
@@ -566,20 +599,22 @@ def find_closest_subwords(
     qualifies.
     When the template cuts into ``max_dist + 1`` pieces of at least 12 bits,
     it is cut once per call and only the starts near an exact piece in a
-    haystack are scored (:func:`_prefilter_starts`); otherwise every start
-    is.  ``indexes[h]`` is ``search_index(haystacks[h])``, with or without
-    sorted groups, or None, for callers that search one haystack many
-    times; a missing index is built, grams only, when the prefilter needs
-    one.
+    haystack are scored (:func:`_prefilter_starts`): when every piece first
+    occurs at one anchor, the template occurs verbatim there and the first
+    candidate start, a sure hit, is scored alone; else every candidate
+    start is.  Otherwise every start is scored.  ``indexes[h]`` is ``search_index(haystacks[h])``, with or
+    without sorted groups, or None, for callers that search one haystack
+    many times; a missing index is built, grams only, when the prefilter
+    needs one.
 
-    The candidate windows are scored in scan order, in two passes.  The
-    first scores every haystack's first candidate start, where a copy of
-    the template displaced by up to ``max_dist`` usually already hits; the
-    second scores the remaining starts of the haystacks the first pass
-    missed.  Each pass packs the windows of all its haystacks together, in
-    one bit-parallel pass per block of up to 2048 rows (:func:`_first_hits`,
-    on bytes and Python ints alone); a haystack drops out of later blocks
-    once it has a hit.
+    The candidate windows are scored in scan order, packed together over
+    all haystacks, in one bit-parallel pass per block of up to 2048 rows
+    (:func:`_first_hits`, on bytes and Python ints alone); a haystack drops
+    out of later blocks once it has a hit.  With the prefilter, every kept
+    start is scored in one such pass.  Without it there are two: the first
+    scores every haystack's first start, where a copy of the template
+    displaced by up to ``max_dist`` usually already hits, and the second
+    the remaining starts of the haystacks the first pass missed.
     """
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
@@ -629,10 +664,13 @@ def find_closest_subwords(
     # nothing.  Every start leaves at least min_len bits before the end, and
     # a window running into the pad is farther than its prefix inside the
     # search by one per pad bit, so the shorter window is found first.
-    # Each haystack's first start is scored first, since it usually hits;
-    # only the haystacks it misses go on to their later starts.
-    for pending in ([(h, starts[:1]) for h, starts in todo],
-                    [(h, starts[1:]) for h, starts in todo]):
+    # The prefilter keeps a verbatim copy's first start alone, a sure hit,
+    # so every start it keeps is scored in one pass.  Without it each
+    # haystack's first start is scored first, since it usually hits; only
+    # the haystacks it misses go on to their later starts.
+    passes = [todo] if pieces else [[(h, starts[:1]) for h, starts in todo],
+                                    [(h, starts[1:]) for h, starts in todo]]
+    for pending in passes:
         pending = [entry for entry in pending if hits[entry[0]] is None and entry[1]]
         while pending:
             rows_h: list[int] = []

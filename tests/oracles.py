@@ -277,6 +277,22 @@ def prefilter_starts_find(template, hay: bytes, search, max_dist: int, min_len: 
     return sorted(starts)
 
 
+def verbatim_anchor(template, hay: bytes, search, max_dist: int) -> int | None:
+    """The 0-based anchor a at which each of the prefilter's ``max_dist + 1``
+    pieces first occurs inside ``search`` (a piece at a plus its offset),
+    found with ``bytes.find``; None when the pieces' first occurrences give
+    more than one anchor, or a piece does not occur.  ``template`` is a 0/1
+    uint8 array and ``hay`` the haystack's bytes.
+    """
+    lo0, hi0 = search.lo - 1, search.hi - 1
+    bounds = np.linspace(0, template.size, max_dist + 2).astype(int).tolist()
+    tb = template.tobytes()
+    firsts = [hay.find(tb[a:b], lo0, hi0 + 1) for a, b in zip(bounds, bounds[1:])]
+    if -1 in firsts or len({p - a for p, a in zip(firsts, bounds)}) > 1:
+        return None
+    return firsts[0]
+
+
 def align_per_trace(params, ell_star: int, y_star, traces):
     """The alignment ladder searched one trace at a time.
 

@@ -30,6 +30,7 @@ from .oracles import (
     lcs_dp_rows,
     lcs_suffix,
     prefilter_starts_find,
+    verbatim_anchor,
 )
 import tracerecon.strings as strings_module
 from tracerecon.strings import (
@@ -56,6 +57,34 @@ def prefilter_calls(monkeypatch):
 
     monkeypatch.setattr(strings_module, "_prefilter_starts", recording)
     return calls
+
+
+@pytest.fixture
+def kept_starts(monkeypatch):
+    """The starts each prefilter call of the window search keeps."""
+    kept = []
+    real = strings_module._prefilter_starts
+
+    def recording(*args):
+        kept.append(real(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(strings_module, "_prefilter_starts", recording)
+    return kept
+
+
+@pytest.fixture
+def first_hits_rows(monkeypatch):
+    """The row count of every packed scoring call the window search makes."""
+    rows = []
+    real = strings_module._first_hits
+
+    def recording(template, windows, *args):
+        rows.append(len(windows))
+        return real(template, windows, *args)
+
+    monkeypatch.setattr(strings_module, "_first_hits", recording)
+    return rows
 
 
 class TestBitString:
@@ -1042,8 +1071,9 @@ def _grams_naive(digits: str) -> bytes:
 
 class TestPrefilter:
     """The prefilter keeps exactly the starts the ``bytes.find`` walk in
-    ``prefilter_starts_find`` keeps, whether it scans the haystack's grams
-    or looks pieces up in its sorted word groups."""
+    ``prefilter_starts_find`` keeps, or the first of them alone when every
+    piece first occurs at one anchor (``verbatim_anchor``), whether it scans
+    the haystack's grams or looks pieces up in its sorted word groups."""
 
     @staticmethod
     def check(template: np.ndarray, hay: BitString, search: Interval, max_dist: int):
@@ -1057,6 +1087,12 @@ class TestPrefilter:
         pieces = [(a, grams[a : b - 7]) for a, b in zip(bounds, bounds[1:])]
         min_len = max(1, t - max_dist)
         want = prefilter_starts_find(template, hay.tobytes(), search, max_dist, min_len)
+        anchor = verbatim_anchor(template, hay.tobytes(), search, max_dist)
+        if anchor is not None:
+            # the template occurs there, and the first start, a sure hit, is kept alone
+            assert hay.tobytes()[anchor : anchor + t] == template.tobytes()
+            assert want[0] == max(anchor - max_dist, search.lo - 1)
+            want = want[:1]
         for sort_words in (False, True):
             index = search_index(hay, sort_words)
             got = _prefilter_starts(pieces, index, search, max_dist, min_len)
@@ -1212,6 +1248,133 @@ class TestPrefilter:
             index = search_index(hay, sort_words)
             assert find_closest_subword(template, hay, search, max_dist, index) == want
         assert len(prefilter_calls) == 3
+
+
+class TestVerbatimFirstStart:
+    """When every piece first occurs at one anchor a, the template occurs
+    verbatim there and the prefilter keeps the first candidate start alone,
+    ``max(a - max_dist, search start)``, which hits; the window search still
+    returns what the exhaustive scan returns, with either index kind."""
+
+    @staticmethod
+    def check(template, hay, search, max_dist, kept_starts):
+        want = find_closest_subword_naive(template, hay, search, max_dist)
+        kept_starts.clear()
+        for sort_words in (False, True):
+            index = search_index(hay, sort_words)
+            assert find_closest_subword(template, hay, search, max_dist, index) == want
+        assert kept_starts[0] == kept_starts[1]
+        return want, kept_starts[0]
+
+    @pytest.mark.parametrize("max_dist", [1, 2])
+    def test_copy_at_the_search_start(self, max_dist, kept_starts):
+        # from a span start of a - max_dist on, the first start is the span's
+        # first bit, s = a - start bits before the copy; the first hit there
+        # keeps those bits and drops the template's last max_dist - s bits
+        rng = np.random.default_rng(20 + max_dist)
+        hay = random_bits(240, rng)
+        t = 12 * (max_dist + 1) + 4
+        template = hay.subword(101, 100 + t)
+        for lo in range(101 - max_dist, 102):
+            got, kept = self.check(template, hay, Interval(lo, 240), max_dist, kept_starts)
+            assert kept == [lo - 1]
+            assert got == Interval(lo, lo - 1 + t - max_dist + 2 * (101 - lo))
+
+    @pytest.mark.parametrize("max_dist", [1, 2])
+    def test_copy_ending_at_the_search_end(self, max_dist, kept_starts):
+        # the last piece ends on the span's last bit, so it just fits; a
+        # span one bit shorter cuts it off, and every start is scored
+        rng = np.random.default_rng(30 + max_dist)
+        hay = random_bits(240, rng)
+        t = 12 * (max_dist + 1) + 4
+        template = hay.subword(151 - t, 150)
+        got, kept = self.check(template, hay, Interval(60, 150), max_dist, kept_starts)
+        assert kept == [150 - t - max_dist]
+        assert got.lo == 151 - t - max_dist
+        got, kept = self.check(template, hay, Interval(60, 149), max_dist, kept_starts)
+        assert len(kept) > 1 and kept[0] == 150 - t - max_dist
+
+    @pytest.mark.parametrize("piece", ["first", "last"])
+    @pytest.mark.parametrize("max_dist", [1, 2])
+    def test_spurious_earlier_piece_scores_every_start(self, piece, max_dist, kept_starts):
+        # one piece also occurs alone before the copy, so the pieces' first
+        # occurrences give two anchors: every candidate start is kept, those
+        # of the lone piece first, and the copy still decides the hit
+        rng = np.random.default_rng(40 + max_dist)
+        hay = random_bits(300, rng).array.copy()
+        t = 12 * (max_dist + 1) + 4
+        template = hay[180 : 180 + t].copy()
+        bounds = np.linspace(0, t, max_dist + 2).astype(int).tolist()
+        a_off, b_off = bounds[:2] if piece == "first" else bounds[-2:]
+        hay[90 : 90 + b_off - a_off] = template[a_off:b_off]
+        hay = BitString(hay)
+        got, kept = self.check(BitString(template), hay, Interval(1, 300), max_dist, kept_starts)
+        assert kept[0] == 90 - a_off - max_dist
+        assert 180 - max_dist in kept and got.lo == 181 - max_dist
+
+    def test_missing_first_piece_is_no_anchor(self, kept_starts):
+        # the copy lacks a bit of the first piece, which so occurs nowhere and
+        # reads -1; the second piece first occurs at its offset less one,
+        # which reads -1 as well, but no copy starts there
+        rng = np.random.default_rng(70)
+        hay = random_bits(150, rng).array.copy()
+        template = hay[100:140].copy()
+        hay[100:140] = np.append(np.delete(template, 5), hay[140])
+        hay[19:39] = template[20:]
+        hay = BitString(hay)
+        assert verbatim_anchor(template, hay.tobytes(), Interval(1, 150), 1) is None
+        got, kept = self.check(BitString(template), hay, Interval(1, 150), 1, kept_starts)
+        assert kept[0] == 0 and 99 in kept and got == Interval(101, 139)
+
+    @pytest.mark.parametrize("max_dist", [1, 2])
+    @pytest.mark.parametrize("kind", ["p3", "sparse"])
+    def test_low_entropy_copy_hits_short(self, kind, max_dist, kept_starts):
+        # the copy starts in a low-entropy stretch and ends in a random one,
+        # which makes its anchor unique; from the copy's start the hit is
+        # max_dist bits shorter than the template, far fewer than the
+        # t + max_dist bits of a row.  Earlier span starts are checked too
+        rng = np.random.default_rng(50 + max_dist)
+        hay = _low_entropy(kind, 300, rng).array.copy()
+        t = 12 * (max_dist + 1) + 5
+        hay[150 + t // 2 : 230] = random_bits(230 - 150 - t // 2, rng).array
+        hay = BitString(hay)
+        template = hay.subword(151, 150 + t)
+        for lo in range(148 - max_dist, 152):
+            got, kept = self.check(template, hay, Interval(lo, 300), max_dist, kept_starts)
+            assert got is not None and got.lo >= lo
+        assert kept == [150] and got == Interval(151, 150 + t - max_dist)
+
+    def test_one_scoring_pass_with_the_prefilter(self, kept_starts, first_hits_rows):
+        # a verbatim copy, a copy with a deletion, a copy behind a lone
+        # earlier piece and a haystack without one: their rows fit one
+        # 2048-row block, so one _first_hits call scores them all
+        rng = np.random.default_rng(60)
+        hays = [random_bits(300, rng).array.copy() for _ in range(4)]
+        template = hays[0][120:160].copy()
+        hays[1][200:239] = np.delete(template, 17)
+        hays[2][50:70] = template[20:]
+        hays[2][150:190] = template
+        hays = [BitString(h) for h in hays]
+        searches = [Interval(1, 300)] * 4
+        got = TestFindClosestSubwords.check(BitString(template), hays, searches, 1)
+        assert len(first_hits_rows) == 1
+        assert got[0] == Interval(120, 160) and got[1] is not None and got[3] is None
+        assert len(kept_starts[0]) == 1 and len(kept_starts[1]) > 1 and len(kept_starts[2]) > 1
+
+    def test_first_starts_alone_without_the_prefilter(self, first_hits_rows):
+        # pieces of 3 bits: every start is scored, each haystack's first
+        # start in a pass of its own, and the later starts only of the
+        # haystacks whose first start misses
+        template = BitString("0110100")
+        hays = [BitString("0110100" + "1" * 30), BitString("10110100" + "0" * 30)]
+        searches = [Interval(1, 37), Interval(1, 38)]
+        got = TestFindClosestSubwords.check(template, hays, searches, 1)
+        assert got[0] == Interval(1, 6) and first_hits_rows == [2]
+        hays.append(BitString("1" * 40))
+        first_hits_rows.clear()
+        assert TestFindClosestSubwords.check(template, hays, searches + [Interval(1, 40)], 1)[2] is None
+        assert first_hits_rows == [3, 40 - 6]
+
 
 class TestFindCommonWord:
     def test_shared_word(self):
