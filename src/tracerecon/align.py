@@ -57,7 +57,8 @@ class AlignDiagnostics:
     trace_windows[m][s-1] is trace m's interval for stage s, present only up
     to the point of failure.  failure_stage is None on success, a stage
     number when the nested search missed (failure_trace is then the trace
-    that missed), or 0 when no common word was found.
+    that missed; an empty trace is an ordinary miss at the widest stage S),
+    or 0 when no common word was found.
     """
 
     trace_windows: tuple[tuple[Interval | None, ...], ...]
@@ -74,7 +75,8 @@ def align(
 ) -> tuple[tuple[int | None, ...] | None, AlignDiagnostics]:
     """Place 1-based cursors near the source position under ell_star:
     ``cursors[m]`` is None where trace m's innermost window lacks the common
-    word, and the whole tuple is None when the alignment fails.
+    word, and the whole tuple is None when the alignment fails.  An empty
+    trace misses the widest stage S like any other trace without a window.
 
     ``indexes[m]`` is ``search_index(traces[m])`` or None; a None entry is
     filled in the first time trace m is searched, so a caller that aligns
@@ -113,10 +115,6 @@ def align(
         # miss fails the alignment whatever the traces after it do
         failed: tuple[int, int] | None = None  # (trace, stage)
         live = list(batch)
-        for i, m in enumerate(batch):
-            if len(traces[m]) == 0:
-                failed, live = (m, params.S), live[:i]
-                break
         search = {m: Interval(1, len(traces[m])) for m in live}
         for m in live:
             if indexes[m] is None:

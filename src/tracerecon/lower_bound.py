@@ -469,6 +469,8 @@ def compose_traces(
     m_count = s.shape[0]
     xarr = x_prime.array
     n = xarr.size
+    if not all(1 <= lo <= hi <= n for lo, hi in occs):
+        raise ValueError("every occurrence must be a non-empty span of x_prime")
     b_prime = len(occs)
     one = np.ones(1, dtype=np.uint8)
     two = np.ones(2, dtype=np.uint8)

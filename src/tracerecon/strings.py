@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import chain
 from math import isqrt
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -148,16 +147,12 @@ def random_bits(n: int, rng: np.random.Generator) -> BitString:
     return BitString(rng.integers(0, 2, size=n, dtype=np.uint8).tobytes())
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed 1-based index interval ``[lo : hi]``."""
+class Interval(NamedTuple):
+    """Closed 1-based index interval ``[lo : hi]``, empty when ``hi = lo - 1``
+    (as ``BitString.subword(i, i - 1)``); functions taking one check it."""
 
     lo: int
     hi: int
-
-    def __post_init__(self) -> None:
-        if self.lo < 1 or self.hi < self.lo:
-            raise ValueError(f"invalid interval [{self.lo}:{self.hi}]")
 
 
 # A packed block holds bit bytes (0 or 1), pad bytes (2) that match nothing
@@ -596,16 +591,17 @@ def find_closest_subwords(
     template.  Deterministic scan order per haystack: candidate start
     ascending, then candidate length ascending over ``[|template| - max_dist
     : |template| + max_dist]``.  An entry is None when no candidate
-    qualifies.
+    qualifies, as in an empty search interval.  Each search interval must
+    have ``1 <= lo <= hi + 1 <= len(haystack) + 1``, else ValueError.
     When the template cuts into ``max_dist + 1`` pieces of at least 12 bits,
     it is cut once per call and only the starts near an exact piece in a
     haystack are scored (:func:`_prefilter_starts`): when every piece first
     occurs at one anchor, the template occurs verbatim there and the first
     candidate start, a sure hit, is scored alone; else every candidate
-    start is.  Otherwise every start is scored.  ``indexes[h]`` is ``search_index(haystacks[h])``, with or
-    without sorted groups, or None, for callers that search one haystack
-    many times; a missing index is built, grams only, when the prefilter
-    needs one.
+    start is.  Otherwise every start is scored.  ``indexes[h]`` is
+    ``search_index(haystacks[h])``, with or without sorted groups, or None,
+    for callers that search one haystack many times; a missing index is
+    built, grams only, when the prefilter needs one.
 
     The candidate windows are scored in scan order, packed together over
     all haystacks, in one bit-parallel pass per block of up to 2048 rows
@@ -623,8 +619,8 @@ def find_closest_subwords(
     if len(searches) != len(haystacks) or len(indexes) != len(haystacks):
         raise ValueError("one search interval and one index entry per haystack required")
     for hay, search in zip(haystacks, searches):
-        if not (1 <= search.lo and search.hi <= len(hay)):
-            raise ValueError(f"search interval [{search.lo}:{search.hi}] not inside haystack")
+        if not 1 <= search.lo <= search.hi + 1 <= len(hay) + 1:
+            raise ValueError(f"search interval [{search.lo}:{search.hi}] not a haystack span")
     t = len(template)
     if t == 0:
         raise ValueError("template must be non-empty")

@@ -624,6 +624,16 @@ class TestComposeTraces:
         for t in traces:
             assert len(t) <= 1000
 
+    @pytest.mark.parametrize("bad", [(0, 5), (7, 6), (9, 3), (995, 1001)])
+    def test_rejects_a_malformed_occurrence(self, rng, bad):
+        # Interval checks nothing itself: an occurrence that starts at 0, is
+        # empty or reversed, or runs past x_prime is rejected here
+        s = sample_prlp(BitString("01"), 2, 0.1, rng)
+        x_prime = random_bits(1000, rng)
+        occs = [Interval(1, 6), Interval(*bad)]
+        with pytest.raises(ValueError, match="non-empty span"):
+            compose_traces(s, x_prime, occs, 0.1, rng)
+
 
 class TestSimulateAprlp:
     def test_delta_zero_first_trace_recovers_z(self):

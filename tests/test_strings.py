@@ -1044,6 +1044,27 @@ class TestFindClosestSubwords:
         with pytest.raises(ValueError):
             find_closest_subwords(BitString("01"), [hay], [Interval(1, 4)], -1)
         assert find_closest_subwords(BitString("01"), [], [], 1) == []
+        # Interval checks nothing itself: a span starting at 0, ending
+        # before lo - 1 or starting past len + 1 is rejected where it is searched
+        for bad in (Interval(0, 3), Interval(3, 1), Interval(6, 5)):
+            for max_dist in (0, 1):
+                with pytest.raises(ValueError, match="haystack span"):
+                    find_closest_subwords(BitString("01"), [hay], [bad], max_dist)
+
+    @pytest.mark.parametrize("max_dist", [0, 1])
+    @pytest.mark.parametrize("template", ["01", "0" * 13 + "1" * 13])
+    def test_empty_search_interval_misses(self, template, max_dist):
+        # hi = lo - 1 is the empty span, at either end or inside: a miss,
+        # though the haystack holds the template verbatim.  The 26-bit
+        # template cuts into 13-bit pieces at max_dist 1, the prefilter's path
+        template = BitString(template)
+        hay = BitString("1" + str(template) * 3)
+        empties = [Interval(1, 0), Interval(5, 4), Interval(len(hay) + 1, len(hay))]
+        assert find_closest_subwords(template, [hay] * 3, empties, max_dist) == [None] * 3
+        got = find_closest_subwords(template, [hay, BitString("")], [Interval(1, 0)] * 2, max_dist)
+        assert got == [None, None]
+        whole = find_closest_subword(template, hay, Interval(1, len(hay)), max_dist)
+        assert whole is not None
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_index_list_of_the_wrong_length(self, extra):
