@@ -1,23 +1,25 @@
 """Bitwise majority alignment.
 
 Each round takes the plurality of the symbols under the cursors and advances
-exactly the cursors that agree with it.  Sequences are virtually padded with
-R stars, so a cursor that runs off the end keeps voting '*' instead of
+exactly the cursors that agree with it.  Each sequence is read through a
+window of the R symbols from its start cursor on, padded with stars past the
+sequence's end, so a cursor that runs off the end keeps voting '*' instead of
 freezing the round count.  Ties break 0 over 1 over '*' (the analysis never
 hits a tie in its regime; a fixed order keeps runs reproducible).
 
 The rounds run a majority run at a time.  Each step reads the next ``span``
-bits under every cursor (at most ``size``, never past the last round).  When
-one full-length slice ``word`` is under a strict majority of the cursors,
-those cursors read ``word[k]`` in round k of the step and all advance, so
+symbols under every cursor (at most ``size``, never past the last round).
+When one slice ``word`` is under a strict majority of the cursors, those
+cursors read ``word[k]`` in round k of the step and all advance, so
 ``word[k]`` is always held by more than half of the cursors: it is the
 unique plurality of the round, whatever the others read, and no tie rule
 comes into play.  The step therefore emits ``word`` whole and moves the
 majority on by ``span``; each dissenting cursor is walked alone against
 ``word``, advancing (and adding one to that round's margin) where its next
-bit equals ``word[k]``.  A cursor at its end reads '*', which never equals a
-bit, so it stays put.  The result is the same, round for round, as the plain
-loop, whatever ``size`` is.
+symbol equals ``word[k]``; a star in ``word`` moves the cursors reading a
+star, as an ordinary round won by '*' does.  No window runs out within R
+rounds, since a cursor reads at most one symbol a round.  The result is the
+same, round for round, as the plain loop, whatever ``size`` is.
 
 A run of ``size`` rounds is likely only while delta * size is well below 1,
 so ``size`` adapts: it doubles (up to 64) after a jump and halves (down to
@@ -36,7 +38,7 @@ from .strings import BitString
 
 __all__ = ["BmaDiagnostics", "bma_run"]
 
-_STAR = 2  # symbol code for the virtual padding
+_STAR = 2  # symbol code for the padding
 _CHUNK = 64  # most rounds one majority-run step covers
 _MIN_RUN = 8  # fewest rounds an attempt covers before ordinary rounds run
 _SYMBOL_CHARS = bytes.maketrans(b"\x00\x01\x02", b"01*")
@@ -68,9 +70,10 @@ def _run_rounds(
 ) -> tuple[bytes, list[int], list[int]]:
     """Core loop.  Returns (emitted symbol codes, margins, final cursors)."""
     m_count = len(sequences)
-    data = [s.tobytes() for s in sequences]
-    lens = [len(b) for b in data]
-    cursors = list(start_cursors)
+    pad = bytes([_STAR])
+    data = [s.tobytes()[c - 1 : c - 1 + rounds].ljust(rounds, pad)
+            for s, c in zip(sequences, start_cursors)]
+    read = [0] * m_count  # symbols read so far from each window
     emitted = bytearray()
     margins: list[int] = []
     size = _CHUNK  # rounds the next majority-run attempt covers
@@ -79,21 +82,21 @@ def _run_rounds(
     while len(emitted) < rounds:
         if not wait:
             span = min(size, rounds - len(emitted))
-            slices = [b[c - 1 : c - 1 + span] for b, c in zip(data, cursors)]
+            slices = [d[r : r + span] for d, r in zip(data, read)]
             word, count = Counter(slices).most_common(1)[0]
-            if 2 * count > m_count and len(word) == span:
+            if 2 * count > m_count:
                 base = len(margins)
                 margins += [count] * span
                 for i, s in enumerate(slices):
                     if s == word:
-                        cursors[i] += span
+                        read[i] += span
                         continue
                     p = 0
                     for k, w in enumerate(word):
-                        if p < len(s) and s[p] == w:
+                        if s[p] == w:
                             p += 1
                             margins[base + k] += 1
-                    cursors[i] += p
+                    read[i] += p
                 emitted += word
                 size = min(2 * size, _CHUNK)
                 backoff = 1
@@ -104,7 +107,7 @@ def _run_rounds(
             wait = backoff
             backoff = min(2 * backoff, _CHUNK)
         wait -= 1
-        syms = [b[c - 1] if c <= n else _STAR for b, c, n in zip(data, cursors, lens)]
+        syms = [d[r] for d, r in zip(data, read)]
         c0 = syms.count(0)
         c1 = syms.count(1)
         cs = m_count - c0 - c1
@@ -116,8 +119,8 @@ def _run_rounds(
             w, margin = _STAR, cs
         emitted.append(w)
         margins.append(margin)
-        cursors = [c + (y == w) for c, y in zip(cursors, syms)]
-    return bytes(emitted), margins, cursors
+        read = [r + (y == w) for r, y in zip(read, syms)]
+    return bytes(emitted), margins, [c + r for c, r in zip(start_cursors, read)]
 
 
 def bma_run(

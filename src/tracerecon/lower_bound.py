@@ -445,47 +445,42 @@ def extract_z(x_hat: BitString, spec: EmbeddingSpec) -> BitString:
 
 
 def _del_bits(bits: np.ndarray, delta: float, rng: np.random.Generator) -> np.ndarray:
-    if bits.size == 0:
-        return bits
     return bits[rng.random(bits.size) >= delta]
 
 
 def compose_traces(
-    samples: np.ndarray,
-    x_prime: BitString,
-    occs: list[Interval],
-    delta: float,
-    rng: np.random.Generator,
+    samples: np.ndarray, x_prime: BitString, delta: float, rng: np.random.Generator
 ) -> list[BitString]:
     """Assemble M traces distributed exactly as deletion-channel traces of
-    the embedded string, without knowing z.
+    the embedded string, without knowing z; ``samples`` has shape (M, B, 2).
 
-    The marker intervals contribute 0^(s_b1) Del(1) 0^(s_b2) Del(11) from
-    the PRLP sample pairs (the pair IS the post-deletion run-length pair);
-    everything between markers is deleted literally from x_prime, which the
-    embedding leaves untouched.
+    The markers are x_prime's first min(B, #occurrences) marker
+    occurrences, as in :func:`embed_instance`.  Each contributes
+    0^(s_b1) Del(1) 0^(s_b2) Del(11) from its PRLP sample pair (the pair IS
+    the post-deletion run-length pair); every gap between markers, and the
+    head and tail, is deleted literally from x_prime, which the embedding
+    leaves untouched.
     """
     s = np.asarray(samples, dtype=np.int64)
-    m_count = s.shape[0]
+    if s.ndim != 3 or s.shape[2] != 2:
+        raise ValueError("samples must have shape (M, B, 2)")
+    spec = EmbeddingSpec.build(s.shape[0], s.shape[1])
+    occs = find_pattern_occurrences(x_prime, spec, limit=spec.B)
     xarr = x_prime.array
-    n = xarr.size
-    if not all(1 <= lo <= hi <= n for lo, hi in occs):
-        raise ValueError("every occurrence must be a non-empty span of x_prime")
-    b_prime = len(occs)
     one = np.ones(1, dtype=np.uint8)
     two = np.ones(2, dtype=np.uint8)
     traces: list[BitString] = []
-    for m in range(m_count):
-        head_end = occs[0].lo - 1 if b_prime else n
-        parts = [_del_bits(xarr[:head_end], delta, rng)]
-        for b in range(b_prime):
-            s1, s2 = int(s[m, b, 0]), int(s[m, b, 1])
+    for pairs in s:
+        parts = []
+        gap_lo = 0
+        for (lo, hi), (s1, s2) in zip(occs, pairs):
+            parts.append(_del_bits(xarr[gap_lo : lo - 1], delta, rng))
             parts.append(np.zeros(s1, dtype=np.uint8))
             parts.append(_del_bits(one, delta, rng))
             parts.append(np.zeros(s2, dtype=np.uint8))
             parts.append(_del_bits(two, delta, rng))
-            gap_hi = occs[b + 1].lo - 1 if b + 1 < b_prime else n
-            parts.append(_del_bits(xarr[occs[b].hi : gap_hi], delta, rng))
+            gap_lo = hi
+        parts.append(_del_bits(xarr[gap_lo:], delta, rng))
         traces.append(BitString(np.concatenate(parts)))
     return traces
 
@@ -500,7 +495,8 @@ def simulate_aprlp(
     """Turn a trace reconstructor into a PRLP decoder.
 
     Draws a fresh uniform carrier string, simulates M traces of the (never
-    materialized) embedded string from the PRLP samples, reconstructs, and
+    materialized) embedded string from the PRLP samples with
+    ``compose_traces(samples, x_prime, delta, rng)``, reconstructs, and
     reads the decoded bits off the reconstruction's marker occurrences.
     The reconstructor receives the trace list; callers close over n and
     delta as needed.
@@ -510,7 +506,6 @@ def simulate_aprlp(
         raise ValueError("samples must have shape (M, B, 2)")
     spec = EmbeddingSpec.build(s.shape[0], b_len)
     x_prime = random_bits(spec.n, rng)
-    occs = find_pattern_occurrences(x_prime, spec, limit=b_len)
-    traces = compose_traces(s, x_prime, occs, delta, rng)
+    traces = compose_traces(s, x_prime, delta, rng)
     x_hat = reconstructor(traces)
     return extract_z(x_hat, spec)

@@ -51,8 +51,6 @@ class ReconParams:
     # ceil(5 tau log2 n): the loop stops this far before the reference's end
     # and starts at most this far in
     margin: int
-    # quality target 2^(-0.01 H) * n, reported alongside measured distances
-    target_distance: float
 
     @property
     def t1(self) -> int:
@@ -118,7 +116,6 @@ def derive_params(
         G=G,
         R=R,
         margin=margin,
-        target_distance=2.0 ** (-0.01 * H) * n,
     )
 
 

@@ -127,6 +127,19 @@ class TestBmaRun:
         seqs = [BitString(str(random_bits(20, g)) + tail) for _ in range(5)]
         assert_matches_oracle(seqs, [1] * 5, 300)
 
+    def test_majority_runs_out_inside_one_step(self):
+        # three of five voters end 20 bits in, so in the first 64-round step
+        # their star-padded windows agree: a strict majority reads stars and
+        # the step jumps, emitting them; the two longer voters dissent
+        g = stream(24, 0)
+        common = random_bits(20, g)
+        seqs = [common] * 3 + [random_bits(100, g) for _ in range(2)]
+        for rounds in (64, 100):
+            assert_matches_oracle(seqs, [1] * 5, rounds)
+            out, _, diag = bma_run(seqs, [1] * 5, rounds)
+            assert len(out) == 0
+            assert diag.symbols == str(common) + "*" * (rounds - 20)
+
     @given(
         st.lists(st.text(alphabet="01", min_size=1, max_size=16), min_size=1, max_size=5),
         st.text(alphabet="01", max_size=10),

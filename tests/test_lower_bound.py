@@ -605,34 +605,48 @@ class TestComposeTraces:
         s = sample_prlp(z, 3, 0.0, rng)
         spec = EmbeddingSpec.build(3, 4)
         x_prime = random_bits(spec.n // 16, rng)
-        occs = find_pattern_occurrences(x_prime, spec, limit=4)
-        traces = compose_traces(s, x_prime, occs, 0.0, rng)
+        traces = compose_traces(s, x_prime, 0.0, rng)
         want = embed_instance(z, x_prime, spec)
-        # only the first len(occs) bits of z are embedded
+        # only the first min(4, #occurrences) bits of z are embedded
         for t in traces:
             assert t == want
+
+    @pytest.mark.parametrize("z", ["00", "01", "11"])
+    def test_delta_zero_more_markers_than_bits(self, rng, z):
+        # three markers, B = 2: only the first two take sample runs, and the
+        # third comes through with the gaps as x_prime has it
+        spec = EmbeddingSpec.build(2, 2)
+        a, b = str(spec.alpha), str(spec.beta)
+        x_prime = BitString("111" + b + "0110" + a + "1" + b + "11")
+        assert len(find_pattern_occurrences(x_prime, spec)) == 3
+        s = sample_prlp(BitString(z), 2, 0.0, rng)
+        want = embed_instance(BitString(z), x_prime, spec)
+        assert want != x_prime
+        assert compose_traces(s, x_prime, 0.0, rng) == [want, want]
+
+    def test_delta_zero_no_markers(self, rng):
+        # no marker occurrence: the whole carrier comes through as-is
+        spec = EmbeddingSpec.build(2, 2)
+        x_prime = BitString("1" * 30)
+        s = sample_prlp(BitString("01"), 2, 0.0, rng)
+        assert embed_instance(BitString("01"), x_prime, spec) == x_prime
+        assert compose_traces(s, x_prime, 0.0, rng) == [x_prime, x_prime]
 
     def test_trace_lengths_at_noise(self):
         g = stream(39, 0)
         z = BitString("01")
         s = sample_prlp(z, 2, 0.2, g)
-        spec = EmbeddingSpec.build(2, 2)
         x_prime = random_bits(1000, g)
-        occs = find_pattern_occurrences(x_prime, spec, limit=2)
-        traces = compose_traces(s, x_prime, occs, 0.2, g)
+        traces = compose_traces(s, x_prime, 0.2, g)
         assert len(traces) == 2
         for t in traces:
             assert len(t) <= 1000
 
-    @pytest.mark.parametrize("bad", [(0, 5), (7, 6), (9, 3), (995, 1001)])
-    def test_rejects_a_malformed_occurrence(self, rng, bad):
-        # Interval checks nothing itself: an occurrence that starts at 0, is
-        # empty or reversed, or runs past x_prime is rejected here
-        s = sample_prlp(BitString("01"), 2, 0.1, rng)
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 3, 3), (2, 3, 2, 1)])
+    def test_rejects_samples_not_shaped_m_b_2(self, rng, shape):
         x_prime = random_bits(1000, rng)
-        occs = [Interval(1, 6), Interval(*bad)]
-        with pytest.raises(ValueError, match="non-empty span"):
-            compose_traces(s, x_prime, occs, 0.1, rng)
+        with pytest.raises(ValueError, match="shape"):
+            compose_traces(np.zeros(shape, dtype=np.int64), x_prime, 0.1, rng)
 
 
 class TestSimulateAprlp:

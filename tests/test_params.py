@@ -56,10 +56,6 @@ class TestDeriveParams:
         # paper gamma*tau = 5
         assert paper.gamma * paper.tau == pytest.approx(5.0)
 
-    def test_target_distance_field(self):
-        p = derive_params(2**20, 1 / 32, 8, k_const=2.0, tau=500.0)
-        assert p.target_distance == pytest.approx(2 ** (-0.01 * p.H) * p.n)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             derive_params(100, 0.5, 2)  # delta*M = 1
