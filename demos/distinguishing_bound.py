@@ -16,7 +16,6 @@ independent copies multiply: exact recovery of B hidden bits decays like
 import math
 
 from tracerecon import (
-    bayes_decide_atomic,
     decode_prlp_bayes,
     embed_instance,
     exact_atomic_failure_prob,
@@ -44,8 +43,9 @@ print(f"Monte Carlo at (M=1, delta=0.5): {p_hat:.4f} +- {se:.4f} "
       f"(exact 0.3125)")
 
 # One concrete decision: seeing (M, M-1) M times favors b=1 by a factor 2^M.
-print(f"bayes_decide_atomic([(1, 0)], M=1, delta=0.5) = "
-      f"{bayes_decide_atomic([(1, 0)], 1, 0.5)}")
+# One game is a one-coordinate PRLP instance, its M pairs of shape (M, 1, 2).
+print(f"decode_prlp_bayes([[(1, 0)]], M=1, delta=0.5) = "
+      f"{decode_prlp_bayes([[(1, 0)]], 1, 0.5)}")
 
 # --- direct sum: B copies ---------------------------------------------------
 B, trials = 8, 10**5
@@ -67,7 +67,7 @@ print(f"\nmarker words at M=1: alpha={alpha}, beta={beta}")
 
 spec = EmbeddingSpec.build(m_pairs=1, b_len=16)
 x_prime = random_bits(spec.n, rng)
-occs = find_pattern_occurrences(x_prime, spec, limit=16)
+occs = find_pattern_occurrences(x_prime, spec)
 print(f"uniform host of length {spec.n}: {len(occs)} disjoint marker sites "
       f"(need {spec.B})")
 

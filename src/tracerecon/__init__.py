@@ -34,7 +34,6 @@ from .bma import BmaDiagnostics, bma_run
 from .reconstruct import ReconResult, reconstruct, reconstruct_with_fallback
 from .lower_bound import (
     EmbeddingSpec,
-    bayes_decide_atomic,
     build_alpha_beta,
     compose_traces,
     decode_prlp_bayes,
@@ -44,7 +43,6 @@ from .lower_bound import (
     find_pattern_occurrences,
     mc_atomic_failure_prob,
     mc_prlp_exact_match,
-    sample_atomic,
     sample_prlp,
     simulate_aprlp,
 )
@@ -85,8 +83,6 @@ __all__ = [
     "reconstruct_with_fallback",
     "EmbeddingSpec",
     "build_alpha_beta",
-    "sample_atomic",
-    "bayes_decide_atomic",
     "exact_atomic_failure_prob",
     "mc_atomic_failure_prob",
     "sample_prlp",

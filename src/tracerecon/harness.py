@@ -61,9 +61,9 @@ FIELDS = {
     "m_traces": (int, ">= 1"),
     "b_len": (int, ">= 1"),
     "mc_samples": (int, ">= 1"),
-    "k_const": (float, "> 0"),
-    "tau": (float, "> 0"),
-    "gamma": (float, "> 0"),
+    "k_const": (float, "> 0 and finite"),
+    "tau": (float, "> 0 and finite"),
+    "gamma": (float, "> 0 and finite"),
     "reconstructor": (("first_trace", "full"), None),
 }
 
@@ -71,7 +71,7 @@ _IN_RANGE = {
     ">= 0": lambda v: v >= 0,
     ">= 1": lambda v: v >= 1,
     "in [0, 1]": lambda v: 0.0 <= v <= 1.0,
-    "> 0": lambda v: v > 0,
+    "> 0 and finite": lambda v: 0 < v < math.inf,
 }
 
 _REGIME_CODES = {"run_full": 0, "output_single_trace": 1, "reduce_M": 2}

@@ -11,7 +11,9 @@ Three layers, each executable:
    otherwise.
 2. Paired run length problem (PRLP): B independent atomic instances, hidden
    vector z in {0,1}^B.  Product structure makes the coordinatewise Bayes
-   decoder optimal for exact recovery, with Pr[z_hat = z] <= (1-p)^B.
+   decoder optimal for exact recovery, with Pr[z_hat = z] <= (1-p)^B.  An
+   atomic instance is a PRLP instance with B = 1: `sample_prlp` draws it
+   and `decode_prlp_bayes` decides it.
 3. Embedding: the marker words alpha = 0^M 1 0^(M+1) 11 and
    beta = 0^(M+1) 1 0^M 11 encode a PRLP instance inside a uniformly random
    string; composite traces built from PRLP samples are distributed exactly
@@ -24,7 +26,9 @@ function of the uniform, so the sampler finds the walk's cut points once per
 distinct n per call and counts the cuts at or below each uniform; it makes
 `Generator.binomial`'s draws wherever numpy inverts (n * min(p, 1-p) <= 30).
 Every Bayes decider sums its pairs' log-likelihoods left to right, in
-`_bayes_ones`.
+`_bayes_ones`.  Wherever N and D differ, the float decision is the exact
+comparison; an exact tie N = D (P0 = P1, where either decision is
+Bayes-optimal) falls either way with the rounding of the sums.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -42,8 +46,6 @@ from .strings import BitString, Interval, random_bits
 
 __all__ = [
     "atomic_tables",
-    "sample_atomic",
-    "bayes_decide_atomic",
     "exact_atomic_failure_prob",
     "mc_atomic_failure_prob",
     "sample_prlp",
@@ -85,7 +87,8 @@ def _walk_cuts(n: int, pp: float, q: float) -> list[float]:
     Each step u -= px is monotone in u, so the walk's count is a
     non-decreasing step function of the uniform and these cuts determine
     it.  A cut is found from the exactly rounded sum of the first k px,
-    stepped one double at a time until the scalar walk agrees."""
+    stepped one double at a time: down while the double below still
+    passes, then up while the cut fails."""
     pxs = []
     px = math.exp(n * math.log(q))
     for k in range(n):
@@ -95,13 +98,10 @@ def _walk_cuts(n: int, pp: float, q: float) -> list[float]:
     for k in range(1, n + 1):
         head = pxs[:k]
         cut = math.fsum(head)
-        if _walk_passes(cut, head):
-            while _walk_passes(below := math.nextafter(cut, -math.inf), head):
-                cut = below
-        else:
+        while _walk_passes(below := math.nextafter(cut, -math.inf), head):
+            cut = below
+        while not _walk_passes(cut, head):
             cut = math.nextafter(cut, math.inf)
-            while not _walk_passes(cut, head):
-                cut = math.nextafter(cut, math.inf)
         if cut >= 1.0:
             break
         cuts.append(cut)
@@ -180,35 +180,6 @@ def _validate_pairs(pairs: np.ndarray, m_pairs: int) -> None:
     bad = (a < 0) | (b < 0) | (a > m_pairs + 1) | (b > m_pairs + 1) | ((a == m_pairs + 1) & (b == m_pairs + 1))
     if bad.any():
         raise ValueError("pair outside the union of the two supports")
-
-
-def sample_atomic(
-    b: int, m_pairs: int, delta: float, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """`count` independent pairs from D_b, as an int array of shape (count, 2)."""
-    if b not in (0, 1):
-        raise ValueError("b must be a bit")
-    _check_params(m_pairs, delta)
-    p = 1.0 - delta
-    n1, n2 = (m_pairs, m_pairs + 1) if b == 0 else (m_pairs + 1, m_pairs)
-    first = _binomial(rng, n1, p, (count,))
-    second = _binomial(rng, n2, p, (count,))
-    return np.stack([first, second], axis=1).astype(np.int64)
-
-
-def bayes_decide_atomic(pairs: Sequence | np.ndarray, m_pairs: int, delta: float) -> int:
-    """0 iff the product likelihood under D0 is >= the one under D1, as
-    sums of float log-likelihoods.
-
-    Wherever N = prod(M+1-a_i) and D = prod(M+1-b_i) differ, this is the
-    exact comparison N >= D.  An exact tie N = D (P0 = P1, where either
-    decision is Bayes-optimal) falls either way with the rounding of the sums.
-    """
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    _validate_pairs(arr, m_pairs)
-    if arr.size == 0:  # no pairs: equal likelihoods
-        return 0
-    return int(_bayes_ones(_log_tables(m_pairs, delta), arr[:, 0], arr[:, 1], axis=0))
 
 
 EXACT_MAX_M = 4  # largest M whose outcomes exact_atomic_failure_prob enumerates
@@ -339,9 +310,15 @@ def sample_prlp(
 
 
 def decode_prlp_bayes(samples: np.ndarray, m_pairs: int, delta: float) -> BitString:
-    """Coordinatewise Bayes decoding: bit b from the M pairs at coordinate b,
-    decided as in :func:`bayes_decide_atomic`, with exact ties falling either
-    way with the rounding of the float log sums."""
+    """Coordinatewise Bayes decoding: bit b is 0 iff the product likelihood
+    of the M pairs at coordinate b under D0 is >= the one under D1, as sums
+    of float log-likelihoods; samples of shape (M, 1, 2) decide one atomic
+    instance.
+
+    Wherever N = prod(M+1-a_i) and D = prod(M+1-b_i) differ, this is the
+    exact comparison N >= D.  An exact tie N = D (P0 = P1, where either
+    decision is Bayes-optimal) falls either way with the rounding of the sums.
+    """
     s = np.asarray(samples, dtype=np.int64)
     if s.ndim != 3 or s.shape[0] != m_pairs or s.shape[2] != 2:
         raise ValueError("samples must have shape (M, B, 2)")
@@ -411,16 +388,15 @@ def _marker_pattern(alpha: bytes, beta: bytes) -> re.Pattern[bytes]:
     return re.compile(re.escape(alpha) + b"|" + re.escape(beta))
 
 
-def find_pattern_occurrences(
-    x: BitString, spec: EmbeddingSpec, limit: int | None = None
-) -> list[Interval]:
-    """Left-to-right scan for occurrences of alpha or beta, up to `limit`.
+def find_pattern_occurrences(x: BitString, spec: EmbeddingSpec) -> list[Interval]:
+    """x's first min(B, #occurrences) occurrences of alpha or beta, B =
+    ``spec.B``, scanned left to right.
 
     Occurrences of the marker words can never overlap, so the leftmost
     non-overlapping matches of "alpha or beta" are all of them.
     """
     markers = _marker_pattern(spec.alpha.tobytes(), spec.beta.tobytes())
-    hits = itertools.islice(markers.finditer(x.tobytes()), limit)
+    hits = itertools.islice(markers.finditer(x.tobytes()), spec.B)
     return [Interval(m.start() + 1, m.end()) for m in hits]
 
 
@@ -429,7 +405,7 @@ def embed_instance(z: BitString, x_prime: BitString, spec: EmbeddingSpec) -> Bit
     to spell out z (alpha for 0, beta for 1)."""
     if len(z) != spec.B:
         raise ValueError("z must have length B")
-    occ = find_pattern_occurrences(x_prime, spec, limit=spec.B)
+    occ = find_pattern_occurrences(x_prime, spec)
     arr = x_prime.array.copy()
     for k, iv in enumerate(occ):
         arr[iv.lo - 1 : iv.hi] = spec.beta.array if z.bit(k + 1) else spec.alpha.array
@@ -439,7 +415,7 @@ def embed_instance(z: BitString, x_prime: BitString, spec: EmbeddingSpec) -> Bit
 def extract_z(x_hat: BitString, spec: EmbeddingSpec) -> BitString:
     """Read bits back off the first min(B, #occurrences) marker occurrences,
     B = ``spec.B``: alpha reads 0, beta reads 1."""
-    occ = find_pattern_occurrences(x_hat, spec, limit=spec.B)
+    occ = find_pattern_occurrences(x_hat, spec)
     bits = [0 if x_hat.subword(iv.lo, iv.hi) == spec.alpha else 1 for iv in occ]
     return BitString(bits)
 
@@ -465,7 +441,7 @@ def compose_traces(
     if s.ndim != 3 or s.shape[2] != 2:
         raise ValueError("samples must have shape (M, B, 2)")
     spec = EmbeddingSpec.build(s.shape[0], s.shape[1])
-    occs = find_pattern_occurrences(x_prime, spec, limit=spec.B)
+    occs = find_pattern_occurrences(x_prime, spec)
     xarr = x_prime.array
     one = np.ones(1, dtype=np.uint8)
     two = np.ones(2, dtype=np.uint8)

@@ -46,7 +46,6 @@ class ReconParams:
     t_ladder: tuple[int, ...]
     S: int
     L: int
-    G: int
     R: int
     # ceil(5 tau log2 n): the loop stops this far before the reference's end
     # and starts at most this far in
@@ -88,20 +87,26 @@ def derive_params(
         raise ValueError("need at least one trace")
     if delta * m_traces >= 1.0:
         raise ValueError("delta * M must be < 1 for H to be positive")
-    if not (0 < K and 0 < tau_v and 0 < gamma):  # `not 0 <` also rejects NaN
-        raise ValueError("K, tau, gamma must be positive")
+    if not all(0 < c < math.inf for c in (K, tau_v, gamma)):  # also rejects NaN
+        raise ValueError("K, tau, gamma must be positive and finite")
 
     H = (m_traces / K) * math.log2(1.0 / (delta * m_traces))
-    Hc = math.ceil(H)
-    t1 = 2 * Hc + 1
-    goal = tau_v * math.log2(n) if n > 1 else tau_v
-    margin = math.ceil(5 * tau_v * math.log2(n)) if n > 1 else 1
-    ladder = [t1]
-    while ladder[-1] < goal:
-        ladder.append(3 * ladder[-1])
-    L = 8 * Hc
-    G = L // 2
-    R = math.ceil(L * 2.0 ** (0.01 * L))
+    # a tiny K or a huge tau overflows a size to inf; the margin does so
+    # before the ladder, which an infinite goal would never end
+    try:
+        Hc = math.ceil(H)
+        t1 = 2 * Hc + 1
+        goal = tau_v * math.log2(n) if n > 1 else tau_v
+        margin = math.ceil(5 * tau_v * math.log2(n)) if n > 1 else 1
+        ladder = [t1]
+        while ladder[-1] < goal:
+            ladder.append(3 * ladder[-1])
+        L = 8 * Hc
+        R = math.ceil(L * 2.0 ** (0.01 * L))
+    except OverflowError:
+        raise ValueError(f"K = {K} and tau = {tau_v} give sizes too large to represent") from None
+    if R < 1:  # H rounded to 0, and a copied segment would not move the cursor
+        raise ValueError(f"K = {K} gives H = {H}, so no window")
     return ReconParams(
         n=n,
         delta=delta,
@@ -113,7 +118,6 @@ def derive_params(
         t_ladder=tuple(ladder),
         S=len(ladder),
         L=L,
-        G=G,
         R=R,
         margin=margin,
     )

@@ -488,14 +488,14 @@ def mc_prlp_exact_match_whole(m_pairs: int, delta: float, b_len: int, trials: in
     return float((z_hat == z).all(axis=1).mean())
 
 
-def pattern_occurrences_naive(x, alpha, beta, limit=None) -> list:
-    """Leftmost non-overlapping occurrences of alpha or beta (of one common
-    length), as 1-based closed intervals: try every start in turn, and jump
-    past each hit."""
+def pattern_occurrences_naive(x, alpha, beta, limit) -> list:
+    """The first `limit` leftmost non-overlapping occurrences of alpha or
+    beta (of one common length), as 1-based closed intervals: try every
+    start in turn, and jump past each hit."""
     s, a, b = str(x), str(alpha), str(beta)
     out: list = []
     i = 0
-    while i + len(a) <= len(s) and (limit is None or len(out) < limit):
+    while i + len(a) <= len(s) and len(out) < limit:
         if s[i : i + len(a)] in (a, b):
             out.append(Interval(i + 1, i + len(a)))
             i += len(a)

@@ -371,7 +371,7 @@ def test_criterion_11_embedding_machinery():
     hits = 0
     for _ in range(100):
         x = random_bits(spec.n, g)
-        occs = find_pattern_occurrences(x, spec, limit=32)
+        occs = find_pattern_occurrences(x, spec)
         hits += len(occs) >= 32
     clean_fail = 0
     for _ in range(1000):
@@ -381,7 +381,7 @@ def test_criterion_11_embedding_machinery():
         # clean random host with enough marker slots for a full round trip
         while True:
             x_prime = random_bits(length, g)
-            if len(find_pattern_occurrences(x_prime, sp, limit=b_len)) >= b_len:
+            if len(find_pattern_occurrences(x_prime, sp)) >= b_len:
                 break
         z = random_bits(b_len, g)
         x = embed_instance(z, x_prime, sp)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import shlex
 import shutil
 import subprocess
@@ -155,6 +156,11 @@ class TestCliErrors:
             ("channel_stats", {"n": 10, "delta": "0.1"}, "delta must be a number"),
             ("aprlp_embedding", {"delta": 0.05, "m_traces": 2, "b_len": 3, "reconstructor": "first"}, "reconstructor must be one of"),
             ("atomic_mc", {"delta": 0.1, "m_traces": 2, "mc_samples": 1e2}, "mc_samples must be an int"),
+            # constants derive_params cannot use: not finite, or sizes that overflow
+            ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "tau": math.inf}, "tau must be > 0 and finite"),
+            ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "gamma": math.inf}, "gamma must be > 0 and finite"),
+            ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "tau": 1e308}, "too large to represent"),
+            ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "k_const": 1e-6}, "too large to represent"),
         ],
     )
     def test_bad_field_value(self, tmp_path, capsys, kind, point, message):

@@ -126,7 +126,7 @@ class TestExperimentConfig:
                 ExperimentConfig(kind=kind, grid=[{**POINTS[kind], "delta": delta}]).validate()
         for name in DESK_DEFAULTS:
             if name in KINDS[kind].fields:
-                for value in (0.0, -1, float("nan")):
+                for value in (0.0, -1, float("nan"), float("inf")):
                     point = {**POINTS[kind], name: value}
                     with pytest.raises(ValueError, match=f"{name} must be > 0"):
                         ExperimentConfig(kind=kind, grid=[point]).validate()

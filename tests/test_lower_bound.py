@@ -14,7 +14,6 @@ from tracerecon import (
     BitString,
     EmbeddingSpec,
     Interval,
-    bayes_decide_atomic,
     build_alpha_beta,
     compose_traces,
     decode_prlp_bayes,
@@ -26,7 +25,6 @@ from tracerecon import (
     mc_atomic_failure_prob,
     mc_prlp_exact_match,
     random_bits,
-    sample_atomic,
     sample_prlp,
     simulate_aprlp,
 )
@@ -80,53 +78,56 @@ class TestAtomicTables:
                         )
 
 
+def atomic_games(b: int, m: int, delta: float, rows: int, rng) -> np.ndarray:
+    """`rows` atomic games of M pairs each from D_b, shape (rows, M, 2): one
+    PRLP draw at z = b^rows, whose (M, rows) pairs are all iid from D_b."""
+    return sample_prlp(BitString([b] * rows), m, delta, rng).reshape(rows, m, 2)
+
+
+def decide(pairs, m: int, delta: float) -> int:
+    """The Bayes decision on one atomic game's M pairs: a PRLP decode at
+    one coordinate, samples of shape (M, 1, 2)."""
+    return decode_prlp_bayes(np.reshape(pairs, (m, 1, 2)), m, delta).bit(1)
+
+
 class TestSampleAtomic:
     def test_delta_zero(self, rng):
-        pairs = sample_atomic(0, 3, 0.0, 10, rng)
-        assert (pairs == [3, 4]).all()
-        pairs = sample_atomic(1, 3, 0.0, 10, rng)
-        assert (pairs == [4, 3]).all()
+        assert (atomic_games(0, 3, 0.0, 10, rng) == [3, 4]).all()
+        assert (atomic_games(1, 3, 0.0, 10, rng) == [4, 3]).all()
 
     def test_delta_one(self, rng):
-        assert (sample_atomic(1, 2, 1.0, 5, rng) == 0).all()
+        assert (atomic_games(1, 2, 1.0, 5, rng) == 0).all()
 
     def test_first_coordinate_mean(self):
         g = stream(31, 0)
-        pairs = sample_atomic(0, 1, 0.5, 10**5, g)
-        mean = pairs[:, 0].mean()
+        pairs = atomic_games(0, 1, 0.5, 10**5, g)
+        mean = pairs[..., 0].mean()
         se = math.sqrt(1 * 0.5 * 0.5 / 10**5)
         assert abs(mean - 0.5) <= 3 * se
-
-    def test_rejects_bad_bit(self, rng):
-        with pytest.raises(ValueError):
-            sample_atomic(2, 1, 0.5, 1, rng)
 
 
 class TestBayesDecide:
     def test_impossible_under_d1(self):
         for m in (1, 2, 4):
-            assert bayes_decide_atomic([(m, m + 1)] * 3, m, 0.3) == 0
+            assert decide([(m, m + 1)] * m, m, 0.3) == 0
 
     def test_paper_outcome_decides_one(self):
         for m in (1, 2, 3):
-            assert bayes_decide_atomic([(m, m - 1)] * m, m, 0.25) == 1
+            assert decide([(m, m - 1)] * m, m, 0.25) == 1
 
     def test_tie_breaks_to_zero(self):
         # M=1, delta=0.5: P0[(1,1)] = P1[(1,1)] = 0.25
-        assert bayes_decide_atomic([(1, 1)], 1, 0.5) == 0
+        assert decide([(1, 1)], 1, 0.5) == 0
 
     def test_rejects_outside_support(self):
         with pytest.raises(ValueError):
-            bayes_decide_atomic([(3, 3)], 1, 0.5)
-
-    def test_no_pairs_decides_zero(self):
-        assert bayes_decide_atomic(np.zeros((0, 2)), 2, 0.3) == 0
+            decide([(3, 3)], 1, 0.5)
 
     def test_one_rule_for_every_m(self):
-        # the Monte Carlo block (rows, M), the PRLP decoder (axis 0) and the
-        # one-instance decider sum the pairs in one order, so they agree row
-        # for row, N = D ties included; numpy's own sum of 8 or more terms
-        # along a contiguous axis takes a pairwise order instead
+        # the Monte Carlo block (rows, M) and the PRLP decoder (axis 0) sum
+        # the pairs in one order, so they agree row for row, N = D ties
+        # included; numpy's own sum of 8 or more terms along a contiguous
+        # axis takes a pairwise order instead
         rows = 3000
         ties_past_7 = 0
         for m in (1, 4, 7, 8, 9, 12, 16):
@@ -134,7 +135,7 @@ class TestBayesDecide:
                 logs = _log_tables(m, delta)
                 for b in (0, 1):
                     g = stream(67, m, b)
-                    pairs = sample_atomic(b, m, delta, rows * m, g).reshape(rows, m, 2)
+                    pairs = atomic_games(b, m, delta, rows, g)
                     ones = _bayes_ones(logs, pairs[..., 0], pairs[..., 1], axis=1)
                     # C order, as sample_prlp draws it
                     prlp = np.ascontiguousarray(pairs.transpose(1, 0, 2))
@@ -144,9 +145,6 @@ class TestBayesDecide:
                     n_d = (m + 1 - pairs).astype(object).prod(axis=1)
                     tie = n_d[:, 0] == n_d[:, 1]
                     ties_past_7 += int(tie.sum()) if m >= 8 else 0
-                    sample = np.flatnonzero(tie | (np.arange(rows) % 97 == 0))
-                    single = [bayes_decide_atomic(pairs[i], m, delta) for i in sample]
-                    assert single == ones[sample].astype(int).tolist()
         assert ties_past_7 > 0
 
     @pytest.mark.parametrize("delta", [0.1, 0.25, 0.5])
@@ -162,8 +160,6 @@ class TestBayesDecide:
         want = n_d[off_tie, 0] < n_d[off_tie, 1]
         decoded = decode_prlp_bayes(outcomes.transpose(1, 0, 2), m, delta).array
         assert np.array_equal(decoded[off_tie], want)
-        single = [bayes_decide_atomic(o, m, delta) for o in outcomes[off_tie]]
-        assert np.array_equal(single, want)
 
 
 class TestExactFailure:
@@ -239,13 +235,6 @@ class TestPrlp:
         z = BitString("010011")
         s = sample_prlp(z, 3, 0.0, rng)
         assert decode_prlp_bayes(s, 3, 0.0) == z
-
-    def test_single_coordinate_reduces_to_atomic(self):
-        g1 = stream(33, 0)
-        g2 = stream(33, 0)
-        s = sample_prlp(BitString("0"), 2, 0.3, g1)
-        pairs = sample_atomic(0, 2, 0.3, 2, g2)
-        assert (s[:, 0, :] == pairs).all()
 
     def test_per_coordinate_error_rate(self):
         g = stream(34, 0)
@@ -447,24 +436,26 @@ class TestOccurrences:
     def test_adjacent_markers(self):
         spec = EmbeddingSpec.build(1, 2)
         x = BitString(spec.alpha.tobytes() + spec.beta.tobytes())
-        occs = find_pattern_occurrences(x, spec, limit=2)
+        occs = find_pattern_occurrences(x, spec)
         assert occs == [Interval(1, 6), Interval(7, 12)]
 
     def test_no_occurrence(self):
         spec = EmbeddingSpec.build(1, 2)
-        assert find_pattern_occurrences(BitString("1" * 40), spec, limit=5) == []
+        assert find_pattern_occurrences(BitString("1" * 40), spec) == []
 
     def test_limit(self):
-        spec = EmbeddingSpec.build(1, 4)
+        # the scan stops at spec.B occurrences
+        spec = EmbeddingSpec.build(1, 3)
         x = BitString(str(spec.alpha) * 5)
-        assert len(find_pattern_occurrences(x, spec, limit=3)) == 3
+        assert len(find_pattern_occurrences(x, spec)) == 3
 
     def test_disjoint_on_random(self):
         g = stream(36, 0)
-        spec = EmbeddingSpec.build(1, 8)
+        # B = 8's carrier, scanned for up to 50 markers
+        spec = EmbeddingSpec.build(1, 50)
         for _ in range(20):
-            x = random_bits(spec.n, g)
-            occs = find_pattern_occurrences(x, spec, limit=50)
+            x = random_bits(EmbeddingSpec.build(1, 8).n, g)
+            occs = find_pattern_occurrences(x, spec)
             for a, b in zip(occs, occs[1:]):
                 assert a.hi < b.lo
             for o in occs:
@@ -485,9 +476,11 @@ class TestOccurrences:
                 junk = str(random_bits(int(g.integers(0, 5)), g))
                 parts.append(a if r < 0.35 else b if r < 0.7 else junk)
             x = BitString("".join(parts))
-            for limit in (None, 0, 1, 3, 10):
-                want = pattern_occurrences_naive(x, spec.alpha, spec.beta, limit)
-                assert find_pattern_occurrences(x, spec, limit) == want
+            # x joins at most 11 parts, none longer than a marker, so B = 12
+            # finds every occurrence
+            for b_len in (1, 3, 10, 12):
+                want = pattern_occurrences_naive(x, spec.alpha, spec.beta, b_len)
+                assert find_pattern_occurrences(x, EmbeddingSpec.build(m, b_len)) == want
 
 
 class TestEmbedExtract:
@@ -518,7 +511,7 @@ class TestEmbedExtract:
         spec = EmbeddingSpec.build(1, 4)
         for _ in range(200):
             x_prime = random_bits(spec.n // 8, g)
-            occs = find_pattern_occurrences(x_prime, spec, limit=4)
+            occs = find_pattern_occurrences(x_prime, spec)
             z = random_bits(4, g)
             x = embed_instance(z, x_prime, spec)
             got = extract_z(x, spec)
@@ -533,7 +526,7 @@ class TestEmbedExtract:
         x_prime = random_bits(spec.n // 4, g)
         z = random_bits(6, g)
         x = embed_instance(z, x_prime, spec)
-        occs = find_pattern_occurrences(x, spec, limit=6)
+        occs = find_pattern_occurrences(x, spec)
         z_true = extract_z(x, spec)
         # flip one marker: alpha <-> beta at the first occurrence
         if occs:
@@ -618,7 +611,7 @@ class TestComposeTraces:
         spec = EmbeddingSpec.build(2, 2)
         a, b = str(spec.alpha), str(spec.beta)
         x_prime = BitString("111" + b + "0110" + a + "1" + b + "11")
-        assert len(find_pattern_occurrences(x_prime, spec)) == 3
+        assert len(find_pattern_occurrences(x_prime, EmbeddingSpec.build(2, 3))) == 3
         s = sample_prlp(BitString(z), 2, 0.0, rng)
         want = embed_instance(BitString(z), x_prime, spec)
         assert want != x_prime

@@ -23,7 +23,7 @@ class TestDeriveParams:
         assert p.H == 8
         assert p.t_ladder == (17, 51, 153, 459, 1377, 4131, 12393)
         assert p.S == 7
-        assert p.L == 64 and p.G == 32
+        assert p.L == 64
         assert p.R == 100  # ceil(64 * 2**0.64)
 
     def test_second_block(self):
@@ -70,6 +70,25 @@ class TestDeriveParams:
         with pytest.raises(ValueError, match="must be positive"):
             derive_params(4096, 0.001, 16, **{const: float("nan")})
 
+    @pytest.mark.parametrize(
+        "delta, m, consts, message",
+        [
+            # K = inf gave H = 0 and R = 0, so reconstruct never advanced
+            (0.01, 4, {"k_const": math.inf}, "must be positive and finite"),
+            (0.01, 4, {"tau": math.inf}, "must be positive and finite"),
+            (0.01, 4, {"gamma": math.inf}, "must be positive and finite"),
+            # 5 tau log2 n, and 2^(0.01 L) at a tiny K, overflow a float
+            (0.01, 4, {"tau": 1e308}, "too large to represent"),
+            (0.01, 4, {"k_const": 1e-6}, "too large to represent"),
+            (0.01, 4, {"k_const": 1e-320}, "too large to represent"),
+            # a finite K so large that H rounds to 0
+            (1 - 2**-53, 1, {"k_const": 1.7e308}, "no window"),
+        ],
+    )
+    def test_rejects_an_unusable_constant(self, delta, m, consts, message):
+        with pytest.raises(ValueError, match=message):
+            derive_params(4096, delta, m, **consts)
+
     def test_pure(self):
         a = derive_params(2**15, 0.02, 9)
         b = derive_params(2**15, 0.02, 9)
@@ -87,7 +106,7 @@ class TestDeriveParams:
         Hc = math.ceil(p.H)
         assert p.H == pytest.approx((m / p.k_const) * math.log2(1 / (delta * m)))
         assert p.t1 == 2 * Hc + 1
-        assert p.L == 8 * Hc and p.G == p.L // 2
+        assert p.L == 8 * Hc
         assert p.R == math.ceil(p.L * 2 ** (0.01 * p.L))
         assert p.margin == math.ceil(5 * p.tau * math.log2(n))
         # ladder stops within one tripling of the threshold
