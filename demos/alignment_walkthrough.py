@@ -1,10 +1,12 @@
 """Anchoring one source position across traces with the coarse-to-fine ladder.
 
-Align takes a cursor ell* in a reference trace and tries to place a cursor in
-every other trace near the SAME source position. It matches nested reference
-windows of widths t_1 < t_2 < ... (each 3x the last) under a small edit
-budget, then votes on a common desert-free word to pin the exact spot. A
-trace whose innermost window lacks that word gets no cursor (None).
+Align takes a cursor ell* in the reference trace traces[0] and tries to place
+a cursor in every other trace on the SAME source bit. It matches nested
+reference windows of widths t_1 < t_2 < ... (each 3x the last) under a small
+edit budget, then votes on a word of the reference's innermost window that
+nearly every trace's innermost window holds, and shifts each trace's cursor
+from the word's start by the reference cursor's own offset from it. A trace
+whose innermost window lacks that word gets no cursor (None).
 """
 
 import math
@@ -33,7 +35,7 @@ y_star = records[0]
 ell = len(y_star.trace) // 2
 truth = source_of(y_star, ell)
 
-cursors, diag = align(params, ell, y_star.trace, [r.trace for r in records])
+cursors, diag = align(params, ell, [r.trace for r in records])
 print(f"\nreference cursor {ell} sits on source position {truth}")
 print(f"cursors: {cursors}")
 if cursors is not None:
@@ -46,9 +48,12 @@ print(f"consensus at >=90%: {ok}, agreed source position {loc} "
       f"(guarantee: within [{truth - 2 * math.ceil(params.H)}, {truth}])")
 
 # The diagnostics expose the nested windows each trace matched, innermost
-# first; every inner window sits inside the next wider one.
-tw = diag.trace_windows[0]
-print(f"\ntrace 1 matched windows (stage 1 innermost): {[(w.lo, w.hi) for w in tw]}")
+# first; every inner window sits inside the next wider one. The reference's
+# entry holds its own ladder windows, centered on ell*.
+for m in (0, 1):
+    tw = diag.trace_windows[m]
+    print(f"\ntrace {m} windows (stage 1 innermost): "
+          f"{[None if w is None else (w.lo, w.hi) for w in tw]}")
 
 # --- success rate over random cursors, and what noise does to it -----------
 for d in (1e-4, 1e-3, 1e-2):
@@ -63,7 +68,7 @@ for d in (1e-4, 1e-3, 1e-2):
         if lo > hi:
             continue
         e = int(rng.integers(lo, hi + 1))
-        cur, _ = align(p, e, ys.trace, [r.trace for r in recs])
+        cur, _ = align(p, e, [r.trace for r in recs])
         good, where = consensus_check(cur, recs, math.ceil(0.9 * M))
         src = source_of(ys, e)
         wins += bool(good and where is not None and src - 2 * math.ceil(p.H) <= where <= src)

@@ -1,8 +1,9 @@
 """Full pipeline: segment-by-segment reconstruction from a few traces.
 
-The outer loop anchors ell* in a reference trace (align), votes out the next
-R source bits (BMA), appends them, and restarts the anchor at the reference
-walk's end. A regime check first decides whether the full machinery can beat
+The outer loop anchors ell* in the reference trace traces[0] (align), votes
+out the next R source bits (BMA), appends them, and restarts the anchor at the
+reference walk's end; the reference's own bits before the first anchor and
+after the last segment close the two ends. A regime check first decides whether the full machinery can beat
 trivial answers at the given (n, delta, M); when it cannot, it falls back to
 fewer traces or to echoing one trace.
 """
@@ -49,8 +50,10 @@ base = edit_distance(x, traces[0])
 print(f"action={res.regime_action}, m_used={res.m_used}, "
       f"segments={len(res.segments)}")
 
-# how much of the hypothesis is literally correct source text
-sx, off, exact = str(x), 0, 0
+# how much of the hypothesis is literally correct source text; the segments
+# follow the reference's own bits before the first cursor
+sx, exact = str(x), 0
+head = off = res.segments[0][0] - 1 if res.segments else 0
 hyp = str(res.hypothesis)
 for _, elen in res.segments:
     exact += elen > 0 and hyp[off:off + elen] in sx
@@ -59,12 +62,11 @@ print(f"segments that are exact subwords of x: {exact}/{len(res.segments)}")
 print(f"edit distance to x: {d} (single-trace baseline: {base}, "
       f"delta*n={delta * n:.1f})")
 
-# Each anchor lands up to ~2H source bits before the previous segment's end,
-# so consecutive segments overlap and the concatenation re-emits those bits;
-# the stretches before the first anchor and after the last are not covered at
-# all. Those structural costs, ~2*ceil(H) per R output bits plus the edges,
-# dominate the error at this scale even though every segment is verbatim
-# source text; reports/criterion09_10_search.md quantifies the floor.
-per_seg = d / max(1, len(res.segments))
-print(f"overhead per segment: ~{per_seg:.0f} bits "
-      f"(boundary scale 2*ceil(H)={2 * math.ceil(params.H)}, plus uncovered edges)")
+# Each segment starts on the reference bit right after the previous one's
+# last, so the segments tile the source with no overlap and no gap, and the
+# reference's own bits cover the stretch before the first cursor and after
+# the last segment. What distance remains is the reference's deletions in
+# those ends and in any copied (unaligned) segment, plus any bit the vote
+# got wrong.
+print(f"hypothesis length {len(res.hypothesis)} of n={n}; "
+      f"ends copied from the reference: {head} + {len(hyp) - off} bits")

@@ -1,20 +1,23 @@
 """Coarse-to-fine alignment of trace cursors to the reference cursor.
 
-The reference trace contributes a ladder of windows centered at its cursor,
-widest first.  Each trace is searched for the first match within budget to
-the widest window, then re-searched inside that hit for the next window
-down, giving a nested chain of intervals whose innermost member is roughly
-centered on the same source region as the reference cursor.  A final vote
-picks one word that occurs in nearly all innermost windows; a trace whose
-window holds it gets its cursor at the word's leftmost occurrence, and the
-other traces get None and sit out the segment's majority vote.
+The reference ``traces[0]`` gives a ladder of windows centered at its
+cursor, widest first: the templates, and its own stage intervals, since it
+is never searched.  Each other trace is searched for the first match within
+budget to the widest window, then re-searched inside that hit for the next
+window down, giving a nested chain of intervals whose innermost member is
+roughly centered on the same source region as the reference cursor.  A
+final vote picks a word of the reference's innermost window that occurs in
+nearly all innermost windows; a trace whose window holds it gets its cursor
+at the word's leftmost occurrence plus the reference cursor's offset from
+the word, on the bit that matches the reference cursor, and the other
+traces get None and sit out the segment's majority vote.
 
-The traces are searched in batches of 2, 4, 8, ... traces, in order.  Each
-stage of a batch is one ``find_closest_subwords`` call over the batch's
-traces, which scores all their candidate windows together; every stage of a
-batch finishes before the next batch starts.  The earliest trace that misses
-decides the failure, so the result is the one a trace-by-trace search
-gives, and a miss early in the list stops the search about as soon.
+The other traces are searched in batches of 2, 4, 8, ... traces, in order.
+Each stage of a batch is one ``find_closest_subwords`` call over the
+batch's traces, which scores all their candidate windows together; every
+stage of a batch finishes before the next batch starts.  The earliest trace
+that misses decides the failure, so the result is the one a trace-by-trace
+search gives, and a miss early in the list stops the search about as soon.
 
 Any miss (no window within the stage's distance budget, or no sufficiently
 common word) returns no cursors at all, with a failure_stage in the
@@ -69,20 +72,20 @@ class AlignDiagnostics:
 def align(
     params: ReconParams,
     ell_star: int,
-    y_star: BitString,
     traces: list[BitString],
     indexes: list[SearchIndex | None] | None = None,
 ) -> tuple[tuple[int | None, ...] | None, AlignDiagnostics]:
-    """Place 1-based cursors near the source position under ell_star:
-    ``cursors[m]`` is None where trace m's innermost window lacks the common
-    word, and the whole tuple is None when the alignment fails.  An empty
-    trace misses the widest stage S like any other trace without a window.
+    """Place 1-based cursors on the source bit under ``traces[0]``'s
+    ``ell_star``: ``cursors[0]`` is ``ell_star`` itself, ``cursors[m]`` is
+    None where trace m's innermost window lacks the common word, and the
+    whole tuple is None when the alignment fails.  An empty trace misses the
+    widest stage S like any other trace without a window.
 
     ``indexes[m]`` is ``search_index(traces[m])`` or None; a None entry is
     filled in the first time trace m is searched, so a caller that aligns
     the same traces many times passes one list to every call and builds
     each index at most once.  Without a list this call makes its own.  The
-    indexes sort the traces' 12-bit words only when ``y_star`` holds more
+    indexes sort the traces' 12-bit words only when the reference holds more
     than 64 segments of R bits, where the loop searches each trace often
     enough to pay for the sort.
     """
@@ -91,23 +94,23 @@ def align(
         indexes = [None] * m_count
     if len(indexes) != m_count:
         raise ValueError("one index entry per trace required")
-    n_star = len(y_star)
-    if not 1 <= ell_star <= n_star:
+    if not traces or not 1 <= ell_star <= len(traces[0]):
         raise ValueError("reference cursor outside the reference trace")
+    y_star = traces[0]
+    n_star = len(y_star)
     sort_words = n_star > _SORT_PAST_SEGMENTS * params.R
 
     # reference window ladder, widest last; clamped to the trace near its ends
-    templates: list[BitString] = []
-    for t_s in params.t_ladder:
-        half = (t_s - 1) // 2
-        templates.append(y_star.subword(max(1, ell_star - half), min(n_star, ell_star + half)))
-
     trace_windows: list[list[Interval | None]] = [[None] * params.S for _ in range(m_count)]
+    for s, t_s in enumerate(params.t_ladder):
+        half = (t_s - 1) // 2
+        trace_windows[0][s] = Interval(max(1, ell_star - half), min(n_star, ell_star + half))
+    templates = [y_star.subword(*w) for w in trace_windows[0]]
 
     def diagnostics(stage: int | None, trace: int | None) -> AlignDiagnostics:
         return AlignDiagnostics(tuple(tuple(per) for per in trace_windows), stage, trace)
 
-    lo, size = 0, _FIRST_BATCH
+    lo, size = 1, _FIRST_BATCH
     while lo < m_count:
         batch = range(lo, min(lo + size, m_count))
         lo, size = batch.stop, 2 * size
@@ -141,12 +144,15 @@ def align(
                 trace_windows[later] = [None] * params.S
             return None, diagnostics(s, m)
 
-    inner = [trace.subword(w[0].lo, w[0].hi) for trace, w in zip(traces, trace_windows)]
+    inner = [trace.subword(*w[0]) for trace, w in zip(traces, trace_windows)]
     found = find_common_word(inner, math.ceil(0.9 * params.t_ladder[0]), math.ceil(0.95 * m_count))
     if found is None:
         return None, diagnostics(0, None)
+    # the word starts in the reference window at most half a window before
+    # ell_star and never after it, so each shifted cursor stays in its copy
+    shift = ell_star - (trace_windows[0][0].lo + found[1][0] - 1)
     cursors = tuple(
-        None if off is None else w[0].lo + off - 1 for w, off in zip(trace_windows, found[1])
+        None if off is None else w[0].lo + off - 1 + shift for w, off in zip(trace_windows, found[1])
     )
     return cursors, diagnostics(None, None)
 

@@ -214,7 +214,7 @@ def _run_align_bench(point: dict, rng: np.random.Generator) -> dict:
     if lo > hi:
         raise RuntimeError("no valid reference cursor at this n and tau")
     ell_star = int(rng.integers(lo, hi + 1))
-    cursors, diags = align(params, ell_star, y_star.trace, [r.trace for r in records])
+    cursors, diags = align(params, ell_star, [r.trace for r in records])
     threshold = math.ceil(0.9 * params.m_traces)
     consensus, location = consensus_check(cursors, records, threshold)
     src = source_of(y_star, ell_star)

@@ -1,16 +1,17 @@
 """Outer reconstruction loop: alternate alignment and majority voting along
-the reference trace, concatenating each R-round majority output.
+the reference trace ``traces[0]``, concatenating each R-round majority output.
 
-The loop starts within the first percent of the reference trace (at most
-``params.margin`` in) and stops ``params.margin`` before the end; the ends
-of the source are simply not reconstructed (their cost is absorbed by the
-edit-distance budget).  When no segment fits between the two, the
-result is the reference trace, labelled `output_single_trace`.  After
-each voted segment the reference cursor jumps to wherever the majority run
-left it, plus one; the vote runs over the reference and the traces that
-`align` gave a cursor.  A segment whose alignment returns no cursors is not
-voted: its R bits are copied from the reference trace at the cursor, which
-then advances by R, as `output_single_trace` does for the whole string.
+The loop starts where the innermost ladder window fits unclamped, at
+``(t1 - 1) // 2 + 1``, and stops ``params.margin`` before the end; the
+reference bits before the first cursor and from the last one on are copied
+as they stand, so the hypothesis covers the whole reference.  When no
+segment fits between the two, the result is the reference trace, labelled
+`output_single_trace`.  After each voted segment the reference cursor moves
+to wherever the majority run left it; the vote runs over the traces that
+`align` gave a cursor, each once.  A segment whose alignment returns no
+cursors is not voted: its R bits are copied from the reference trace at the
+cursor, which then advances by R, as `output_single_trace` does for the
+whole string.
 
 Entry points:
   reconstruct            -- the loop itself, for callers holding ReconParams
@@ -20,7 +21,6 @@ Entry points:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .bma import bma_run
@@ -37,51 +37,48 @@ class ReconResult:
     # one (reference cursor, emitted length) pair per loop iteration;
     # emitted length is R for a voted segment whose output is star-free and
     # for a failed alignment (R bits copied from the reference trace), and
-    # 0 for a voted segment that emitted a star
+    # 0 for a voted segment that emitted a star (the copied ends are no segment)
     segments: tuple[tuple[int, int], ...]
     regime_action: str
     m_used: int
 
 
-def reconstruct(params: ReconParams, y_star: BitString, traces: list[BitString]) -> ReconResult:
-    """Run the align/vote loop over the reference trace.
-
-    ``traces`` are the M traces aligned to the reference, conventionally
-    with the reference itself as traces[0].
-    """
+def reconstruct(params: ReconParams, traces: list[BitString]) -> ReconResult:
+    """Run the align/vote loop over the reference trace ``traces[0]``,
+    voting the M traces aligned to it."""
     if len(traces) != params.m_traces:
         raise ValueError("trace count does not match params.m_traces")
+    y_star = traces[0]
     n_star = len(y_star)
-    margin = params.margin
-    # start within the first percent of the reference, so small-n runs are
-    # non-vacuous
-    ell_star = min(margin, math.ceil(n_star / 100))
+    start = ell_star = (params.t1 - 1) // 2 + 1
 
     # every segment's widest ladder stage searches each whole trace; align
     # builds a trace's word index on its first search, kept here until return
     indexes = [None] * len(traces)
     pieces: list[BitString] = []
     segments: list[tuple[int, int]] = []
-    while ell_star <= n_star - params.R and ell_star <= n_star - margin:
-        cursors, _ = align(params, ell_star, y_star, traces, indexes)
+    while ell_star <= n_star - params.R and ell_star <= n_star - params.margin:
+        cursors, _ = align(params, ell_star, traces, indexes)
         if cursors is None:
             out = y_star.subword(ell_star, ell_star + params.R - 1)
             next_star = ell_star + params.R
         else:
-            voters = [(t, c) for t, c in zip([y_star, *traces], [ell_star, *cursors])
-                      if c is not None]
+            # every voter starts on the common word's same bit, so the first
+            # round is unanimous and the reference cursor moves on
+            voters = [(t, c) for t, c in zip(traces, cursors) if c is not None]
             out, final, _ = bma_run([t for t, _ in voters], [c for _, c in voters], params.R)
-            next_star = final[0] + 1
+            next_star = final[0]
         pieces.append(out)
         segments.append((ell_star, len(out)))
         ell_star = next_star
 
     if not segments:
         # no segment fits before the end margin (at paper constants, below
-        # n ~ 38,000): the reference trace is the answer, not an empty
-        # hypothesis
+        # n ~ 38,000): the reference trace is the answer
         return ReconResult(y_star, (), "output_single_trace", 1)
-    hypothesis = BitString(b"".join(p.tobytes() for p in pieces))
+    ref = y_star.tobytes()
+    body = b"".join(p.tobytes() for p in pieces)
+    hypothesis = BitString(ref[: start - 1] + body + ref[ell_star - 1 :])
     return ReconResult(hypothesis, tuple(segments), "run_full", params.m_traces)
 
 
@@ -117,7 +114,7 @@ def reconstruct_with_fallback(
         # trace is the bound
         return ReconResult(traces[0], (), "output_single_trace", 1)
     params = derive_params(n, delta, M, k_const=k_const, tau=tau, gamma=gamma)
-    result = reconstruct(params, traces[0], traces[:M])
+    result = reconstruct(params, traces[:M])
     if M < len(traces) and result.regime_action == "run_full":
         # a single-trace answer keeps its own label
         return replace(result, regime_action="reduce_M")

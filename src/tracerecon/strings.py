@@ -707,28 +707,23 @@ def find_common_word(
     word_len: int,
     threshold: int,
 ) -> tuple[BitString, list[int | None]] | None:
-    """First word of length ``word_len`` contained in at least ``threshold``
-    of the windows, with the leftmost 1-based start in each containing window
-    (None where a window lacks the word).
+    """First word of length ``word_len`` in ``windows[0]`` contained in at
+    least ``threshold`` of the windows, with the leftmost 1-based start in
+    each containing window (None where a window lacks the word).
 
-    Candidates are enumerated from the subwords of ``windows[0]`` by ascending
-    start, then ``windows[1]``, and so on; the first qualifying candidate wins.
-    A word held by ``threshold`` windows first occurs in one of the first
-    ``len(windows) - threshold + 1``, so only those are read for candidates.
+    Candidates are the subwords of ``windows[0]`` by ascending start; the
+    first qualifying candidate wins.  A word that ``windows[0]`` lacks is
+    never a candidate, so on success ``windows[0]`` always has a start.
     """
     if word_len < 1:
         raise ValueError("word_len must be >= 1")
     if not 1 <= threshold <= len(windows):
         raise ValueError("threshold must be in 1..len(windows)")
     wbytes = [w.tobytes() for w in windows]
-    seen: set[bytes] = set()
-    for src in wbytes[: len(wbytes) - threshold + 1]:
-        for s in range(len(src) - word_len + 1):
-            cand = src[s : s + word_len]
-            if cand in seen:
-                continue
-            seen.add(cand)
-            starts = [wb.find(cand) + 1 or None for wb in wbytes]
-            if len(starts) - starts.count(None) >= threshold:
-                return BitString(cand), starts
+    ref = wbytes[0]
+    for s in range(len(ref) - word_len + 1):
+        cand = ref[s : s + word_len]
+        starts = [wb.find(cand) + 1 or None for wb in wbytes]
+        if len(starts) - starts.count(None) >= threshold:
+            return BitString(cand), starts
     return None

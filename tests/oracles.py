@@ -293,34 +293,38 @@ def verbatim_anchor(template, hay: bytes, search, max_dist: int) -> int | None:
     return firsts[0]
 
 
-def align_per_trace(params, ell_star: int, y_star, traces):
+def align_per_trace(params, ell_star: int, traces):
     """The alignment ladder searched one trace at a time.
 
-    Trace m runs every stage, widest first, before trace m + 1 starts, and
-    the first miss (or an empty trace) ends the search with that trace's
-    stage; later traces keep no windows.  Then the common-word vote places
-    the cursors.  Returns ``(cursors, AlignDiagnostics)`` as ``align`` does,
-    which batches the traces and must agree with this.
+    ``traces[0]`` is the reference: its ladder windows at ``ell_star`` are
+    the templates and its own stage intervals.  Trace m >= 1 runs every
+    stage, widest first, before trace m + 1 starts, and the first miss (or
+    an empty trace) ends the search with that trace's stage; later traces
+    keep no windows.  Then the common-word vote places the cursors, each at
+    its word's start plus the reference cursor's offset from the word in
+    the reference window.  Returns ``(cursors, AlignDiagnostics)`` as
+    ``align`` does, which batches the traces and must agree with this.
     """
+    y_star = traces[0]
     n_star = len(y_star)
     if not 1 <= ell_star <= n_star:
         raise ValueError("reference cursor outside the reference trace")
-    templates = []
-    for t_s in params.t_ladder:
-        half = (t_s - 1) // 2
-        templates.append(y_star.subword(max(1, ell_star - half), min(n_star, ell_star + half)))
     windows = [[None] * params.S for _ in traces]
+    for s, t_s in enumerate(params.t_ladder):
+        half = (t_s - 1) // 2
+        windows[0][s] = Interval(max(1, ell_star - half), min(n_star, ell_star + half))
 
     def diagnostics(stage, trace):
         return AlignDiagnostics(tuple(tuple(per) for per in windows), stage, trace)
 
-    for m, trace in enumerate(traces):
+    for m, trace in enumerate(traces[1:], start=1):
         if len(trace) == 0:
             return None, diagnostics(params.S, m)
         search = Interval(1, len(trace))
         for s in range(params.S, 0, -1):
+            template = y_star.subword(windows[0][s - 1].lo, windows[0][s - 1].hi)
             budget = int(2 * params.gamma * params.t_ladder[s - 1])
-            hit = find_closest_subword(templates[s - 1], trace, search, budget)
+            hit = find_closest_subword(template, trace, search, budget)
             if hit is None:
                 return None, diagnostics(s, m)
             windows[m][s - 1] = search = hit
@@ -329,8 +333,10 @@ def align_per_trace(params, ell_star: int, y_star, traces):
     found = find_common_word(inner, math.ceil(0.9 * params.t_ladder[0]), math.ceil(0.95 * len(traces)))
     if found is None:
         return None, diagnostics(0, None)
+    word_at = windows[0][0].lo + found[1][0] - 1  # the word's start in the reference
     cursors = tuple(
-        None if off is None else w[0].lo + off - 1 for w, off in zip(windows, found[1])
+        None if off is None else w[0].lo + off - 1 + ell_star - word_at
+        for w, off in zip(windows, found[1])
     )
     return cursors, diagnostics(None, None)
 
@@ -341,8 +347,9 @@ def common_word_naive(windows, word_len: int, threshold: int):
     The subwords of ``windows[0]`` by ascending start, then ``windows[1]``,
     and so on; the first candidate contained in at least ``threshold``
     windows wins, with its leftmost 1-based start in each window (None where
-    a window lacks it).  ``find_common_word`` reads candidates from fewer
-    windows and must agree with this.
+    a window lacks it).  ``find_common_word`` reads candidates from
+    ``windows[0]`` alone and must agree with this wherever the winner lies
+    in ``windows[0]``.
     """
     if word_len < 1:
         raise ValueError("word_len must be >= 1")

@@ -322,7 +322,7 @@ def test_criterion_09_align_consensus():
         records = [transmit(x, delta, g) for _ in range(M)]
         y_star = records[0]
         ell = int(g.integers(params.margin, len(y_star.trace) - params.margin + 1))
-        cursors, diag = align(params, ell, y_star.trace, [r.trace for r in records])
+        cursors, diag = align(params, ell, [r.trace for r in records])
         ok, loc = consensus_check(cursors, records, thr)
         src = source_of(y_star, ell)
         if ok and loc is not None and src - 2 * Hc <= loc <= src:
@@ -412,3 +412,29 @@ def test_criterion_12_determinism(tmp_path):
     ]
     identical = all(run(1, k, grid) == run(8, k, grid) for k, grid in sweeps)
     record(12, "determinism", identical, "1 vs 8 workers, byte-identical reports sans runtime")
+
+
+def test_criterion_13_beats_one_trace():
+    # the paper's kind of point (delta*M = 0.016 << 1, M < 1/delta): on
+    # every trial the hypothesis must be closer to x than one trace, whose
+    # distance is its deletion count, and about as long as x
+    n, delta, M, K = 2**15, 1e-3, 16, 4.0
+    g = stream(21, 0)
+    trials = 5
+    ok = True
+    dists, baselines = [], []
+    for _ in range(trials):
+        x = random_bits(n, g)
+        traces = [transmit(x, delta, g).trace for _ in range(M)]
+        hyp = reconstruct_with_fallback(n, delta, traces, k_const=K).hypothesis
+        d, base = edit_distance(x, hyp), n - len(traces[0])
+        ok &= d < base and 0.99 <= len(hyp) / n <= 1.01
+        dists.append(d)
+        baselines.append(base)
+    record(
+        13,
+        "beats one trace",
+        ok,
+        f"mean d {np.mean(dists):.1f} vs one trace {np.mean(baselines):.1f} over {trials} trials,"
+        f" each needing d below one trace and |hyp|/n in [0.99, 1.01]",
+    )

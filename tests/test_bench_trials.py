@@ -20,8 +20,8 @@ RUN = Path(__file__).resolve().parent.parent / "bench" / "run.py"
 
 # sha256 of each workload's first-instance outputs at seed 1: the run's digest0
 DIGESTS = {
-    "e2e-fail": "95409626a3039b0b0eacd88b47dc7d92df2c561be81287288acdaec3efe67b8a",
-    "e2e-working": "cd1a51116724e443b751084bb6e45f327167a36990367ecf7f6cb19079de661e",
+    "e2e-fail": "d792ce6bce12c4bd3d7230ca6b84f038fc4ea6b001b0f513be9e05a8c2dfe702",
+    "e2e-working": "afc06076cf8f04d6164a96e927f47ffa55f22a041b7825bc4ca6fd70e5e9c318",
     "e2e-fallback": "11d4e1e375cf9f85ef978ba6324fa760b3f959f3eacd5695390c85bfe55c3bba",
     "bounds": "bfe13bfb08ec4b3053a50bd0708874661c43b533d84ec31e343700d8be3dfaa7",
 }
