@@ -27,7 +27,8 @@ rng = stream(11, 3)
 n, delta, M = 2**14, 1e-4, 10
 params = derive_params(n, delta, M, k_const=2.0)
 print(f"n=2^14, delta={delta}, M={M}: H={params.H:.1f}, "
-      f"ladder={params.t_ladder}, word length L={params.L}")
+      f"ladder={params.t_ladder}, stage budgets={params.budgets}, "
+      f"vote word length={math.ceil(0.9 * params.t1)}")
 
 x = random_bits(n, rng)
 records = [transmit(x, delta, rng) for _ in range(M)]
@@ -74,7 +75,8 @@ for d in (1e-4, 1e-3, 1e-2):
         wins += bool(good and where is not None and src - 2 * math.ceil(p.H) <= where <= src)
     print(f"delta={d}: consensus with valid location in {wins}/{trials} instances")
 
-# The stage budgets floor(2*gamma*t_s) assume the windows differ mostly by
-# the budgeted slack; once delta approaches gamma=0.01 the channel itself
-# uses up the budget and the ladder starts rejecting true matches. See
-# reports/criterion09_10_search.md for the full parameter search.
+# The stage budgets params.budgets, floor(2*gamma*t_s) at the paper's fixed
+# gamma = 0.01, assume the windows differ mostly by the budgeted slack; once
+# delta approaches 0.01 the channel itself uses up the budget and the ladder
+# starts rejecting true matches. See reports/criterion09_10_search.md for
+# the full parameter search.

@@ -28,6 +28,7 @@ from .params import (
     check_regime,
     derive_params,
     reduce_m_traces,
+    fallback_params,
 )
 from .align import AlignDiagnostics, align
 from .bma import BmaDiagnostics, bma_run
@@ -74,6 +75,7 @@ __all__ = [
     "derive_params",
     "check_regime",
     "reduce_m_traces",
+    "fallback_params",
     "AlignDiagnostics",
     "align",
     "BmaDiagnostics",

@@ -3,14 +3,15 @@
 The reference ``traces[0]`` gives a ladder of windows centered at its
 cursor, widest first: the templates, and its own stage intervals, since it
 is never searched.  Each other trace is searched for the first match within
-budget to the widest window, then re-searched inside that hit for the next
-window down, giving a nested chain of intervals whose innermost member is
-roughly centered on the same source region as the reference cursor.  A
-final vote picks a word of the reference's innermost window that occurs in
-nearly all innermost windows; a trace whose window holds it gets its cursor
-at the word's leftmost occurrence plus the reference cursor's offset from
-the word, on the bit that matches the reference cursor, and the other
-traces get None and sit out the segment's majority vote.
+its stage's budget (``params.budgets``) to the widest window, then
+re-searched inside that hit for the next window down, giving a nested chain
+of intervals whose innermost member is roughly centered on the same source
+region as the reference cursor.  A final vote picks a word of the
+reference's innermost window that occurs in nearly all innermost windows; a
+trace whose window holds it gets its cursor at the word's leftmost
+occurrence plus the reference cursor's offset from the word, on the bit
+that matches the reference cursor, and the other traces get None and sit
+out the segment's majority vote.
 
 The other traces are searched in batches of 2, 4, 8, ... traces, in order.
 Each stage of a batch is one ``find_closest_subwords`` call over the
@@ -125,12 +126,11 @@ def align(
         for s in range(params.S, 0, -1):
             if not live:  # the batch's first trace missed: no stage can change the result
                 break
-            budget = int(2 * params.gamma * params.t_ladder[s - 1])
             hits = find_closest_subwords(
                 templates[s - 1],
                 [traces[m] for m in live],
                 [search[m] for m in live],
-                budget,
+                params.budgets[s - 1],
                 [indexes[m] for m in live],
             )
             for i, (m, hit) in enumerate(zip(live, hits)):

@@ -8,9 +8,10 @@ failures become error-tagged rows instead of aborting the sweep.
 
 FIELDS declares every grid-point field once: its type, or its choices, and
 its range.  Each kind declares the fields it reads, required or with a
-default (the constants k_const, tau and gamma only where a kind passes them
-on); validation rejects any other field, fills defaults and checks every
-value against FIELDS before anything runs.
+default (the constants k_const and tau only where a kind passes them on);
+validation rejects any other field, fills defaults and checks every value
+against FIELDS before anything runs, and a kind that reconstructs derives
+its parameters on the library's own route (`params.fallback_params`).
 
 Reports: CSV with one row per metric (columns kind, the kind's fields, seed,
 trial, metric, value), or JSONL with one trial per line.
@@ -39,7 +40,7 @@ from .lower_bound import (
     sample_prlp,
     simulate_aprlp,
 )
-from .params import DESK_DEFAULTS, derive_params
+from .params import DESK_DEFAULTS, derive_params, fallback_params
 from .reconstruct import reconstruct_with_fallback
 from .rng import stream
 from .strings import BitString, edit_distance, random_bits
@@ -63,7 +64,6 @@ FIELDS = {
     "mc_samples": (int, ">= 1"),
     "k_const": (float, "> 0 and finite"),
     "tau": (float, "> 0 and finite"),
-    "gamma": (float, "> 0 and finite"),
     "reconstructor": (("first_trace", "full"), None),
 }
 
@@ -195,14 +195,7 @@ def _check_bma_bench(point: dict) -> None:
 
 
 def _params_from_point(point: dict):
-    return derive_params(
-        point["n"],
-        point["delta"],
-        point["m_traces"],
-        k_const=point["k_const"],
-        tau=point["tau"],
-        gamma=point["gamma"],
-    )
+    return derive_params(point["n"], point["delta"], point["m_traces"], k_const=point["k_const"], tau=point["tau"])
 
 
 def _run_align_bench(point: dict, rng: np.random.Generator) -> dict:
@@ -227,14 +220,15 @@ def _run_align_bench(point: dict, rng: np.random.Generator) -> dict:
     }
 
 
+def _check_reconstruct_e2e(point: dict) -> None:
+    fallback_params(point["n"], point["delta"], point["m_traces"], k_const=point["k_const"], tau=point["tau"])
+
+
 def _run_reconstruct_e2e(point: dict, rng: np.random.Generator) -> dict:
     n, delta = point["n"], point["delta"]
     x = random_bits(n, rng)
     traces = [transmit(x, delta, rng).trace for _ in range(point["m_traces"])]
-    result = reconstruct_with_fallback(
-        n, delta, traces,
-        k_const=point["k_const"], tau=point["tau"], gamma=point["gamma"],
-    )
+    result = reconstruct_with_fallback(n, delta, traces, k_const=point["k_const"], tau=point["tau"])
     cap = max(64, math.ceil(2 * delta * n))
     d = edit_distance(x, result.hypothesis)
     return {
@@ -277,6 +271,12 @@ def _run_prlp(point: dict, rng: np.random.Generator) -> dict:
     return out
 
 
+def _check_aprlp_embedding(point: dict) -> None:
+    if point["reconstructor"] == "full":  # what the full reconstructor derives, on the carrier
+        n = EmbeddingSpec.build(point["m_traces"], point["b_len"]).n
+        fallback_params(n, point["delta"], point["m_traces"], k_const=point["k_const"], tau=point["tau"])
+
+
 def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:
     m, delta, b_len = point["m_traces"], point["delta"], point["b_len"]
     spec = EmbeddingSpec.build(m, b_len)
@@ -286,8 +286,7 @@ def _run_aprlp_embedding(point: dict, rng: np.random.Generator) -> dict:
         recon = lambda traces: traces[0]  # noqa: E731
     else:
         recon = lambda traces: reconstruct_with_fallback(  # noqa: E731
-            spec.n, delta, traces,
-            k_const=point["k_const"], tau=point["tau"], gamma=point["gamma"],
+            spec.n, delta, traces, k_const=point["k_const"], tau=point["tau"]
         ).hypothesis
     z_hat = simulate_aprlp(samples, recon, delta, b_len, rng)
     return {
@@ -315,12 +314,13 @@ KINDS = {
     "channel_stats": _Kind(_run_channel_stats, ("n", "delta")),
     "bma_bench": _Kind(_run_bma_bench, ("n", "delta", "m_traces"), check=_check_bma_bench),
     "align_bench": _Kind(_run_align_bench, ("n", "delta", "m_traces"), DESK_DEFAULTS, _params_from_point),
-    "reconstruct_e2e": _Kind(_run_reconstruct_e2e, ("n", "delta", "m_traces"), DESK_DEFAULTS, _params_from_point),
+    "reconstruct_e2e": _Kind(_run_reconstruct_e2e, ("n", "delta", "m_traces"), DESK_DEFAULTS, _check_reconstruct_e2e),
     "atomic_exact": _Kind(_run_atomic_exact, ("delta", "m_traces"), check=_check_atomic_exact),
     "atomic_mc": _Kind(_run_atomic_mc, ("delta", "m_traces"), {"mc_samples": 10**6}, _check_atomic_mc),
     "prlp": _Kind(_run_prlp, ("delta", "m_traces", "b_len"), {"mc_samples": 10**5}),
     "aprlp_embedding": _Kind(
-        _run_aprlp_embedding, ("delta", "m_traces", "b_len"), {"reconstructor": "first_trace", **DESK_DEFAULTS}
+        _run_aprlp_embedding, ("delta", "m_traces", "b_len"), {"reconstructor": "first_trace", **DESK_DEFAULTS},
+        _check_aprlp_embedding,
     ),
 }
 

@@ -3,10 +3,12 @@
 All the window sizes the aligner and the majority voter use come from one
 entropy-like quantity H = (M/K) * log2(1/(delta*M)).  The derivations here
 are pure formula evaluation; the interesting policy choice is the constant
-set (K, tau, gamma).  Every entry point defaults to DESK_DEFAULTS (K=2,
-tau=8), which keeps the align/vote loop non-empty at n ~ 2**17.  The
-analysis wants the constants "sufficiently large"; PAPER_DEFAULTS (tau=500
-in the stated form) is kept as a named set that callers pass explicitly,
+pair (K, tau), since a ladder stage of width t holds at most
+floor(2 gamma t) edits at the paper's one stated gamma = 0.01.  Every entry
+point defaults to DESK_DEFAULTS (K=2, tau=8), which keeps the align/vote
+loop non-empty at n ~ 2**17.  The analysis wants the constants
+"sufficiently large"; PAPER_DEFAULTS (tau=500 in the stated form) is kept
+as a named set that callers pass explicitly,
 ``derive_params(n, delta, M, **PAPER_DEFAULTS)``.  At those constants the
 loop's end margin, ceil(2500 * log2 n), is wider than any reference trace
 shorter than ~38,000 bits, and `reconstruct` returns the trace itself.
@@ -26,12 +28,13 @@ __all__ = [
     "derive_params",
     "check_regime",
     "reduce_m_traces",
+    "fallback_params",
     "DESK_DEFAULTS",
     "PAPER_DEFAULTS",
 ]
 
-DESK_DEFAULTS = {"k_const": 2.0, "tau": 8.0, "gamma": 0.01}
-PAPER_DEFAULTS = {"k_const": 2.0, "tau": 500.0, "gamma": 0.01}
+DESK_DEFAULTS = {"k_const": 2.0, "tau": 8.0}
+PAPER_DEFAULTS = {"k_const": 2.0, "tau": 500.0}
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,9 @@ class ReconParams:
     m_traces: int
     k_const: float
     tau: float
-    gamma: float
     H: float
     t_ladder: tuple[int, ...]
+    budgets: tuple[int, ...]  # budgets[s - 1]: the edits a window may hold at stage s
     S: int
     L: int
     R: int
@@ -75,7 +78,6 @@ def derive_params(
     *,
     k_const: float = DESK_DEFAULTS["k_const"],
     tau: float = DESK_DEFAULTS["tau"],
-    gamma: float = DESK_DEFAULTS["gamma"],
 ) -> ReconParams:
     K = float(k_const)
     tau_v = float(tau)
@@ -87,8 +89,8 @@ def derive_params(
         raise ValueError("need at least one trace")
     if delta * m_traces >= 1.0:
         raise ValueError("delta * M must be < 1 for H to be positive")
-    if not all(0 < c < math.inf for c in (K, tau_v, gamma)):  # also rejects NaN
-        raise ValueError("K, tau, gamma must be positive and finite")
+    if not all(0 < c < math.inf for c in (K, tau_v)):  # also rejects NaN
+        raise ValueError("K, tau must be positive and finite")
 
     H = (m_traces / K) * math.log2(1.0 / (delta * m_traces))
     # a tiny K or a huge tau overflows a size to inf; the margin does so
@@ -113,9 +115,9 @@ def derive_params(
         m_traces=m_traces,
         k_const=K,
         tau=tau_v,
-        gamma=gamma,
         H=H,
         t_ladder=tuple(ladder),
+        budgets=tuple(int(2 * 0.01 * t) for t in ladder),  # floor(2 gamma t), gamma = 0.01
         S=len(ladder),
         L=L,
         R=R,
@@ -183,3 +185,10 @@ def reduce_m_traces(n: int, delta: float, m_traces: int, k_const: float) -> int 
         if report.M_below_K2 or report.delta_below_inv_n2:
             return None
     return None
+
+
+def fallback_params(n: int, delta: float, m_traces: int, *, k_const: float, tau: float) -> ReconParams | None:
+    """`derive_params` at `reduce_m_traces`' M', the parameters that
+    `reconstruct_with_fallback` runs on, or None when there is no M'."""
+    m = reduce_m_traces(n, delta, m_traces, k_const)
+    return None if m is None else derive_params(n, delta, m, k_const=k_const, tau=tau)

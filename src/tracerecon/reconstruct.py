@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from .bma import bma_run
 from .align import align
-from .params import DESK_DEFAULTS, ReconParams, derive_params, reduce_m_traces
+from .params import DESK_DEFAULTS, ReconParams, fallback_params
 from .strings import BitString
 
 __all__ = ["ReconResult", "reconstruct", "reconstruct_with_fallback"]
@@ -89,33 +89,34 @@ def reconstruct_with_fallback(
     *,
     k_const: float = DESK_DEFAULTS["k_const"],
     tau: float = DESK_DEFAULTS["tau"],
-    gamma: float = DESK_DEFAULTS["gamma"],
+    gamma: float = 0.01,
     mode: str = "desk",
 ) -> ReconResult:
     """Regime-aware entry point.  ``traces`` includes the reference at
     index 0, and M is the length of the list.
 
-    The trace count is `reduce_m_traces`' M': the loop runs on
-    ``traces[:M']``, labelled run_full when M' = M and reduce_M when
+    The trace count is `reduce_m_traces`' M' (`fallback_params`): the loop
+    runs on ``traces[:M']``, labelled run_full when M' = M and reduce_M when
     M' < M, and None returns ``traces[0]`` as output_single_trace.
 
-    ``mode`` selects nothing: only "desk" is accepted, kept because
-    ``bench/run.py`` passes it and changes only with a benchmark revision.
-    Other constants go in as ``k_const``/``tau``/``gamma``, for example
-    ``**PAPER_DEFAULTS``.
+    ``gamma`` and ``mode`` select nothing: only 0.01 and "desk" are
+    accepted, kept because ``bench/run.py`` passes them and changes only
+    with a benchmark revision.  Other constants go in as ``k_const``/``tau``,
+    for example ``**PAPER_DEFAULTS``.
     """
     if mode != "desk":
-        raise ValueError(f"unknown mode {mode!r}; pass constants as k_const/tau/gamma")
+        raise ValueError(f"unknown mode {mode!r}; pass constants as k_const/tau")
+    if gamma != 0.01:
+        raise ValueError(f"gamma is fixed at 0.01, not {gamma!r}")
     if not traces:
         raise ValueError("need at least one trace")
-    M = reduce_m_traces(n, delta, len(traces), k_const)
-    if M is None:
+    params = fallback_params(n, delta, len(traces), k_const=k_const, tau=tau)
+    if params is None:
         # below the regime, or no feasible smaller trace count: a single
         # trace is the bound
         return ReconResult(traces[0], (), "output_single_trace", 1)
-    params = derive_params(n, delta, M, k_const=k_const, tau=tau, gamma=gamma)
-    result = reconstruct(params, traces[:M])
-    if M < len(traces) and result.regime_action == "run_full":
+    result = reconstruct(params, traces[: params.m_traces])
+    if params.m_traces < len(traces) and result.regime_action == "run_full":
         # a single-trace answer keeps its own label
         return replace(result, regime_action="reduce_M")
     return result

@@ -14,12 +14,10 @@ searching one haystack many times builds once and passes in), and the
 candidate windows of all haystacks are scored together in one pass.  A
 haystack whose pieces all first occur at one anchor holds the template
 verbatim there, so its first candidate start is a sure hit and the only
-one scored.  Without the prefilter (pieces shorter than 12 bits), every
-haystack's first start is scored before any later one.  The index holds
-the haystack's 8-gram string, whose byte p holds bits p..p+7, so
-``bytes.find`` on it finds a piece in about 2 us at 8K bits; an index
-built for many searches also sorts the haystack's 12-bit words into
-groups, where a piece is looked up by its first word.
+one scored.  The index holds the haystack's 8-gram string, whose byte p
+holds bits p..p+7, so ``bytes.find`` on it finds a piece in about 2 us at
+8K bits; an index built for many searches also sorts the haystack's 12-bit
+words into groups, where a piece is looked up by its first word.
 :func:`find_closest_subword` is the one-haystack call.
 
 The distance here is edit distance with insertions and deletions only
@@ -606,11 +604,8 @@ def find_closest_subwords(
     The candidate windows are scored in scan order, packed together over
     all haystacks, in one bit-parallel pass per block of up to 2048 rows
     (:func:`_first_hits`, on bytes and Python ints alone); a haystack drops
-    out of later blocks once it has a hit.  With the prefilter, every kept
-    start is scored in one such pass.  Without it there are two: the first
-    scores every haystack's first start, where a copy of the template
-    displaced by up to ``max_dist`` usually already hits, and the second
-    the remaining starts of the haystacks the first pass missed.
+    out of later blocks once it has a hit.  A ``max_dist`` of 0 is a plain
+    ``bytes.find``.
     """
     if max_dist < 0:
         raise ValueError("max_dist must be >= 0")
@@ -643,7 +638,7 @@ def find_closest_subwords(
         bounds = [int(i * step) for i in range(max_dist + 1)] + [t]
         grams = _grams(template)  # the piece of bits a..b-1 has grams a..b-8
         pieces = [(a, grams[a : b - 7]) for a, b in zip(bounds, bounds[1:])]
-    todo: list[tuple[int, Sequence[int]]] = []  # (haystack, 0-based starts to score)
+    pending: list[tuple[int, Sequence[int]]] = []  # (haystack, 0-based starts to score)
     for h, (hay, search) in enumerate(zip(haystacks, searches)):
         last_start0 = (search.hi - 1) - min_len + 1
         if last_start0 < search.lo - 1:
@@ -654,36 +649,28 @@ def find_closest_subwords(
         else:
             starts = range(search.lo - 1, last_start0 + 1)
         if starts:
-            todo.append((h, starts))
+            pending.append((h, starts))
 
     # A window is read up to the search end and padded with 2, which matches
     # nothing.  Every start leaves at least min_len bits before the end, and
     # a window running into the pad is farther than its prefix inside the
     # search by one per pad bit, so the shorter window is found first.
-    # The prefilter keeps a verbatim copy's first start alone, a sure hit,
-    # so every start it keeps is scored in one pass.  Without it each
-    # haystack's first start is scored first, since it usually hits; only
-    # the haystacks it misses go on to their later starts.
-    passes = [todo] if pieces else [[(h, starts[:1]) for h, starts in todo],
-                                    [(h, starts[1:]) for h, starts in todo]]
-    for pending in passes:
-        pending = [entry for entry in pending if hits[entry[0]] is None and entry[1]]
-        while pending:
-            rows_h: list[int] = []
-            rows_q: list[int] = []
-            windows: list[bytes] = []
-            rest = []
-            for h, starts in pending:
-                take = starts[: _BLOCK - len(rows_q)]
-                hay_b, end = haystacks[h].tobytes(), searches[h].hi
-                rows_h += [h] * len(take)
-                rows_q += take
-                windows += [hay_b[q : min(q + max_len, end)].ljust(max_len, b"\x02") for q in take]
-                if len(take) < len(starts):
-                    rest.append((h, starts[len(take) :]))
-            for h, (r, length) in _first_hits(tb, windows, rows_h, min_len, max_dist).items():
-                hits[h] = Interval(rows_q[r] + 1, rows_q[r] + length)
-            pending = [entry for entry in rest if hits[entry[0]] is None]
+    while pending:
+        rows_h: list[int] = []
+        rows_q: list[int] = []
+        windows: list[bytes] = []
+        rest = []
+        for h, starts in pending:
+            take = starts[: _BLOCK - len(rows_q)]
+            hay_b, end = haystacks[h].tobytes(), searches[h].hi
+            rows_h += [h] * len(take)
+            rows_q += take
+            windows += [hay_b[q : min(q + max_len, end)].ljust(max_len, b"\x02") for q in take]
+            if len(take) < len(starts):
+                rest.append((h, starts[len(take) :]))
+        for h, (r, length) in _first_hits(tb, windows, rows_h, min_len, max_dist).items():
+            hits[h] = Interval(rows_q[r] + 1, rows_q[r] + length)
+        pending = [entry for entry in rest if hits[entry[0]] is None]
     return hits
 
 

@@ -323,8 +323,7 @@ def align_per_trace(params, ell_star: int, traces):
         search = Interval(1, len(trace))
         for s in range(params.S, 0, -1):
             template = y_star.subword(windows[0][s - 1].lo, windows[0][s - 1].hi)
-            budget = int(2 * params.gamma * params.t_ladder[s - 1])
-            hit = find_closest_subword(template, trace, search, budget)
+            hit = find_closest_subword(template, trace, search, params.budgets[s - 1])
             if hit is None:
                 return None, diagnostics(s, m)
             windows[m][s - 1] = search = hit

@@ -328,10 +328,12 @@ def test_criterion_09_align_consensus():
         if ok and loc is not None and src - 2 * Hc <= loc <= src:
             good += 1
         else:
-            key = diag.failure_stage if diag.failure_stage is not None else "word-vote"
+            # stage 0 is the word vote; cursors that fail the check have none
+            key = diag.failure_stage if diag.failure_stage is not None else "no consensus"
             stage_misses[key] = stage_misses.get(key, 0) + 1
-    # the ladder budget floor(2*gamma*t_s) is below the typical deletion
-    # count in a stage window at delta=0.01; see reports/criterion09_10_search.md
+    # the ladder budget floor(2*gamma*t_s), gamma = 0.01, is below the typical
+    # deletion count in a stage window at delta=0.01; see
+    # reports/criterion09_10_search.md
     record(
         9,
         "align consensus",

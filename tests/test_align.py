@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import math
 
@@ -202,12 +203,13 @@ class TestReference:
 
 def plant_missing_word(n, m, ell, lacking, seed=31):
     """m copies of a random string, except that each trace in ``lacking``
-    (never the reference, trace 0) has the bit under ``ell`` flipped.  With gamma=0.02 the stage budgets
-    (2 at stage 1) still let every trace through the ladder, but every
-    common-word candidate covers the flipped bit, so those traces' innermost
-    windows lack the word.  Returns (params, x, traces)."""
+    (never the reference, trace 0) has the bit under ``ell`` flipped.  With
+    stage budgets of 2 and 6 (t = 51 and 153 at m = 25) every trace still
+    passes the ladder, but every common-word candidate covers the flipped
+    bit, so those traces' innermost windows lack the word.  Returns
+    (params, x, traces)."""
     x = random_bits(n, stream(seed, 0))
-    params = derive_params(n, 0.01, m, gamma=0.02)
+    params = dataclasses.replace(derive_params(n, 0.01, m), budgets=(2, 6))
     flipped = bytearray(x.tobytes())
     flipped[ell - 1] ^= 1
     traces = [BitString(bytes(flipped)) if i in lacking else x for i in range(m)]
@@ -237,10 +239,10 @@ class TestWordMembers:
         assert got[0] is None and got[1].failure_stage == 0
 
 
-# gamma per trace count so that stage 1 searches exactly (budget 0) and
-# stage 2 allows one edit: one deleted bit at the reference cursor then
-# fails stage 1 only
-_STAGE1_GAMMA = {1: 0.02, 2: 0.02, 3: 0.01, 7: 0.01, 25: 0.005}
+# stage budgets per trace count: stage 1 searches exactly (budget 0) and
+# stage 2 allows one edit, so one deleted bit at the reference cursor fails
+# stage 1 only; the wider stages let every unbroken copy through
+_STAGE1_BUDGETS = {1: (0, 1, 3, 9), 2: (0, 1, 4), 3: (0, 1, 3), 7: (0, 1, 5), 25: (0, 1)}
 
 
 def _first_misses(m):
@@ -263,8 +265,8 @@ class TestBatchedLadder:
 
     def clean(self, m, seed=31):
         x = random_bits(self.N, stream(seed, 0))
-        params = derive_params(self.N, 0.01, m, gamma=_STAGE1_GAMMA[m])
-        assert [int(2 * params.gamma * t) for t in params.t_ladder[:2]] == [0, 1]
+        params = dataclasses.replace(derive_params(self.N, 0.01, m), budgets=_STAGE1_BUDGETS[m])
+        assert len(params.budgets) == params.S
         # the unbroken copies align, a lone reference included
         assert self.check(params, self.N // 2, [x] * m).failure_stage is None
         return x, params, [x] * m

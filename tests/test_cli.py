@@ -69,6 +69,23 @@ class TestCliFlags:
         assert len(lines) == 1
         assert json.loads(lines[0])["kind"] == "channel_stats"
 
+    @pytest.mark.parametrize(
+        "delta, regime_code, m_used",
+        [
+            (0.1, 2.0, 4.0),  # delta * M = 1.6: reduce_m_traces runs M' = 4
+            (0.0, 1.0, 1.0),  # below 1/n^2: output_single_trace
+        ],
+    )
+    def test_point_routed_to_a_fallback_runs(self, tmp_path, delta, regime_code, m_used):
+        # the check takes the library's route, so a point derive_params
+        # rejects at the full M runs when the library would run it
+        out = tmp_path / "e2e.csv"
+        argv = ["reconstruct_e2e", "--n", "1024", "--delta", str(delta), "--m-traces", "16", "--out", str(out)]
+        assert main(argv) == 0
+        metrics = {row["metric"]: float(row["value"]) for row in csv.DictReader(out.open())}
+        assert "error" not in metrics
+        assert (metrics["regime_code"], metrics["m_used"]) == (regime_code, m_used)
+
     def test_workers_flag(self, tmp_path):
         out = tmp_path / "w.csv"
         rc = main(
@@ -108,10 +125,16 @@ class TestCliErrors:
         assert not out.exists()
 
     def test_mode_flag_rejected_by_parser(self):
-        # the kinds that read the constants take --k-const/--tau/--gamma;
-        # there is no --mode
+        # the kinds that read the constants take --k-const/--tau; there is
+        # no --mode
         with pytest.raises(SystemExit) as exc:
             main(["channel_stats", "--n", "100", "--delta", "0.1", "--mode", "paper"])
+        assert exc.value.code == 2
+
+    def test_gamma_flag_rejected_by_parser(self):
+        # gamma = 0.01 fixes every stage budget; no kind reads it
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct_e2e", "--n", "1024", "--delta", "0.001", "--m-traces", "4", "--gamma", "0.02"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
@@ -145,7 +168,7 @@ class TestCliErrors:
         "kind, point, message",
         [
             ("channel_stats", {"n": 10, "delta": 0.1, "gamma": "x"}, "reads no grid field ['gamma']"),
-            ("reconstruct_e2e", {"n": 1024, "delta": 1e-3, "m_traces": 4, "gamma": "x"}, "gamma must be a number"),
+            ("reconstruct_e2e", {"n": 1024, "delta": 1e-3, "m_traces": 4, "gamma": "x"}, "reads no grid field ['gamma']"),
             (
                 "aprlp_embedding",
                 {"delta": 0.05, "m_traces": 2, "b_len": 3, "reconstructor": "full", "tau": -1},
@@ -158,9 +181,19 @@ class TestCliErrors:
             ("atomic_mc", {"delta": 0.1, "m_traces": 2, "mc_samples": 1e2}, "mc_samples must be an int"),
             # constants derive_params cannot use: not finite, or sizes that overflow
             ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "tau": math.inf}, "tau must be > 0 and finite"),
-            ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "gamma": math.inf}, "gamma must be > 0 and finite"),
+            ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "gamma": math.inf}, "reads no grid field ['gamma']"),
             ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "tau": 1e308}, "too large to represent"),
-            ("reconstruct_e2e", {"n": 4096, "delta": 0.01, "m_traces": 4, "k_const": 1e-6}, "too large to represent"),
+            # reconstruct_e2e routes a K this small to a single trace at every
+            # M' and so derives nothing; align_bench derives at the full M
+            ("align_bench", {"n": 4096, "delta": 0.01, "m_traces": 4, "k_const": 1e-6}, "too large to represent"),
+            # the reconstructing kinds check at the trace count they run: an
+            # embedding point at its carrier's length, a reduced point at M'
+            (
+                "aprlp_embedding",
+                {"delta": 0.01, "m_traces": 4, "b_len": 2, "reconstructor": "full", "tau": 1e308},
+                "too large to represent",
+            ),
+            ("reconstruct_e2e", {"n": 1024, "delta": 0.1, "m_traces": 16, "tau": 1e308}, "too large to represent"),
         ],
     )
     def test_bad_field_value(self, tmp_path, capsys, kind, point, message):

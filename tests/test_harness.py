@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import json
 import re
 import subprocess
@@ -17,8 +18,10 @@ from tracerecon import (
     BitString,
     ExperimentConfig,
     TrialResult,
+    derive_params,
     edit_distance,
     emit_report,
+    fallback_params,
     run_experiment,
 )
 from tracerecon import harness
@@ -136,6 +139,22 @@ class TestExperimentConfig:
         # reads is declared
         read = {name for kind in KINDS.values() for name in kind.fields}
         assert read == set(FIELDS)
+
+    def test_constants_agree_across_layers(self):
+        # a constant removed in one layer cannot linger in another: both
+        # constant sets, the keywords of derive_params (defaulting to the desk
+        # set) and of fallback_params, and the grid fields name the same
+        # constants, and a kind reads all of them or none; the test above
+        # checks that every declared field is read by some kind
+        def keywords(fn):
+            params = inspect.signature(fn).parameters.values()
+            return {p.name: p.default for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY}
+
+        assert keywords(derive_params) == DESK_DEFAULTS
+        assert set(keywords(fallback_params)) == set(PAPER_DEFAULTS) == set(DESK_DEFAULTS)
+        assert set(DESK_DEFAULTS) <= set(FIELDS)
+        for kind in KINDS.values():
+            assert set(DESK_DEFAULTS) & set(kind.fields) in (set(), set(DESK_DEFAULTS))
 
     def test_validate_paper_defaults(self):
         # the paper set goes in through the points, and validate keeps it

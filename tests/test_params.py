@@ -48,13 +48,14 @@ class TestDeriveParams:
 
     def test_defaults_by_mode(self):
         desk = derive_params(2**17, 0.01, 25)
-        assert (desk.k_const, desk.tau, desk.gamma) == (2.0, 8.0, 0.01)
-        assert DESK_DEFAULTS == {"k_const": 2.0, "tau": 8.0, "gamma": 0.01}
-        assert PAPER_DEFAULTS == {"k_const": 2.0, "tau": 500.0, "gamma": 0.01}
+        assert (desk.k_const, desk.tau) == (2.0, 8.0)
+        assert DESK_DEFAULTS == {"k_const": 2.0, "tau": 8.0}
+        assert PAPER_DEFAULTS == {"k_const": 2.0, "tau": 500.0}
         paper = derive_params(2**17, 0.01, 25, **PAPER_DEFAULTS)
         assert paper.tau == PAPER_DEFAULTS["tau"] == 500.0
-        # paper gamma*tau = 5
-        assert paper.gamma * paper.tau == pytest.approx(5.0)
+        # gamma = 0.01 fixes each stage budget floor(2 gamma t) at either set
+        for p in (desk, paper):
+            assert p.budgets == tuple(math.floor(t / 50) for t in p.t_ladder)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -64,7 +65,7 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(100, 1.0, 4)
 
-    @pytest.mark.parametrize("const", ["k_const", "tau", "gamma"])
+    @pytest.mark.parametrize("const", ["k_const", "tau"])
     def test_rejects_nan_constant(self, const):
         # a NaN fails every comparison, so a `<= 0` check would let it through
         with pytest.raises(ValueError, match="must be positive"):
@@ -76,7 +77,7 @@ class TestDeriveParams:
             # K = inf gave H = 0 and R = 0, so reconstruct never advanced
             (0.01, 4, {"k_const": math.inf}, "must be positive and finite"),
             (0.01, 4, {"tau": math.inf}, "must be positive and finite"),
-            (0.01, 4, {"gamma": math.inf}, "must be positive and finite"),
+            (0.01, 4, {"k_const": 0.0}, "must be positive and finite"),
             # 5 tau log2 n, and 2^(0.01 L) at a tiny K, overflow a float
             (0.01, 4, {"tau": 1e308}, "too large to represent"),
             (0.01, 4, {"k_const": 1e-6}, "too large to represent"),
@@ -109,6 +110,7 @@ class TestDeriveParams:
         assert p.L == 8 * Hc
         assert p.R == math.ceil(p.L * 2 ** (0.01 * p.L))
         assert p.margin == math.ceil(5 * p.tau * math.log2(n))
+        assert p.budgets == tuple(int(2 * 0.01 * t) for t in p.t_ladder)
         # ladder stops within one tripling of the threshold
         if p.t1 < p.tau * math.log2(n):
             assert p.t_ladder[-1] <= 3 * p.tau * math.log2(n)

@@ -331,10 +331,16 @@ class TestFallbackRouting:
             reconstruct_with_fallback(16, 0.1, [])
 
     def test_rejects_mode_other_than_desk(self):
-        # the paper constants go in as keywords; mode selects nothing
+        # the paper constants go in as keywords; mode and gamma select
+        # nothing, and gamma = 0.01 alone is accepted
         x = random_bits(1024, stream(22, 0))
         with pytest.raises(ValueError, match="mode"):
             reconstruct_with_fallback(1024, 0.01, [x] * 4, mode="paper")
+        for gamma in (0.02, 0.005, 0.0):
+            with pytest.raises(ValueError, match="gamma is fixed at 0.01"):
+                reconstruct_with_fallback(1024, 0.01, [x] * 4, gamma=gamma)
+        fixed = reconstruct_with_fallback(1024, 0.01, [x] * 4, gamma=0.01, mode="desk")
+        assert fixed == reconstruct_with_fallback(1024, 0.01, [x] * 4)
 
 
 class TestPinnedOutputs:

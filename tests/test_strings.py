@@ -971,16 +971,15 @@ class TestFindClosestSubwords:
         assert got[0] is None and got[1].lo <= 101 and got[2].lo <= 51 and got[3] is None
 
     def test_block_boundary_inside_one_haystack(self, prefilter_calls):
-        # pieces of 3 bits force every start to be scored; after the first
-        # starts, the first haystack's 1494 later misses leave room for only
-        # part of the second's in the first 2048-row block, and its hit is
-        # in the next
+        # pieces of 3 bits force every start to be scored; the first
+        # haystack's 1495 misses leave room for only part of the second's
+        # starts in the first 2048-row block, and its hit is in the next
         template = BitString("0110100")
         plant = "0" * 1000 + str(template) + "0" * 1000
         hays = [BitString("0" * 1500), BitString(plant), BitString("1" * 700 + plant),
                 BitString("01" * 900)]
         searches = [Interval(1, len(h)) for h in hays]
-        assert len(hays[0]) - 6 < strings_module._BLOCK < len(hays[0]) - 6 + 1001
+        assert len(hays[0]) - 5 < strings_module._BLOCK < len(hays[0]) - 5 + 1001
         got = self.check(template, hays, searches, 1)
         assert prefilter_calls == []
         assert got[0] is None and got[1] is not None and got[2] is not None
@@ -1006,20 +1005,30 @@ class TestFindClosestSubwords:
         assert [hit.lo - 1 for hit in got[1:]] == first[1:]
 
     def test_every_start_over_several_blocks(self, prefilter_calls):
-        # pieces of 3 bits force every start to be scored: after the first
-        # starts, 2620 more over four haystacks fill two 2048-row blocks,
-        # and the last haystack's copy, at the end of its starts, is in
-        # the second; each haystack with a copy misses up to it
+        # pieces of 3 bits force every start to be scored: 2624 starts over
+        # four haystacks fill two 2048-row blocks, and the last haystack's
+        # copy, at the end of its starts, is in the second; each haystack
+        # with a copy misses up to it
         template = BitString("0110100")
         hays = [BitString("1" * 700), BitString("0" * 600 + "0110100"),
                 BitString("0" * 650), BitString("01" * 340 + "0110100")]
         searches = [Interval(1, len(h)) for h in hays]
-        # a window is at least 6 bits, so a haystack has len - 6 later starts
-        before = sum(len(h) - 6 for h in hays[:3])
+        # a window is at least 6 bits, so a haystack has len - 5 starts
+        before = sum(len(h) - 5 for h in hays[:3])
         assert before < strings_module._BLOCK < before + 670
         got = self.check(template, hays, searches, 1)
         assert prefilter_calls == []
         assert got[0] is None and got[1].lo > 590 and got[2] is None and got[3].lo > 670
+
+    def test_every_start_in_one_pass_without_the_prefilter(self, first_hits_rows):
+        # pieces of 3 bits: every start of every haystack is scored in one
+        # packed pass, and the first hit in scan order is the naive scan's
+        template = BitString("0110100")
+        hays = [BitString("0110100" + "1" * 30), BitString("10110100" + "0" * 30), BitString("1" * 40)]
+        searches = [Interval(1, 37), Interval(1, 38), Interval(1, 40)]
+        got = self.check(template, hays, searches, 1)
+        assert got == [Interval(1, 6), Interval(1, 8), None]
+        assert first_hits_rows == [(37 - 5) + (38 - 5) + (40 - 5)]
 
     def test_exact_search_per_haystack(self):
         template = BitString("0110")
@@ -1382,19 +1391,6 @@ class TestVerbatimFirstStart:
         assert got[0] == Interval(120, 160) and got[1] is not None and got[3] is None
         assert len(kept_starts[0]) == 1 and len(kept_starts[1]) > 1 and len(kept_starts[2]) > 1
 
-    def test_first_starts_alone_without_the_prefilter(self, first_hits_rows):
-        # pieces of 3 bits: every start is scored, each haystack's first
-        # start in a pass of its own, and the later starts only of the
-        # haystacks whose first start misses
-        template = BitString("0110100")
-        hays = [BitString("0110100" + "1" * 30), BitString("10110100" + "0" * 30)]
-        searches = [Interval(1, 37), Interval(1, 38)]
-        got = TestFindClosestSubwords.check(template, hays, searches, 1)
-        assert got[0] == Interval(1, 6) and first_hits_rows == [2]
-        hays.append(BitString("1" * 40))
-        first_hits_rows.clear()
-        assert TestFindClosestSubwords.check(template, hays, searches + [Interval(1, 40)], 1)[2] is None
-        assert first_hits_rows == [3, 40 - 6]
 
 
 class TestFindCommonWord:
